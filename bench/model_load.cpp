@@ -7,8 +7,9 @@
  * and times the end-to-end path from file to forward-ready packed
  * operands for every layer:
  *
- *   stream: read file -> bit-unpack every symbol -> reconstruct ->
- *           packGroupedRows per layer
+ *   stream: read file -> bit-unpack every symbol -> packGroupedRows
+ *           per layer into an in-memory MVQI image -> the mvqi path's
+ *           validation and borrow over that image
  *   mvqi:   mmap -> structural validation -> borrow + O(nnz) semantic
  *           validation (no decode, no packing)
  *

@@ -5,9 +5,9 @@
  * accelerator's weight loader consumes, once as the mmap-able MVQI image
  * serving processes share — reload both, and validate the reloaded model
  * in software (accuracy), through the functional systolic array
- * (bit-near-exact ofmap), and on the sparse CPU path, where the MVQI
- * artifact's borrowed (zero-copy) operands must be bit-identical to the
- * stream artifact's freshly packed ones.
+ * (bit-near-exact ofmap), and on the sparse CPU path, where the operands
+ * borrowed from the mapped image must be bit-identical to the ones the
+ * stream artifact packed into its in-memory image at open.
  */
 
 #include <cstdio>
@@ -103,10 +103,10 @@ main()
     std::cout << "array-vs-software max |diff| through the file round "
                  "trip: " << maxAbsDiff(run.ofmap, ref) << "\n";
 
-    // Sparse CPU inference, once per backend. The stream artifact packs
-    // its operand at packedOperands time; the MVQI artifact borrows its
-    // operand pointers straight from the mapped image. Same input, same
-    // ISA => the outputs must agree to the bit.
+    // Sparse CPU inference, once per file. The stream artifact packed
+    // its operands into an in-memory image at open; the MVQI artifact
+    // borrows its operand pointers straight from the mapped file. Same
+    // input, same ISA => the outputs must agree to the bit.
     const nn::CompressedConv2d stream_conv(
         stream_art->layerName(0), stream_art->layerShape(0),
         stream_art->packedOperands(0), 1, 1);

@@ -13,18 +13,20 @@
  *   --to stream|mvqi          target format (default: by <out> extension,
  *                             ".mvqi" => mvqi, anything else => stream)
  *   --groups N                conv groups baked into every MVQI layer
- *   --layer-groups name=N     per-layer override (repeatable)
+ *   --layer-groups name=N     per-layer override (repeatable; the name
+ *                             must be a layer of the model)
+ * N must be a whole number >= 1.
  *
- * Exit status: 0 on success, 1 on usage errors, and FatalError aborts
- * (corrupt input) surface the loader's message on stderr.
+ * Exit status: 0 on success, 1 on usage errors, 2 on a FatalError (a bad
+ * option value, corrupt input), whose message goes to stderr.
  */
 
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "common/logging.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
 
 namespace {
@@ -43,6 +45,18 @@ usage()
     return 1;
 }
 
+/** A conv group count: a whole decimal number >= 1, nothing after it. */
+std::int64_t
+parseGroups(const std::string &flag, const std::string &v)
+{
+    std::int64_t n = 0;
+    const char *end = v.data() + v.size();
+    const auto [stop, ec] = std::from_chars(v.data(), end, n);
+    fatalIf(ec != std::errc() || stop != end || n < 1, flag,
+            " expects a whole number >= 1, got '", v, "'");
+    return n;
+}
+
 void
 describeLayer(const ModelArtifact &art, std::int64_t i)
 {
@@ -53,10 +67,8 @@ describeLayer(const ModelArtifact &art, std::int64_t i)
               << " d=" << cl.cfg.d << " " << cl.cfg.pattern.n << ":"
               << cl.cfg.pattern.m << " ("
               << core::groupingName(cl.cfg.grouping) << ", codebook "
-              << cl.codebook_id << ", ng=" << cl.ng() << ")";
-    if (const std::int64_t baked = art.bakedGroups(i); baked != 0)
-        std::cout << "  [pre-packed, groups=" << baked << "]";
-    std::cout << "\n";
+              << cl.codebook_id << ", ng=" << cl.ng() << ")"
+              << "  [pre-packed, groups=" << art.bakedGroups(i) << "]\n";
 }
 
 int
@@ -79,10 +91,9 @@ cmdInfo(const std::string &path)
     }
     for (std::int64_t i = 0; i < art->layerCount(); ++i)
         describeLayer(*art, i);
-    if (const auto *mm = dynamic_cast<const MmapArtifact *>(art.get()))
-        std::cout << "  backing: "
-                  << (mm->mapped() ? "mmap" : "aligned heap copy")
-                  << ", MVQI v" << mm->view().header().version << "\n";
+    std::cout << "  backing: MVQI v" << art->view().header().version
+              << " image, "
+              << (art->mapped() ? "mmap" : "built in memory") << "\n";
     return 0;
 }
 
@@ -110,14 +121,14 @@ cmdConvert(int argc, char **argv)
                              : ArtifactFormat::Stream;
             to_set = true;
         } else if (arg == "--groups") {
-            opts.default_groups = std::atoll(next().c_str());
+            opts.default_groups = parseGroups(arg, next());
         } else if (arg == "--layer-groups") {
             const std::string v = next();
             const auto eq = v.find('=');
             fatalIf(eq == std::string::npos,
                     "--layer-groups expects name=N, got ", v);
             opts.layer_groups[v.substr(0, eq)] =
-                std::atoll(v.c_str() + eq + 1);
+                parseGroups(arg, v.substr(eq + 1));
         } else {
             std::cerr << "unknown option " << arg << "\n";
             return usage();
@@ -142,8 +153,8 @@ cmdVerify(const std::string &path)
     const auto art = openArtifact(path);
     std::int64_t nnz = 0;
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        // packedOperands runs the full O(nnz) semantic validation on the
-        // MVQI path (validateGroupedOperand over the borrowed views).
+        // packedOperands runs the full O(nnz) semantic validation
+        // (validateGroupedOperand over the borrowed views).
         const SharedOperands ops = art->packedOperands(i);
         for (const GroupedSparseMatrix &g : *ops)
             nnz += g.rows.nnz();

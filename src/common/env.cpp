@@ -27,15 +27,9 @@ const Knob kKnobs[] = {
     {"MVQ_SIMD", "string", "auto-detect",
      "force a SIMD kernel path: scalar|avx2|neon (unavailable requests "
      "warn and fall back)"},
-    {"MVQ_FUSED_CONV", "flag", "on",
-     "fused im2col->B-panel conv forward path; 0/off materializes the "
-     "cols tensor instead (bit-identical per ISA)"},
     {"MVQ_SPARSE_MULTIROW", "flag", "on",
      "multi-row sparse micro-kernel; 0/off falls back to the single-row "
      "sparse gemm bit-identically"},
-    {"MVQ_MVQI_NO_MMAP", "flag", "off",
-     "load .mvqi images through the 64-byte-aligned heap fallback instead "
-     "of mmap"},
     {"MVQ_SERVE_MAX_BATCH", "int", "8",
      "serving batcher launches a batched forward once this many images "
      "are queued (1 disables coalescing)"},

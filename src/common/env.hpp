@@ -20,8 +20,8 @@
  *
  * Knobs that also need a *programmatic* override (tests/benches flipping
  * them mid-process) keep a module-local cached setter on top of this —
- * e.g. tensor/ops' setFusedConvEnabled — because registry reads are
- * sticky by design: setenv after the first read has no effect.
+ * e.g. tensor/ops' setSparseMultiRowEnabled — because registry reads
+ * are sticky by design: setenv after the first read has no effect.
  */
 
 #ifndef MVQ_COMMON_ENV_HPP

@@ -37,6 +37,28 @@ CompressedLayer::decodeMask() const
 namespace {
 
 /**
+ * The pack walk indexes the mask and the assignments by grouped
+ * coordinate and the codebook by assignment. A layer read from a file
+ * (a stream is packed as soon as it is opened) must keep every one of
+ * those indices in range: FatalError otherwise, never an out-of-bounds
+ * read. Mask codes are range-checked where they are decoded.
+ */
+void
+checkPackInputs(const CompressedLayer &layer, const Codebook &cb)
+{
+    fatalIf(cb.d() != layer.cfg.d, layer.name, ": codebook d ", cb.d(),
+            " != layer d ", layer.cfg.d);
+    const std::int64_t ng = groupCount(layer.weight_shape, layer.cfg.d,
+                                       layer.cfg.grouping);
+    fatalIf(layer.ng() != ng, layer.name, ": ", layer.ng(),
+            " assignments, but a ", layer.weight_shape.str(),
+            " kernel at d=", layer.cfg.d, " has ", ng, " subvectors");
+    for (const std::int32_t a : layer.assignments)
+        fatalIf(a < 0 || a >= cb.k(), layer.name, ": assignment ", a,
+                " is outside its ", cb.k(), "-codeword codebook");
+}
+
+/**
  * The shared pack walk: rows [k0, k1) of the layer's unrolled [K, C*R*S]
  * weight matrix as a standalone CSR operand (rows rebased to k0). One LUT
  * pass has already expanded the stored group codes into `mask`; the walk
@@ -93,10 +115,7 @@ packRowRange(const CompressedLayer &layer, const Mask &mask,
 SparseRowMatrix
 CompressedLayer::packSparseRows(const Codebook &cb) const
 {
-    fatalIf(weight_shape.rank() != 4,
-            name, ": packSparseRows expects a 4-D kernel shape");
-    fatalIf(cb.d() != cfg.d, name, ": codebook d ", cb.d(),
-            " != layer d ", cfg.d);
+    checkPackInputs(*this, cb);
     const Mask mask = decodeMask();
     return packRowRange(*this, mask, cb, 0, weight_shape.dim(0));
 }
@@ -105,10 +124,7 @@ std::vector<GroupedSparseMatrix>
 CompressedLayer::packGroupedRows(const Codebook &cb,
                                  std::int64_t groups) const
 {
-    fatalIf(weight_shape.rank() != 4,
-            name, ": packGroupedRows expects a 4-D kernel shape");
-    fatalIf(cb.d() != cfg.d, name, ": codebook d ", cb.d(),
-            " != layer d ", cfg.d);
+    checkPackInputs(*this, cb);
     const std::int64_t kk = weight_shape.dim(0);
     fatalIf(groups <= 0 || kk % groups != 0,
             name, ": out channels ", kk, " not divisible by groups ",

@@ -1,13 +1,13 @@
 #include "core/io/mvqi_format.hpp"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <new>
+#include <set>
 #include <type_traits>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -34,12 +34,12 @@ using Tile = GroupedSparseMatrix::Tile;
 
 /**
  * Append-only image buffer. Every section lands on a kMvqiAlign boundary
- * (zero padding in between), so offsets recorded here are valid for both
- * the mmap path (page-aligned base) and the aligned heap fallback.
+ * (zero padding in between), and the buffer itself starts on one, so the
+ * finished buffer is servable in place, exactly like a mapped file.
  */
 struct ImageBuilder
 {
-    std::vector<std::uint8_t> buf;
+    MvqiBytes buf;
 
     std::uint64_t
     alignUp()
@@ -148,11 +148,20 @@ appendOperand(ImageBuilder &b, const GroupedSparseMatrix &op)
 
 } // namespace
 
-std::vector<std::uint8_t>
+MvqiBytes
 buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
 {
     const std::size_t n_books = model.codebooks.size();
     const std::size_t n_layers = model.layers.size();
+
+    // A misspelled name would otherwise bake that layer at the default
+    // groups and silently take it off the zero-copy path when served.
+    std::set<std::string> names;
+    for (const CompressedLayer &cl : model.layers)
+        names.insert(cl.name);
+    for (const auto &entry : opts.layer_groups)
+        fatalIf(names.count(entry.first) == 0, "layer_groups names layer '",
+                entry.first, "', which the model does not have");
 
     ImageBuilder b;
     b.reserve(sizeof(MvqiHeader));
@@ -210,6 +219,7 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.mask_codes = b.append(cl.mask_codes);
 
         // The one and only pack: serving loads borrow these bytes as-is.
+        // One layer's operands at a time, so the heap never holds more.
         const std::vector<GroupedSparseMatrix> ops =
             cl.packGroupedRows(model.codebooks[cl.codebook_id], groups);
         std::vector<MvqiOperand> op_recs;
@@ -246,7 +256,7 @@ void
 writeMvqiFile(const CompressedModel &model, const std::string &path,
               const MvqiWriteOptions &opts)
 {
-    const std::vector<std::uint8_t> image = buildMvqiImage(model, opts);
+    const MvqiBytes image = buildMvqiImage(model, opts);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     fatalIf(!out, "cannot open ", path, " for writing");
     out.write(reinterpret_cast<const char *>(image.data()),
@@ -255,84 +265,79 @@ writeMvqiFile(const CompressedModel &model, const std::string &path,
     fatalIf(!out, "failed writing MVQI image to ", path);
 }
 
-namespace {
-
-/** -1 = unresolved (read MVQ_MVQI_NO_MMAP on first query). */
-std::atomic<int> g_heap_fallback{-1};
-
-} // namespace
-
-bool
-mvqiHeapFallback()
+void *
+allocateImagePages(std::size_t bytes)
 {
-    int v = g_heap_fallback.load(std::memory_order_acquire);
-    if (v < 0) {
-        v = env::flag("MVQ_MVQI_NO_MMAP", false) ? 1 : 0;
-        g_heap_fallback.store(v, std::memory_order_release);
-    }
-    return v == 1;
+#ifdef MVQ_MVQI_HAVE_MMAP
+    // Page-aligned, which is kMvqiAlign-aligned. mmap rejects length 0.
+    void *p = ::mmap(nullptr, std::max<std::size_t>(bytes, 1),
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
+#else
+    return ::operator new(bytes, std::align_val_t(kMvqiAlign));
+#endif
 }
 
 void
-setMvqiHeapFallback(bool on)
-{
-    g_heap_fallback.store(on ? 1 : 0, std::memory_order_release);
-}
-
-MappedFile::MappedFile(const std::string &path) : path_(path)
+freeImagePages(void *p, std::size_t bytes) noexcept
 {
 #ifdef MVQ_MVQI_HAVE_MMAP
-    if (!mvqiHeapFallback()) {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        fatalIf(fd < 0, "cannot open model image ", path);
-        struct stat st;
-        const bool stat_ok = ::fstat(fd, &st) == 0;
-        if (!stat_ok || st.st_size <= 0) {
-            ::close(fd);
-            fatalIf(!stat_ok, "cannot stat model image ", path);
-            fatal("model image ", path, " is empty");
-        }
-        void *p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd);
-        fatalIf(p == MAP_FAILED, "mmap failed for model image ", path);
-        data_ = static_cast<const std::uint8_t *>(p);
-        size_ = static_cast<std::int64_t>(st.st_size);
-        mapped_ = true;
-        return;
-    }
+    ::munmap(p, std::max<std::size_t>(bytes, 1));
+#else
+    (void)bytes;
+    ::operator delete(p, std::align_val_t(kMvqiAlign));
 #endif
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    fatalIf(!in, "cannot open model image ", path);
-    const std::int64_t sz = static_cast<std::int64_t>(in.tellg());
-    fatalIf(sz <= 0, "model image ", path, " is empty");
-    const std::size_t alloc =
-        (static_cast<std::size_t>(sz) + kMvqiAlign - 1)
-        / kMvqiAlign * kMvqiAlign;
-    void *p = std::aligned_alloc(static_cast<std::size_t>(kMvqiAlign),
-                                 alloc);
-    fatalIf(p == nullptr, "cannot allocate ", alloc, " bytes for model ",
-            "image ", path);
-    in.seekg(0);
-    in.read(static_cast<char *>(p), sz);
-    if (!in) {
-        std::free(p);
-        fatal("short read loading model image ", path);
-    }
-    heap_ = p;
-    data_ = static_cast<const std::uint8_t *>(p);
-    size_ = sz;
 }
 
-MappedFile::~MappedFile()
+MvqiImage::MvqiImage(const std::string &path)
+{
+#ifdef MVQ_MVQI_HAVE_MMAP
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    fatalIf(fd < 0, "cannot open model image ", path);
+    struct stat st;
+    const bool stat_ok = ::fstat(fd, &st) == 0;
+    if (!stat_ok || st.st_size <= 0) {
+        ::close(fd);
+        fatalIf(!stat_ok, "cannot stat model image ", path);
+        fatal("model image ", path, " is empty");
+    }
+    void *p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
+                     PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    fatalIf(p == MAP_FAILED, "mmap failed for model image ", path);
+    data_ = static_cast<const std::uint8_t *>(p);
+    size_ = static_cast<std::int64_t>(st.st_size);
+    mapped_ = true;
+#else
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    fatalIf(!in, "cannot open model image ", path);
+    const std::streamoff sz = in.tellg();
+    fatalIf(sz <= 0, "model image ", path, " is empty");
+    owned_.resize(static_cast<std::size_t>(sz));
+    in.seekg(0);
+    in.read(reinterpret_cast<char *>(owned_.data()), sz);
+    fatalIf(!in, "short read loading model image ", path);
+    data_ = owned_.data();
+    size_ = static_cast<std::int64_t>(sz);
+#endif
+}
+
+MvqiImage::MvqiImage(MvqiBytes bytes)
+    : owned_(std::move(bytes)), data_(owned_.data()),
+      size_(static_cast<std::int64_t>(owned_.size()))
+{
+}
+
+MvqiImage::~MvqiImage()
 {
 #ifdef MVQ_MVQI_HAVE_MMAP
     if (mapped_)
         ::munmap(const_cast<std::uint8_t *>(data_),
                  static_cast<std::size_t>(size_));
 #endif
-    if (heap_ != nullptr)
-        std::free(heap_);
 }
 
 MvqiView::MvqiView(const std::uint8_t *data, std::int64_t size,

@@ -9,7 +9,8 @@
  * panel-ready sparse operands (GroupedSparseMatrix tiles + CSR remainder)
  * exactly as the gemm drivers consume them. Loading is therefore mmap +
  * validate: no bit-stream decode, no packSparseRows/packGroupedRows, and
- * N server processes share one read-only page-cached image.
+ * N server processes share one read-only page-cached image. A stream file
+ * is served through the same image, built in memory when it is opened.
  *
  * Byte-level layout, alignment rules, and the versioning policy are
  * specified in docs/FORMAT.md; this header is the single source of truth
@@ -128,53 +129,91 @@ struct MvqiWriteOptions
 };
 
 /**
+ * Storage for image bytes on a kMvqiAlign boundary. On POSIX these are
+ * fresh anonymous pages, returned to the OS when freed: an image built in
+ * memory lives in its own pages, like a mapped file, and the copies left
+ * behind as it grows never pile up in the malloc heap. Elsewhere it is
+ * aligned operator new.
+ */
+void *allocateImagePages(std::size_t bytes);
+void freeImagePages(void *p, std::size_t bytes) noexcept;
+
+/** std::allocator stand-in over allocateImagePages / freeImagePages. */
+template <typename T>
+struct MvqiAllocator
+{
+    using value_type = T;
+
+    MvqiAllocator() = default;
+    template <typename U>
+    MvqiAllocator(const MvqiAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(allocateImagePages(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        freeImagePages(p, n * sizeof(T));
+    }
+
+    template <typename U>
+    bool
+    operator==(const MvqiAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+};
+
+/** MVQI image bytes (see allocateImagePages). */
+using MvqiBytes = std::vector<std::uint8_t, MvqiAllocator<std::uint8_t>>;
+
+/**
  * Serialize `model` into an MVQI image: runs packGroupedRows per layer
  * ONCE here, at serialize time, so no load ever runs it again.
  * Deterministic: same model + options => identical bytes (the golden
- * fixture test depends on this). Fatal on layer names >= 64 bytes or
- * invalid groups.
+ * fixture test depends on this). Fatal on layer names >= 64 bytes,
+ * invalid groups, or a `layer_groups` key that names no layer.
  */
-std::vector<std::uint8_t> buildMvqiImage(const CompressedModel &model,
-                                         const MvqiWriteOptions &opts = {});
+MvqiBytes buildMvqiImage(const CompressedModel &model,
+                         const MvqiWriteOptions &opts = {});
 
 /** buildMvqiImage + write to a file (fatal on I/O failure). */
 void writeMvqiFile(const CompressedModel &model, const std::string &path,
                    const MvqiWriteOptions &opts = {});
 
 /**
- * True when MappedFile will use the 64-byte-aligned heap fallback instead
- * of mmap. Resolved once from MVQ_MVQI_NO_MMAP via the env registry;
- * setMvqiHeapFallback is the programmatic override (tests exercising both
- * loaders in one process — registry reads are sticky by design).
+ * The bytes of one MVQI image on a kMvqiAlign boundary: either a
+ * read-only mmap of a `.mvqi` file or owned memory (an image built from a
+ * stream file, or a `.mvqi` file read whole where mmap is unavailable).
  */
-bool mvqiHeapFallback();
-void setMvqiHeapFallback(bool on);
-
-/**
- * Read-only mapping of a file: mmap on POSIX, a 64-byte-aligned heap copy
- * elsewhere (or when MVQ_MVQI_NO_MMAP=1 forces the fallback for testing).
- * Fatal on open/stat/map failure or an empty file.
- */
-class MappedFile
+class MvqiImage
 {
   public:
-    explicit MappedFile(const std::string &path);
-    ~MappedFile();
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
+    /** Map the file at `path`; fatal on open/stat/map failure or an
+     *  empty file. */
+    explicit MvqiImage(const std::string &path);
+    /** Own an image built in memory (see buildMvqiImage). */
+    explicit MvqiImage(MvqiBytes bytes);
+    ~MvqiImage();
+    MvqiImage(const MvqiImage &) = delete;
+    MvqiImage &operator=(const MvqiImage &) = delete;
 
     const std::uint8_t *data() const { return data_; }
     std::int64_t size() const { return size_; }
-    const std::string &path() const { return path_; }
-    /** True when backed by mmap (heap fallback otherwise). */
+    /** True when the bytes are an mmap of the file. */
     bool mapped() const { return mapped_; }
 
   private:
-    std::string path_;
+    MvqiBytes owned_;
     const std::uint8_t *data_ = nullptr;
     std::int64_t size_ = 0;
     bool mapped_ = false;
-    void *heap_ = nullptr; //!< fallback allocation (aligned)
 };
 
 /**
@@ -189,7 +228,7 @@ class MappedFile
  * Structural validation is O(layers + groups), independent of model
  * size; the O(nnz) semantic validation of each operand's indices happens
  * when the operand is borrowed (validateGroupedOperand, see
- * MmapArtifact::packedOperands).
+ * ModelArtifact::packedOperands).
  */
 class MvqiView
 {

@@ -99,34 +99,24 @@ CompressedConv2d::forward(const Tensor &x) const
     // Same schedule as Conv2d::forward: each (batch, group) pair fills a
     // disjoint slab of out, and the sparse gemm writes into that slab
     // directly (the kg output channels are contiguous in NCHW). When the
-    // pairs cannot fill the pool, run them serially so the inner
-    // im2col/gemm gets all the threads.
+    // pairs cannot fill the pool, run them serially so the inner gemm
+    // gets all the threads.
     //
-    // The fused path (default) is where PR3's B-side-traffic gap closes:
     // gemmSparseAIm2col packs patches straight into the B panels the
-    // sparse micro-kernel reads, never materializing the cols tensor.
-    // MVQ_FUSED_CONV=0 restores the materializing path; both are
-    // bit-identical. The grouped operand routes bucketed rows through the
-    // multi-row kernel (MVQ_SPARSE_MULTIROW=0 restores the single-row
-    // walk over the embedded full operand, bit-identically per ISA).
-    const bool fused = fusedConvEnabled();
+    // sparse micro-kernel reads, never materializing the cols tensor
+    // (bit-identical to im2col + gemmSparseARaw). The grouped operand
+    // routes bucketed rows through the multi-row kernel
+    // (MVQ_SPARSE_MULTIROW=0 restores the single-row walk over the
+    // embedded full operand, bit-identically per ISA).
     const std::int64_t work = batch * groups_;
     auto run_pair = [&](std::int64_t w) {
         const std::int64_t n = w / groups_;
         const std::int64_t grp = w % groups_;
         float *po = out.data() + ((n * out_c + grp * kg) * oh * ow);
-        const GroupedSparseMatrix &rows =
-            (*group_rows_)[static_cast<std::size_t>(grp)];
-        if (fused) {
-            const float *slab = x.data()
-                + (n * cg * groups_ + grp * cg) * g.in_h * g.in_w;
-            gemmSparseAIm2col(rows, Im2colB{slab, g}, 1.0f, 0.0f, po,
-                              oh * ow);
-        } else {
-            const Tensor cols = im2col(x, n, g, grp * cg);
-            gemmSparseARaw(rows, cols.data(), oh * ow, oh * ow, 1.0f, 0.0f,
-                           po, oh * ow);
-        }
+        const float *slab =
+            x.data() + (n * cg * groups_ + grp * cg) * g.in_h * g.in_w;
+        gemmSparseAIm2col((*group_rows_)[static_cast<std::size_t>(grp)],
+                          Im2colB{slab, g}, 1.0f, 0.0f, po, oh * ow);
     };
     if (work < numThreads()) {
         for (std::int64_t w = 0; w < work; ++w)

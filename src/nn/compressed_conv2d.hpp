@@ -12,10 +12,10 @@
  * (core::CompressedLayer::packGroupedRows) so rows sharing an N:M mask
  * code run through the multi-row kernel, one B-panel load feeding several
  * output channels; `MVQ_SPARSE_MULTIROW=0` restores the single-row walk.
- * `MVQ_FUSED_CONV=0` falls back to the materializing im2col + sparse
- * gemm composition (bit-identical per ISA; see tensor/ops.hpp). Contrast
- * with CompressedModel::applyTo, which densifies the kernel and pays the
- * full dense gemm.
+ * The forward is bit-identical per ISA to the materializing im2col +
+ * gemmSparseARaw composition, which stays as the test oracle (see
+ * tensor/ops.hpp). Contrast with CompressedModel::applyTo, which
+ * densifies the kernel and pays the full dense gemm.
  */
 
 #ifndef MVQ_NN_COMPRESSED_CONV2D_HPP
@@ -58,7 +58,7 @@ class CompressedConv2d
      * core::io::ModelArtifact::packedOperands, so N conv instances (and,
      * with an MVQI image, N processes) share one packed operand set and
      * construction does no decode and no pack. The shared_ptr keeps
-     * whatever owns the operand bytes (e.g. the mmap'ed image) alive.
+     * whatever owns the operand bytes (e.g. the artifact's image) alive.
      *
      * @param weight_shape Original 4-D kernel shape [K, C/groups, R, S]
      *        (the operands only know the unrolled 2-D geometry).
@@ -70,11 +70,10 @@ class CompressedConv2d
 
     /**
      * NCHW forward through the fused im2col->panel sparse gemm (one gemm
-     * per (batch, group) pair, output slabs written in place; the
-     * materializing im2col path under `MVQ_FUSED_CONV=0` is
-     * bit-identical). Genuinely const (no hidden mutable state), so one
-     * instance can serve concurrent forward calls. Output is
-     * bit-identical for any `MVQ_NUM_THREADS` within an ISA.
+     * per (batch, group) pair, output slabs written in place).
+     * Genuinely const (no hidden mutable state), so one instance can
+     * serve concurrent forward calls. Output is bit-identical for any
+     * `MVQ_NUM_THREADS` within an ISA.
      */
     Tensor forward(const Tensor &x) const;
 

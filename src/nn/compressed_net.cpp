@@ -1,7 +1,5 @@
 #include "nn/compressed_net.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 #include "core/io/model_artifact.hpp"
 
@@ -21,15 +19,13 @@ CompressedNet::CompressedNet(const core::io::ModelArtifact &artifact,
     for (std::int64_t i = 0; i < n; ++i) {
         const ConvGeomSpec g =
             geom.empty() ? ConvGeomSpec{} : geom[static_cast<std::size_t>(i)];
-        // packedOperands(i) serves the artifact's baked group count (or 1
-        // when nothing is baked) from its shared per-(layer, groups)
-        // cache — this is the zero-copy serving path for MVQI images.
+        // packedOperands(i) serves the artifact's baked group count from
+        // its shared per-(layer, groups) cache as borrowed views into the
+        // image — the zero-copy serving path.
         layers_.emplace_back(artifact.layerName(i), artifact.layerShape(i),
                              artifact.packedOperands(i), g.stride, g.pad);
     }
-    const std::int64_t groups0 = std::max<std::int64_t>(
-        artifact.bakedGroups(0), 1);
-    in_channels_ = artifact.layerShape(0).dim(1) * groups0;
+    in_channels_ = artifact.layerShape(0).dim(1) * artifact.bakedGroups(0);
 }
 
 Tensor

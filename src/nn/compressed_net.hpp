@@ -4,11 +4,11 @@
  * CompressedConv2d layers built from one shared core::io::ModelArtifact.
  * Every layer borrows the artifact's cached packed operands
  * (ModelArtifact::packedOperands), so N CompressedNet instances — and,
- * with an MVQI image, N processes — share one operand set and
- * construction does no decode and no packing beyond the artifact's own
- * first touch. forward() takes any batch size B and is const, so one
- * instance serves concurrent callers; it is the batched forward entry
- * the serving runtime (src/serve) coalesces requests into.
+ * with a mapped `.mvqi` file, N processes — share one operand set and
+ * construction does no decode and no packing. forward() takes any batch
+ * size B and is const, so one instance serves concurrent callers; it is
+ * the batched forward entry the serving runtime (src/serve) coalesces
+ * requests into.
  *
  * Like CompressedConv2d this is deliberately not an nn::Layer: no
  * backward, no parameters, no activations — a pure conv chain whose

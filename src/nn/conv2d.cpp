@@ -61,15 +61,13 @@ Conv2d::forward(const Tensor &x, bool train)
 
     // Each (batch, group) pair fills a disjoint slab of out. When there
     // are fewer pairs than threads, run the outer loop serially so the
-    // inner im2col/gemm can use the whole pool instead of being forced
-    // inline; either way each pair's result is bit-identical.
+    // inner gemm can use the whole pool instead of being forced inline;
+    // either way each pair's result is bit-identical.
     //
-    // The fused path (default) hands the gemm the (batch, group) input
-    // slab as a geometry-described B operand so patches pack straight
-    // into B panels; MVQ_FUSED_CONV=0 restores the materializing im2col
-    // path. Both are bit-identical (see gemmIm2colRaw), so the knob is a
-    // perf A/B switch, not a numerics one.
-    const bool fused = fusedConvEnabled();
+    // The gemm takes the (batch, group) input slab as a geometry-described
+    // B operand, so patches pack straight into B panels and the cols
+    // tensor is never materialized (bit-identical to im2col + gemmRaw,
+    // see gemmIm2colRaw).
     const std::int64_t work = batch * cfg_.groups;
     auto run_pair = [&](std::int64_t w) {
         const std::int64_t n = w / cfg_.groups;
@@ -77,16 +75,10 @@ Conv2d::forward(const Tensor &x, bool train)
         // out slab = W_grp * cols, written in place (beta = 0).
         float *po = out.data()
             + ((n * cfg_.out_channels + grp * kg) * oh * ow);
-        if (fused) {
-            const float *slab = x.data()
-                + (n * cfg_.in_channels + grp * cg) * g.in_h * g.in_w;
-            gemmIm2colRaw(kg, 1.0f, pw + grp * kg * wcols, wcols,
-                          Im2colB{slab, g}, 0.0f, po, oh * ow);
-        } else {
-            Tensor cols = im2col(x, n, g, grp * cg);
-            gemmRaw(kg, oh * ow, wcols, 1.0f, pw + grp * kg * wcols, wcols,
-                    false, cols.data(), oh * ow, false, 0.0f, po, oh * ow);
-        }
+        const float *slab = x.data()
+            + (n * cfg_.in_channels + grp * cg) * g.in_h * g.in_w;
+        gemmIm2colRaw(kg, 1.0f, pw + grp * kg * wcols, wcols,
+                      Im2colB{slab, g}, 0.0f, po, oh * ow);
     };
     if (work < numThreads()) {
         for (std::int64_t w = 0; w < work; ++w)

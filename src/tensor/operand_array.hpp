@@ -25,7 +25,7 @@ namespace mvq {
  * A dynamic array that is either *owned* (backed by a std::vector — the
  * result of packing an operand at runtime) or *borrowed* (a read-only
  * span over memory something else owns — e.g. one 64-byte-aligned
- * section of an mmap'ed MVQI model image; see core/io/mmap_artifact).
+ * section of an MVQI model image; see core/io/model_artifact).
  *
  * The read API (const data()/size()/operator[]/iteration) works in both
  * modes and is what every gemm driver uses — drivers take operands by
@@ -37,8 +37,8 @@ namespace mvq {
  * operand would defeat the sharing.
  *
  * The borrowed bytes must stay valid for the lifetime of the borrowing
- * array; the owner (e.g. the ModelArtifact whose image is mapped) is
- * responsible for that, see io::ModelArtifact::sharedOperands for the
+ * array; the owner (e.g. the ModelArtifact that holds the image) is
+ * responsible for that, see io::ModelArtifact::packedOperands for the
  * lifetime-safe packaging.
  */
 template <typename T>

@@ -460,13 +460,16 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
 
     // Remainder entries accumulate as (row, col, value) triples; the rows
     // emerge block by block in ascending order and each row's columns stay
-    // ascending, so the final CSR assembles with a single pass.
+    // ascending, so the final CSR assembles with a single pass. Reserved at
+    // the bound (every entry) so growing it leaves no freed copies behind:
+    // on the largest ResNet-18 layer those doubled the peak heap of a pack.
     struct Entry {
         std::int32_t row;
         std::int32_t col;
         float val;
     };
     std::vector<Entry> rem;
+    rem.reserve(static_cast<std::size_t>(src.nnz()));
 
     // Per-block scratch, reused across blocks.
     struct Bucket {
@@ -1359,33 +1362,10 @@ gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
 
 namespace {
 
-/** -1 = unresolved (read MVQ_FUSED_CONV on first query). */
-std::atomic<int> g_fused_conv{-1};
-
 /** -1 = unresolved (read MVQ_SPARSE_MULTIROW on first query). */
 std::atomic<int> g_sparse_multirow{-1};
 
 } // namespace
-
-bool
-fusedConvEnabled()
-{
-    int v = g_fused_conv.load(std::memory_order_acquire);
-    if (v < 0) {
-        // The registry caches the raw environment read; this atomic only
-        // keeps the per-forward query a single load (and carries the
-        // programmatic setFusedConvEnabled override).
-        v = env::flag("MVQ_FUSED_CONV", true) ? 1 : 0;
-        g_fused_conv.store(v, std::memory_order_release);
-    }
-    return v == 1;
-}
-
-void
-setFusedConvEnabled(bool on)
-{
-    g_fused_conv.store(on ? 1 : 0, std::memory_order_release);
-}
 
 bool
 sparseMultiRowEnabled()

@@ -95,8 +95,8 @@ Tensor matmul(const Tensor &a, const Tensor &b,
  * positions.
  *
  * The arrays are OperandArray so an operand can either own its storage
- * (packed at runtime) or borrow it from an mmap'ed MVQI model image
- * (core/io/mmap_artifact) — the drivers only ever read through const
+ * (packed at runtime) or borrow it from an MVQI model image
+ * (core/io/model_artifact) — the drivers only ever read through const
  * accessors, so both modes share every kernel unchanged.
  */
 struct SparseRowMatrix
@@ -340,10 +340,9 @@ struct ConvGeom
  * default c0 = 0 and g.in_c == input channels this is classic im2col;
  * grouped convolutions pass c0 to select their channel slice.
  *
- * This is the *materializing* form: the fused forward paths below skip it
+ * This is the *materializing* form: the conv forward paths skip it
  * entirely (gemmIm2colRaw / gemmSparseAIm2col), but it remains the oracle
- * for the fused tests, the backward/col2im companion, and the fallback
- * when `MVQ_FUSED_CONV=0`.
+ * for the fused tests and the backward/col2im companion.
  */
 Tensor im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
               std::int64_t c0 = 0);
@@ -448,18 +447,6 @@ bool sparseMultiRowEnabled();
 
 /** Programmatic override of sparseMultiRowEnabled (tests/benches). */
 void setSparseMultiRowEnabled(bool on);
-
-/**
- * Whether the conv layers route their forward gemms through the fused
- * im2col->panel entry points (default) or materialize cols and call the
- * dense-B gemms. First call reads `MVQ_FUSED_CONV` (0/off disables);
- * both settings produce bit-identical outputs — the knob exists for A/B
- * perf comparison and as a debug fallback.
- */
-bool fusedConvEnabled();
-
-/** Programmatic override of fusedConvEnabled (tests/benches). */
-void setFusedConvEnabled(bool on);
 
 /**
  * Scatter-add a column matrix back into an image gradient (inverse of

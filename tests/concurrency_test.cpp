@@ -3,11 +3,12 @@
  * Hammer tests for the racy-by-design surfaces the serving runtime will
  * put under concurrent load: first-touch SIMD dispatch resolution,
  * first-touch env-knob reads, the per-(layer,groups) packed-operand
- * caches of both artifact backends, shared-operand forward passes, and
- * concurrent external callers of the thread pool. Every test asserts a
- * functional property (one cache entry, bit-identical outputs, correct
- * sums); the TSan tier (MVQ_SANITIZE=thread, see docs/TOOLING.md) is what
- * turns the hammering itself into a race detector. Tests are declared in
+ * cache of artifacts opened from either file format, shared-operand
+ * forward passes, and concurrent external callers of the thread pool.
+ * Every test asserts a functional property (one cache entry,
+ * bit-identical outputs, correct sums); the TSan tier
+ * (MVQ_SANITIZE=thread, see docs/TOOLING.md) is what turns the hammering
+ * itself into a race detector. Tests are declared in
  * first-touch order: the dispatch and knob tests must run before anything
  * else in this binary resolves them.
  */
@@ -23,9 +24,7 @@
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/simd_dispatch.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/io/stream_artifact.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -83,30 +82,25 @@ TEST(Concurrency, FirstTouchKnobReadsAgreeAcrossThreads)
     // Each thread resolves every knob repeatedly; the registry caches the
     // first read, so all threads must observe identical values even when
     // they race the very first resolution.
-    std::vector<int> fused(kHammerThreads, -1);
     std::vector<int> multirow(kHammerThreads, -1);
     std::vector<std::int64_t> nthreads(kHammerThreads, -1);
     std::vector<std::string> simd_str(kHammerThreads);
     hammer(kHammerThreads, [&](int t) {
         for (int i = 0; i < 64; ++i) {
-            const bool f = fusedConvEnabled();
             const bool m = sparseMultiRowEnabled();
             const std::int64_t n = env::int_("MVQ_NUM_THREADS", 0);
             const std::string s = env::str("MVQ_SIMD", "");
             if (i == 0) {
-                fused[static_cast<std::size_t>(t)] = f ? 1 : 0;
                 multirow[static_cast<std::size_t>(t)] = m ? 1 : 0;
                 nthreads[static_cast<std::size_t>(t)] = n;
                 simd_str[static_cast<std::size_t>(t)] = s;
             }
-            ASSERT_EQ(f ? 1 : 0, fused[static_cast<std::size_t>(t)]);
             ASSERT_EQ(m ? 1 : 0, multirow[static_cast<std::size_t>(t)]);
             ASSERT_EQ(n, nthreads[static_cast<std::size_t>(t)]);
             ASSERT_EQ(s, simd_str[static_cast<std::size_t>(t)]);
         }
     });
     for (int t = 1; t < kHammerThreads; ++t) {
-        EXPECT_EQ(fused[0], fused[static_cast<std::size_t>(t)]);
         EXPECT_EQ(multirow[0], multirow[static_cast<std::size_t>(t)]);
         EXPECT_EQ(nthreads[0], nthreads[static_cast<std::size_t>(t)]);
         EXPECT_EQ(simd_str[0], simd_str[static_cast<std::size_t>(t)]);
@@ -148,61 +142,48 @@ class ConcurrencyArtifactTest : public ::testing::Test
 
 TEST_F(ConcurrencyArtifactTest, PackedOperandsCacheHitsShareOneEntry)
 {
-    const io::MmapArtifact art(image_path_);
-    const std::int64_t layers = art.layerCount();
-    // [thread][layer] -> the operand set that thread observed first.
-    std::vector<std::vector<io::SharedOperands>> seen(
-        static_cast<std::size_t>(kHammerThreads));
-    hammer(kHammerThreads, [&](int t) {
-        auto &mine = seen[static_cast<std::size_t>(t)];
-        mine.resize(static_cast<std::size_t>(layers));
-        for (int i = 0; i < 32; ++i) {
-            for (std::int64_t l = 0; l < layers; ++l) {
-                io::SharedOperands ops = art.packedOperands(l);
-                ASSERT_NE(ops.get(), nullptr);
-                if (i == 0)
-                    mine[static_cast<std::size_t>(l)] = ops;
-                // Cache coherence: every hit on (layer, baked groups)
-                // returns the one entry built by whichever thread won
-                // the first touch.
-                ASSERT_EQ(ops.get(),
-                          mine[static_cast<std::size_t>(l)].get());
+    // A mapped image and a stream served from its in-memory image go
+    // through the same cache.
+    for (const std::string &path : {image_path_, stream_path_}) {
+        const auto art = io::openArtifact(path);
+        const std::int64_t layers = art->layerCount();
+        // [thread][layer] -> the operand set that thread observed first.
+        std::vector<std::vector<io::SharedOperands>> seen(
+            static_cast<std::size_t>(kHammerThreads));
+        hammer(kHammerThreads, [&](int t) {
+            auto &mine = seen[static_cast<std::size_t>(t)];
+            mine.resize(static_cast<std::size_t>(layers));
+            for (int i = 0; i < 32; ++i) {
+                for (std::int64_t l = 0; l < layers; ++l) {
+                    io::SharedOperands ops = art->packedOperands(l);
+                    ASSERT_NE(ops.get(), nullptr);
+                    if (i == 0)
+                        mine[static_cast<std::size_t>(l)] = ops;
+                    // Cache coherence: every hit on (layer, baked groups)
+                    // returns the one entry built by whichever thread won
+                    // the first touch.
+                    ASSERT_EQ(ops.get(),
+                              mine[static_cast<std::size_t>(l)].get());
+                }
             }
-        }
-    });
-    for (std::int64_t l = 0; l < layers; ++l)
-        for (int t = 1; t < kHammerThreads; ++t)
-            EXPECT_EQ(seen[0][static_cast<std::size_t>(l)].get(),
-                      seen[static_cast<std::size_t>(t)]
-                          [static_cast<std::size_t>(l)]
-                              .get());
-}
-
-TEST_F(ConcurrencyArtifactTest, StreamPackedOperandsCacheHitsShareOneEntry)
-{
-    const io::StreamArtifact art(stream_path_);
-    std::vector<io::SharedOperands> seen(
-        static_cast<std::size_t>(kHammerThreads));
-    hammer(kHammerThreads, [&](int t) {
-        for (int i = 0; i < 32; ++i) {
-            io::SharedOperands ops = art.packedOperands(0);
-            ASSERT_NE(ops.get(), nullptr);
-            if (i == 0)
-                seen[static_cast<std::size_t>(t)] = ops;
-            ASSERT_EQ(ops.get(), seen[static_cast<std::size_t>(t)].get());
-        }
-    });
-    for (int t = 1; t < kHammerThreads; ++t)
-        EXPECT_EQ(seen[0].get(), seen[static_cast<std::size_t>(t)].get());
+        });
+        for (std::int64_t l = 0; l < layers; ++l)
+            for (int t = 1; t < kHammerThreads; ++t)
+                EXPECT_EQ(seen[0][static_cast<std::size_t>(l)].get(),
+                          seen[static_cast<std::size_t>(t)]
+                              [static_cast<std::size_t>(l)]
+                                  .get())
+                    << path;
+    }
 }
 
 TEST_F(ConcurrencyArtifactTest, ConcurrentModelMaterializationIsStable)
 {
-    const io::MmapArtifact art(image_path_);
+    const auto art = io::openArtifact(image_path_);
     std::vector<const CompressedModel *> seen(
         static_cast<std::size_t>(kHammerThreads), nullptr);
     hammer(kHammerThreads, [&](int t) {
-        const CompressedModel &m = art.model();
+        const CompressedModel &m = art->model();
         seen[static_cast<std::size_t>(t)] = &m;
         ASSERT_EQ(m.layers.size(), model_.layers.size());
     });

@@ -6,8 +6,8 @@
  * for every ISA this host can execute, on both sides of the
  * small-problem crossover, over padded/strided/panel-straddling
  * geometries; 1-vs-4-thread memcmp; degenerate 0-output-dim panics; and
- * the layer-level MVQ_FUSED_CONV switch on Conv2d / CompressedConv2d
- * (grouped and strided).
+ * the Conv2d / CompressedConv2d forwards (grouped, strided, padded)
+ * against the im2col + gemm composition per (batch, group).
  */
 
 #include <gtest/gtest.h>
@@ -39,12 +39,6 @@ struct IsaGuard
 struct ThreadGuard
 {
     ~ThreadGuard() { setNumThreads(0); }
-};
-
-struct FusedGuard
-{
-    bool saved = fusedConvEnabled();
-    ~FusedGuard() { setFusedConvEnabled(saved); }
 };
 
 std::vector<Isa>
@@ -354,25 +348,54 @@ TEST(FusedPack, SparseInnerDimMismatchPanics)
                  PanicError);
 }
 
+/**
+ * Conv2d::forward without the fusion: materialize each (batch, group)
+ * pair's cols, run the dense-B gemm into its output slab, add the bias.
+ */
+Tensor
+conv2dUnfused(nn::Conv2d &conv, const Tensor &x)
+{
+    const nn::Conv2dConfig &cc = conv.config();
+    const std::int64_t cg = cc.in_channels / cc.groups;
+    const std::int64_t kg = cc.out_channels / cc.groups;
+    const ConvGeom g{cg, x.dim(2), x.dim(3), cc.kernel, cc.kernel,
+                     cc.stride, cc.pad};
+    const std::int64_t ohw = g.outH() * g.outW();
+    const std::int64_t wcols = cg * cc.kernel * cc.kernel;
+    const float *pw = conv.weight().value.data();
+    Tensor out(Shape({x.dim(0), cc.out_channels, g.outH(), g.outW()}));
+    for (std::int64_t n = 0; n < x.dim(0); ++n) {
+        for (std::int64_t grp = 0; grp < cc.groups; ++grp) {
+            const Tensor cols = im2col(x, n, g, grp * cg);
+            gemmRaw(kg, ohw, wcols, 1.0f, pw + grp * kg * wcols, wcols,
+                    false, cols.data(), ohw, false, 0.0f,
+                    out.data() + (n * cc.out_channels + grp * kg) * ohw,
+                    ohw);
+        }
+        for (std::int64_t k = 0; k < cc.out_channels; ++k) {
+            float *po = out.data() + (n * cc.out_channels + k) * ohw;
+            for (std::int64_t i = 0; i < ohw; ++i)
+                po[i] += conv.biasParam().value[k];
+        }
+    }
+    return out;
+}
+
 TEST(FusedPack, Conv2dForwardFusedMatchesUnfused)
 {
     IsaGuard iguard;
-    FusedGuard fguard;
-    // Grouped AND strided AND padded, batch 2 — the layer-level knob must
-    // be a pure perf switch.
+    // Grouped AND strided AND padded, batch 2, with a bias.
     Rng rng(81);
     nn::Conv2dConfig cc{8, 12, 3, 2, 1, 2, true};
     nn::Conv2d conv("conv", cc, rng);
+    conv.biasParam().value.fillNormal(rng, 0.0f, 1.0f);
     Tensor x(Shape({2, 8, 11, 11}));
     x.fillNormal(rng, 0.0f, 1.0f);
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        setFusedConvEnabled(true);
-        const Tensor fused = conv.forward(x, false);
-        setFusedConvEnabled(false);
-        const Tensor unfused = conv.forward(x, false);
-        expectBitIdentical(unfused, fused, simd::isaName(isa));
+        expectBitIdentical(conv2dUnfused(conv, x), conv.forward(x, false),
+                           simd::isaName(isa));
     }
 }
 
@@ -408,10 +431,36 @@ struct CompressedFixture
     }
 };
 
+/**
+ * CompressedConv2d::forward without the fusion: materialize each (batch,
+ * group) pair's cols and run the grouped sparse gemm into its slab.
+ */
+Tensor
+compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
+                  std::int64_t groups, std::int64_t stride, std::int64_t pad,
+                  const Tensor &x)
+{
+    const std::int64_t cg = ws.dim(1);
+    const std::int64_t kg = ws.dim(0) / groups;
+    const ConvGeom g{cg, x.dim(2), x.dim(3), ws.dim(2), ws.dim(3), stride,
+                     pad};
+    const std::int64_t ohw = g.outH() * g.outW();
+    Tensor out(Shape({x.dim(0), ws.dim(0), g.outH(), g.outW()}));
+    for (std::int64_t n = 0; n < x.dim(0); ++n) {
+        for (std::int64_t grp = 0; grp < groups; ++grp) {
+            const Tensor cols = im2col(x, n, g, grp * cg);
+            gemmSparseARaw(conv.groupedOperand(grp), cols.data(), ohw, ohw,
+                           1.0f, 0.0f,
+                           out.data() + (n * ws.dim(0) + grp * kg) * ohw,
+                           ohw);
+        }
+    }
+    return out;
+}
+
 TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
 {
     IsaGuard iguard;
-    FusedGuard fguard;
     // Grouped (groups=2) and strided (stride 2, pad 1) compressed convs.
     CompressedFixture grouped(Shape({16, 2, 3, 3}), 91);
     const nn::CompressedConv2d conv_g(grouped.layer, grouped.cb, 1, 1, 2);
@@ -426,12 +475,12 @@ TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        setFusedConvEnabled(true);
-        const Tensor fg = conv_g.forward(xg);
-        const Tensor fs = conv_s.forward(xs);
-        setFusedConvEnabled(false);
-        expectBitIdentical(conv_g.forward(xg), fg, "grouped");
-        expectBitIdentical(conv_s.forward(xs), fs, "strided");
+        expectBitIdentical(compressedUnfused(conv_g, grouped.shape, 2, 1, 1,
+                                             xg),
+                           conv_g.forward(xg), "grouped");
+        expectBitIdentical(compressedUnfused(conv_s, strided.shape, 1, 2, 1,
+                                             xs),
+                           conv_s.forward(xs), "strided");
     }
 }
 

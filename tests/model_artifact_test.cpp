@@ -3,31 +3,33 @@
  * ModelArtifact API tests: stream<->mvqi round-trip bit-identity
  * (reconstructed tensors and forward outputs memcmp-equal under the
  * active MVQ_SIMD ISA), borrowed-view vs owned-operand forward identity,
- * operand sharing/caching, mapping lifetime, the aligned-heap fallback,
- * and the checked-in golden fixture pinning MVQI format v1 byte-for-byte.
+ * operand sharing/caching, image lifetime, stream files served from an
+ * in-memory image, the `mvqi` CLI's option checks, and the checked-in
+ * golden fixture pinning MVQI format v1 byte-for-byte.
  *
  * Regenerate the fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
  */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/io/stream_artifact.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
 
 #ifndef MVQ_SOURCE_DIR
 #define MVQ_SOURCE_DIR "."
+#endif
+#ifndef MVQ_MVQI_CLI
+#define MVQ_MVQI_CLI "mvqi"
 #endif
 
 namespace mvq::core {
@@ -46,6 +48,22 @@ tensorsBitIdentical(const Tensor &a, const Tensor &b)
         && std::memcmp(a.data(), b.data(),
                        static_cast<std::size_t>(a.numel()) * sizeof(float))
             == 0;
+}
+
+/** Expect openArtifact(path) to fail with a FatalError naming the file
+ *  and mentioning `needle`. */
+void
+expectOpenFails(const std::string &path, const std::string &needle)
+{
+    try {
+        (void)io::openArtifact(path);
+        FAIL() << path << " opened; expected a FatalError mentioning '"
+               << needle << "'";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+        EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    }
 }
 
 /** Forward an NCHW probe through layer `i` of an artifact. */
@@ -101,7 +119,8 @@ TEST_F(ModelArtifactTest, OpenSniffsFormat)
     EXPECT_EQ(m->layerShape(1), Shape({16, 4, 3, 3}));
     EXPECT_EQ(m->bakedGroups(0), 1);
     EXPECT_EQ(m->bakedGroups(1), 2);
-    EXPECT_EQ(s->bakedGroups(1), 0);
+    // The stream stores no conv geometry: its image bakes groups 1.
+    EXPECT_EQ(s->bakedGroups(1), 1);
 }
 
 TEST_F(ModelArtifactTest, RoundTripReconstructionBitIdentity)
@@ -135,22 +154,25 @@ TEST_F(ModelArtifactTest, RoundTripForwardBitIdentity)
 
 TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
 {
-    const auto art = std::make_unique<io::MmapArtifact>(image_path_);
-    const auto *base = art->view().data();
-    const auto *end = base + art->view().size();
-    for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        const io::SharedOperands ops = art->packedOperands(i);
-        for (const GroupedSparseMatrix &g : *ops) {
-            // Borrowed mode, and every array points into the mapping —
-            // no bit-stream decode, no packGroupedRows, no copies.
-            EXPECT_TRUE(g.rows.values.borrowed());
-            EXPECT_TRUE(g.tiles.borrowed());
-            EXPECT_TRUE(g.band_ptr.borrowed());
-            EXPECT_TRUE(g.remainder.values.borrowed());
-            const auto *p =
-                reinterpret_cast<const std::uint8_t *>(g.rows.values.data());
-            EXPECT_TRUE(p >= base && p <= end);
-            EXPECT_TRUE(g.validated);
+    // The mapped file, and the image a stream was built into at open.
+    for (const std::string &path : {image_path_, stream_path_}) {
+        const auto art = io::openArtifact(path);
+        const auto *base = art->view().data();
+        const auto *end = base + art->view().size();
+        for (std::int64_t i = 0; i < art->layerCount(); ++i) {
+            const io::SharedOperands ops = art->packedOperands(i);
+            for (const GroupedSparseMatrix &g : *ops) {
+                // Borrowed mode, and every array points into the image —
+                // no packGroupedRows at borrow time, no copies.
+                EXPECT_TRUE(g.rows.values.borrowed()) << path;
+                EXPECT_TRUE(g.tiles.borrowed()) << path;
+                EXPECT_TRUE(g.band_ptr.borrowed()) << path;
+                EXPECT_TRUE(g.remainder.values.borrowed()) << path;
+                const auto *p = reinterpret_cast<const std::uint8_t *>(
+                    g.rows.values.data());
+                EXPECT_TRUE(p >= base && p <= end) << path;
+                EXPECT_TRUE(g.validated) << path;
+            }
         }
     }
 }
@@ -159,8 +181,7 @@ TEST_F(ModelArtifactTest, BorrowedVsOwnedForwardMemcmp)
 {
     const auto art = io::openArtifact(image_path_);
     for (std::int64_t i = 0; i < 2; ++i) {
-        const std::int64_t groups = std::max<std::int64_t>(
-            art->bakedGroups(i), 1);
+        const std::int64_t groups = art->bakedGroups(i);
         // Owned operand: packed fresh from the in-memory model.
         const CompressedLayer &cl =
             model_.layers[static_cast<std::size_t>(i)];
@@ -214,18 +235,66 @@ TEST_F(ModelArtifactTest, SharedOperandsOutliveTheArtifact)
     EXPECT_GT(conv.forward(x).numel(), 0);
 }
 
-TEST_F(ModelArtifactTest, HeapFallbackMatchesMmap)
+TEST_F(ModelArtifactTest, StreamServesItsOwnInMemoryImage)
 {
-    const bool saved = io::mvqiHeapFallback();
-    io::setMvqiHeapFallback(false);
-    const Tensor mapped = forwardLayer(*io::openArtifact(image_path_), 0,
-                                       1, 5);
-    io::setMvqiHeapFallback(true);
-    const auto art = std::make_unique<io::MmapArtifact>(image_path_);
-    EXPECT_FALSE(art->mapped());
-    const Tensor heap = forwardLayer(*art, 0, 1, 5);
-    io::setMvqiHeapFallback(saved);
-    EXPECT_TRUE(tensorsBitIdentical(mapped, heap));
+    const auto s = io::openArtifact(stream_path_);
+    EXPECT_FALSE(s->mapped());
+    // The in-memory image is exactly what the writer emits for the model
+    // at the default options (every layer baked at groups 1).
+    const io::MvqiBytes want = io::buildMvqiImage(model_);
+    ASSERT_EQ(s->view().size(), static_cast<std::int64_t>(want.size()));
+    EXPECT_EQ(std::memcmp(s->view().data(), want.data(), want.size()), 0);
+
+    // Borrowed from the stream's image vs borrowed from the mapped file.
+    const auto m = io::openArtifact(image_path_);
+    EXPECT_TRUE(m->mapped());
+    EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*s, 0, 1, 5),
+                                    forwardLayer(*m, 0, 1, 5)));
+}
+
+TEST_F(ModelArtifactTest, StreamWithNameOverMvqiLimitFailsToOpen)
+{
+    // The stream format allows names up to 65535 bytes; serving it
+    // through an MVQI image caps them at 63.
+    CompressedModel named = model_;
+    named.layers[0].name = std::string(io::kMvqiNameBytes - 1, 'a');
+    io::saveArtifact(named, stream_path_, io::ArtifactFormat::Stream);
+    EXPECT_EQ(io::openArtifact(stream_path_)->layerName(0),
+              named.layers[0].name);
+
+    named.layers[0].name = std::string(io::kMvqiNameBytes, 'a');
+    io::saveArtifact(named, stream_path_, io::ArtifactFormat::Stream);
+    expectOpenFails(stream_path_, "MVQI limit of 63 bytes");
+}
+
+TEST_F(ModelArtifactTest, StreamWithOutOfRangeIndicesFailsToOpen)
+{
+    // A stream is packed as soon as it is opened, so every index the pack
+    // walk follows is checked first: FatalError, never a read out of
+    // bounds.
+    CompressedModel bad = model_;
+    bad.layers[0].codebook_id = 1; // 8 codewords; layer 0 assigns up to 15
+    io::saveArtifact(bad, stream_path_, io::ArtifactFormat::Stream);
+    expectOpenFails(stream_path_, "outside its 8-codeword codebook");
+
+    bad = model_;
+    bad.layers[0].weight_shape = Shape({32, 2, 2, 2}); // 16 subvectors
+    io::saveArtifact(bad, stream_path_, io::ArtifactFormat::Stream);
+    expectOpenFails(stream_path_, "8 assignments");
+}
+
+TEST_F(ModelArtifactTest, LayerGroupsMustNameALayer)
+{
+    io::MvqiWriteOptions opts = goldenWriteOptions();
+    opts.layer_groups["conv1_grupped"] = 2;
+    try {
+        (void)io::buildMvqiImage(model_, opts);
+        FAIL() << "a misspelled layer_groups key was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'conv1_grupped'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(ModelArtifactTest, NonBakedGroupCountFallsBackCorrectly)
@@ -246,7 +315,7 @@ TEST(MvqiGolden, FixturePinsFormatV1)
     // docs/FORMAT.md, and regenerate with MVQ_WRITE_GOLDEN=1.
     const std::string golden_path =
         std::string(MVQ_SOURCE_DIR) + "/tests/data/golden_v1.mvqi";
-    const std::vector<std::uint8_t> image =
+    const io::MvqiBytes image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
 
     if (env::isSet("MVQ_WRITE_GOLDEN")) {
@@ -285,6 +354,53 @@ TEST(MvqiGolden, FixtureLoadsAndForwards)
     EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*art, 1, 2, 6),
                                     forwardLayer(*fresh, 1, 2, 6)));
     std::remove(fresh_path.c_str());
+}
+
+/** Run the `mvqi` CLI; returns its exit status, `out` gets its output. */
+int
+runMvqi(const std::string &args, std::string *out)
+{
+    const std::string cmd = "'" MVQ_MVQI_CLI "' " + args + " 2>&1";
+    FILE *p = popen(cmd.c_str(), "r");
+    if (p == nullptr)
+        return -1;
+    out->clear();
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr)
+        *out += buf;
+    const int st = pclose(p);
+    return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+}
+
+TEST(MvqiCli, ConvertAcceptsOnlyWholeGroupCountsAndKnownLayers)
+{
+    const std::string in = "'" + std::string(MVQ_SOURCE_DIR)
+        + "/tests/data/golden_v1.mvqi'";
+    const std::string out_path = tmpPath("mvq_cli_test.mvqi");
+    const std::string convert = "convert " + in + " '" + out_path + "' ";
+    std::string text;
+    for (const char *bad : {"2x", "0", "-1", "1.5", "''"}) {
+        EXPECT_EQ(runMvqi(convert + "--groups " + bad, &text), 2) << text;
+        EXPECT_NE(text.find("--groups expects a whole number >= 1"),
+                  std::string::npos)
+            << text;
+        EXPECT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=" + bad,
+                          &text),
+                  2)
+            << text;
+        EXPECT_NE(text.find("--layer-groups expects a whole number >= 1"),
+                  std::string::npos)
+            << text;
+    }
+
+    EXPECT_EQ(runMvqi(convert + "--layer-groups conv1_grupped=2", &text), 2)
+        << text;
+    EXPECT_NE(text.find("'conv1_grupped'"), std::string::npos) << text;
+
+    ASSERT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=2", &text), 0)
+        << text;
+    EXPECT_EQ(io::openArtifact(out_path)->bakedGroups(1), 2);
+    std::remove(out_path.c_str());
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 
 #include "common/fault.hpp"
 #include "common/logging.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
@@ -31,9 +30,9 @@ const char *kPath = "/tmp/mvq_corruption_test.mvqi";
 std::vector<std::uint8_t>
 validImage()
 {
-    static const std::vector<std::uint8_t> image =
+    static const io::MvqiBytes built =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
-    return image;
+    return {built.begin(), built.end()};
 }
 
 void

@@ -57,9 +57,9 @@ const Knob kKnobs[] = {
     {"MVQ_BENCH_GATE_MIN_SPEEDUP", "real", "0 (gate off)",
      "micro_kernels exits nonzero below this fused sparse-vs-dense avx2 "
      "speedup floor"},
-    {"MVQ_BENCH_GATE_MIN_LOAD_SPEEDUP", "real", "0 (gate off)",
-     "model_load exits nonzero below this mmap-vs-stream cold-load "
-     "speedup floor"},
+    {"MVQ_BENCH_GATE_MAX_LOAD_READ_RATIO", "real", "0 (gate off)",
+     "model_load exits nonzero when an MVQI cold load takes more than "
+     "this many memcmp passes over its operands"},
     {"MVQ_BENCH_GATE_MIN_IMAGES_PER_SEC", "real", "0 (gate off)",
      "serve_load exits nonzero below this sustained images/s floor at "
      "the highest client count"},

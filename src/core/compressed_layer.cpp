@@ -59,52 +59,123 @@ checkPackInputs(const CompressedLayer &layer, const Codebook &cb)
 }
 
 /**
+ * A weight's place in the grouped [NG, d] matrix as a subvector row plus
+ * the flat mask index row * d + pos.
+ */
+struct GroupedOffset
+{
+    std::int64_t row = 0;
+    std::int64_t flat = 0;
+};
+
+GroupedOffset
+groupedOffset(const GroupedCoord &gc, std::int64_t d)
+{
+    return {gc.row, gc.row * d + gc.col};
+}
+
+/**
+ * For every grouping, groupedCoords(k, c, r, s) is the sum of
+ * groupedCoords(k, 0, 0, 0) and groupedCoords(0, c, r, s), with no carry
+ * from the position into the row. So the grouped offset of weight (k, j),
+ * j = (c*R + r)*S + s the unrolled column, is a per-row base plus these
+ * per-column tables, computed once per layer in O(C*R*S).
+ */
+struct ColumnOffsets
+{
+    std::vector<std::int64_t> row;
+    std::vector<std::int64_t> flat;
+};
+
+ColumnOffsets
+columnOffsets(const CompressedLayer &layer)
+{
+    const Shape &w4 = layer.weight_shape;
+    const std::size_t ncols =
+        static_cast<std::size_t>(w4.dim(1) * w4.dim(2) * w4.dim(3));
+    ColumnOffsets off;
+    off.row.reserve(ncols);
+    off.flat.reserve(ncols);
+    for (std::int64_t c = 0; c < w4.dim(1); ++c) {
+        for (std::int64_t r = 0; r < w4.dim(2); ++r) {
+            for (std::int64_t s = 0; s < w4.dim(3); ++s) {
+                const GroupedOffset o = groupedOffset(
+                    groupedCoords(0, c, r, s, w4, layer.cfg.d,
+                                  layer.cfg.grouping),
+                    layer.cfg.d);
+                off.row.push_back(o.row);
+                off.flat.push_back(o.flat);
+            }
+        }
+    }
+    return off;
+}
+
+/**
  * The shared pack walk: rows [k0, k1) of the layer's unrolled [K, C*R*S]
  * weight matrix as a standalone CSR operand (rows rebased to k0). One LUT
  * pass has already expanded the stored group codes into `mask`; the walk
- * consumes the bits in unrolled weight-matrix order. A kept position
- * keeps its codeword value even when that value is 0.0f — the operand
- * mirrors the mask structure, not incidental zeros.
+ * reads each weight's bit at its row base plus `col_off`, once to size
+ * the arrays exactly and once to fill them. A kept position keeps its
+ * codeword value even when that value is 0.0f — the operand mirrors the
+ * mask structure, not incidental zeros.
  */
 SparseRowMatrix
 packRowRange(const CompressedLayer &layer, const Mask &mask,
-             const Codebook &cb, std::int64_t k0, std::int64_t k1)
+             const ColumnOffsets &col_off, const Codebook &cb,
+             std::int64_t k0, std::int64_t k1)
 {
     const Shape &w4 = layer.weight_shape;
-    const std::int64_t cc = w4.dim(1);
-    const std::int64_t rr = w4.dim(2);
-    const std::int64_t ss = w4.dim(3);
     const std::int64_t d = layer.cfg.d;
-    const float *cw = cb.codewords.data();
+    const std::int64_t ncols = static_cast<std::int64_t>(col_off.flat.size());
+    const std::int64_t *col_row = col_off.row.data();
+    const std::int64_t *col_flat = col_off.flat.data();
+    const std::uint8_t *keep = mask.data(); // 0/1 per weight
+    auto rowBase = [&](std::int64_t k) {
+        return groupedOffset(
+            groupedCoords(k, 0, 0, 0, w4, d, layer.cfg.grouping), d);
+    };
 
     SparseRowMatrix sp;
     sp.rows = k1 - k0;
-    sp.cols = cc * rr * ss;
-    sp.row_ptr.reserve(static_cast<std::size_t>(sp.rows) + 1);
-    sp.row_ptr.push_back(0);
-    const std::int64_t keep_estimate = sp.rows * sp.cols
-        * layer.cfg.pattern.n / layer.cfg.pattern.m;
-    sp.col_idx.reserve(static_cast<std::size_t>(keep_estimate));
-    sp.values.reserve(static_cast<std::size_t>(keep_estimate));
+    sp.cols = ncols;
+    sp.row_ptr.resize(static_cast<std::size_t>(sp.rows) + 1);
+    std::int64_t *row_ptr = sp.row_ptr.data();
+    row_ptr[0] = 0;
     for (std::int64_t k = k0; k < k1; ++k) {
-        for (std::int64_t c = 0; c < cc; ++c) {
-            for (std::int64_t r = 0; r < rr; ++r) {
-                for (std::int64_t s = 0; s < ss; ++s) {
-                    const GroupedCoord gc =
-                        groupedCoords(k, c, r, s, w4, d, layer.cfg.grouping);
-                    if (!mask[static_cast<std::size_t>(
-                            gc.row * d + gc.col)])
-                        continue;
-                    const std::int32_t a = layer.assignments[
-                        static_cast<std::size_t>(gc.row)];
-                    sp.col_idx.push_back(static_cast<std::int32_t>(
-                        (c * rr + r) * ss + s));
-                    sp.values.push_back(cw[a * d + gc.col]);
-                }
-            }
+        const std::uint8_t *row_keep = keep + rowBase(k).flat;
+        std::int64_t kept = 0;
+        for (std::int64_t j = 0; j < ncols; ++j)
+            kept += row_keep[col_flat[j]];
+        row_ptr[k - k0 + 1] = row_ptr[k - k0] + kept;
+    }
+
+    sp.col_idx.resize(static_cast<std::size_t>(row_ptr[sp.rows]));
+    sp.values.resize(static_cast<std::size_t>(row_ptr[sp.rows]));
+    std::int32_t *col_idx = sp.col_idx.data();
+    float *values = sp.values.data();
+    const float *cw = cb.codewords.data();
+    const std::int32_t *assign = layer.assignments.data();
+    // A row's kept columns are collected without a branch (N of every M
+    // bits set at random defeats the predictor), then filled in.
+    std::vector<std::int32_t> kept_cols(static_cast<std::size_t>(ncols));
+    for (std::int64_t k = k0; k < k1; ++k) {
+        const GroupedOffset base = rowBase(k);
+        const std::uint8_t *row_keep = keep + base.flat;
+        std::int64_t n = 0;
+        for (std::int64_t j = 0; j < ncols; ++j) {
+            kept_cols[static_cast<std::size_t>(n)] =
+                static_cast<std::int32_t>(j);
+            n += row_keep[col_flat[j]];
         }
-        sp.row_ptr.push_back(
-            static_cast<std::int64_t>(sp.values.size()));
+        const std::int64_t e0 = row_ptr[k - k0];
+        for (std::int64_t q = 0; q < n; ++q) {
+            const std::int32_t j = kept_cols[static_cast<std::size_t>(q)];
+            const std::int64_t row = base.row + col_row[j];
+            const std::int64_t pos = base.flat + col_flat[j] - row * d;
+            col_idx[e0 + q] = j;
+            values[e0 + q] = cw[assign[row] * d + pos];
+        }
     }
     validateSparseOperand(sp);
     return sp;
@@ -117,7 +188,8 @@ CompressedLayer::packSparseRows(const Codebook &cb) const
 {
     checkPackInputs(*this, cb);
     const Mask mask = decodeMask();
-    return packRowRange(*this, mask, cb, 0, weight_shape.dim(0));
+    return packRowRange(*this, mask, columnOffsets(*this), cb, 0,
+                        weight_shape.dim(0));
 }
 
 std::vector<GroupedSparseMatrix>
@@ -141,11 +213,14 @@ CompressedLayer::packGroupedRows(const Codebook &cb,
         : 16;
 
     const Mask mask = decodeMask();
+    const ColumnOffsets col_off = columnOffsets(*this);
     std::vector<GroupedSparseMatrix> out;
     out.reserve(static_cast<std::size_t>(groups));
     for (std::int64_t grp = 0; grp < groups; ++grp)
         out.push_back(groupSparseRows(
-            packRowRange(*this, mask, cb, grp * kg, (grp + 1) * kg), mb));
+            packRowRange(*this, mask, col_off, cb, grp * kg,
+                         (grp + 1) * kg),
+            mb));
     return out;
 }
 

@@ -146,6 +146,63 @@ appendOperand(ImageBuilder &b, const GroupedSparseMatrix &op)
     return rec;
 }
 
+/** The conv groups `opts` asks to bake into `cl`'s operands. */
+std::int64_t
+bakedGroups(const CompressedLayer &cl, const MvqiWriteOptions &opts)
+{
+    if (auto it = opts.layer_groups.find(cl.name);
+        it != opts.layer_groups.end())
+        return it->second;
+    return opts.default_groups;
+}
+
+/**
+ * An upper bound on buildMvqiImage's output size, so the image is
+ * allocated once and no append copies it. Each section may be preceded
+ * by up to kMvqiAlign - 1 pad bytes. Every stored mask code keeps N
+ * weights, and the operands hold each kept weight twice: in the CSR
+ * `rows` (8 bytes) and split between the tiles and the remainder.
+ * Remainder entries cost 8 bytes; tiled ones cost 4 (value) + at most 2
+ * (a bucket's shared column serves >= 2 rows) + at most 3 (a 48-byte
+ * tile covers >= 2 x kSparseTileMinCols entries). Row pointers, remainder
+ * row pointers and band pointers cost at most 8 bytes per row each, plus
+ * one per group. Every term comes from the stored arrays or is capped by
+ * them, so a corrupt layer (which the pack rejects) cannot inflate it.
+ */
+std::size_t
+imageBytesBound(const CompressedModel &model, const MvqiWriteOptions &opts)
+{
+    static_assert(sizeof(Tile) <= 2 * kSparseTileMinCols * 3);
+    const std::size_t pad = static_cast<std::size_t>(kMvqiAlign) - 1;
+    auto section = [&](std::size_t bytes) { return bytes + pad; };
+    std::size_t total = section(sizeof(MvqiHeader))
+        + section(model.codebooks.size() * sizeof(MvqiCodebook))
+        + section(model.layers.size() * sizeof(MvqiLayer));
+    for (const Codebook &cb : model.codebooks)
+        total += section(static_cast<std::size_t>(cb.codewords.numel())
+                         * sizeof(float));
+    for (const CompressedLayer &cl : model.layers) {
+        const std::int64_t codes =
+            static_cast<std::int64_t>(cl.mask_codes.size());
+        const std::int64_t m = std::max(cl.cfg.pattern.m, 0);
+        const std::int64_t kept = m > 0
+            ? codes * std::clamp(cl.cfg.pattern.n, 0, cl.cfg.pattern.m)
+            : 0;
+        const std::int64_t rows = cl.weight_shape.rank() == 4
+            ? std::min(cl.weight_shape.dim(0), codes * m) : 0;
+        const std::int64_t groups = std::clamp<std::int64_t>(
+            bakedGroups(cl, opts), 1, std::max<std::int64_t>(rows, 1));
+        total += section(cl.assignments.size() * sizeof(std::int32_t))
+            + section(cl.mask_codes.size() * sizeof(std::uint32_t))
+            + section(static_cast<std::size_t>(groups)
+                      * sizeof(MvqiOperand))
+            + static_cast<std::size_t>(groups) * 10 * pad
+            + static_cast<std::size_t>(3 * (rows + groups) * 8)
+            + static_cast<std::size_t>(kept * (8 + 9));
+    }
+    return total + pad;
+}
+
 } // namespace
 
 MvqiBytes
@@ -164,6 +221,7 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
                 entry.first, "', which the model does not have");
 
     ImageBuilder b;
+    b.buf.reserve(imageBytesBound(model, opts));
     b.reserve(sizeof(MvqiHeader));
     const std::uint64_t cb_toc_off = b.reserve(n_books * sizeof(MvqiCodebook));
     const std::uint64_t layer_toc_off =
@@ -194,10 +252,7 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
                 "layer ", cl.name, " references codebook ", cl.codebook_id,
                 " of ", n_books);
 
-        std::int64_t groups = opts.default_groups;
-        if (auto it = opts.layer_groups.find(cl.name);
-            it != opts.layer_groups.end())
-            groups = it->second;
+        const std::int64_t groups = bakedGroups(cl, opts);
         fatalIf(groups < 1, "invalid conv groups ", groups, " for layer ",
                 cl.name);
 

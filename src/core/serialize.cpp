@@ -31,16 +31,27 @@ BitWriter::finish()
 std::uint64_t
 BitReader::get(int bits)
 {
-    std::uint64_t value = 0;
-    for (int i = 0; i < bits; ++i) {
-        const std::int64_t byte = pos / 8;
-        fatalIf(byte >= static_cast<std::int64_t>(bytes.size()),
-                "bit stream overrun");
-        if ((bytes[static_cast<std::size_t>(byte)] >> (pos % 8)) & 1u)
-            value |= (1ull << i);
-        ++pos;
+    panicIf(bits < 0 || bits > 57, "bitfield width out of range");
+    fatalIf(bits > remainingBits(), "bit stream overrun");
+    if (bits == 0)
+        return 0;
+    // A field of at most 57 bits that starts `shift` bits into its first
+    // byte ends within that byte's 8-byte window: assemble the window
+    // (fewer bytes at the end of the buffer) and cut the field out.
+    const std::size_t first = static_cast<std::size_t>(pos / 8);
+    const int shift = static_cast<int>(pos % 8);
+    const std::uint8_t *p = bytes.data() + first;
+    std::uint64_t window = 0;
+    if (bytes.size() - first >= 8) {
+        // Constant trip count: compilers fold this into one 8-byte load.
+        for (int i = 0; i < 8; ++i)
+            window |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    } else {
+        for (std::size_t i = 0; i < bytes.size() - first; ++i)
+            window |= static_cast<std::uint64_t>(p[i]) << (8 * i);
     }
-    return value;
+    pos += bits;
+    return (window >> shift) & ((1ull << bits) - 1);
 }
 
 std::vector<std::uint8_t>

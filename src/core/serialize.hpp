@@ -49,7 +49,11 @@ class BitReader
     {
     }
 
-    /** Read `bits` bits; fatal on overrun. */
+    /**
+     * Read `bits` bits (0..57, as BitWriter::put writes them) with one
+     * bounds check and one 8-byte window load per field. Fatal on
+     * overrun, which consumes nothing; panics on a width outside 0..57.
+     */
     std::uint64_t get(int bits);
 
     /**

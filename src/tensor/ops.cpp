@@ -9,7 +9,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/env.hpp"
@@ -457,183 +456,184 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
     GroupedSparseMatrix out;
     out.rows = std::move(rows);
     const SparseRowMatrix &src = out.rows;
+    const std::int64_t *row_ptr = src.row_ptr.data();
+    const std::int32_t *col_idx = src.col_idx.data();
+    const float *values = src.values.data();
+    const std::size_t ncols = static_cast<std::size_t>(src.cols);
 
-    // Remainder entries accumulate as (row, col, value) triples; the rows
-    // emerge block by block in ascending order and each row's columns stay
-    // ascending, so the final CSR assembles with a single pass. Reserved at
-    // the bound (every entry) so growing it leaves no freed copies behind:
-    // on the largest ResNet-18 layer those doubled the peak heap of a pack.
-    struct Entry {
-        std::int32_t row;
-        std::int32_t col;
-        float val;
+    // The remainder is the CSR minus the tiled entries, so it streams out
+    // in CSR order. Reserved at the bound (every entry) so growing it
+    // leaves no freed copies behind: on the largest ResNet-18 layer those
+    // doubled the peak heap of a pack.
+    SparseRowMatrix &rem = out.remainder;
+    rem.rows = src.rows;
+    rem.cols = src.cols;
+    rem.row_ptr.resize(static_cast<std::size_t>(src.rows) + 1);
+    rem.row_ptr[0] = 0;
+    rem.col_idx.reserve(static_cast<std::size_t>(src.nnz()));
+    rem.values.reserve(static_cast<std::size_t>(src.nnz()));
+
+    // Per-column scratch, reused across blocks. A column's key is the
+    // bitmask of the block rows that keep it; `touched` marks the columns
+    // with a key so they can be visited in ascending order.
+    std::vector<std::uint32_t> key(ncols, 0);
+    std::vector<std::uint64_t> touched((ncols + 63) / 64, 0);
+    std::vector<std::int32_t> col_bucket(ncols); // tiled bucket, or -1
+    std::vector<std::int32_t> col_pos(ncols);    // index in its bucket
+
+    // Key -> bucket, open addressing; a slot belongs to the current block
+    // only when it carries the block's stamp, so it never needs clearing.
+    struct Slot
+    {
+        std::uint32_t key = 0;
+        std::uint32_t stamp = 0;
+        std::int32_t bucket = -1;
     };
-    std::vector<Entry> rem;
-    rem.reserve(static_cast<std::size_t>(src.nnz()));
+    int slot_bits = 4;
+    while ((std::size_t{1} << slot_bits) < 2 * ncols)
+        ++slot_bits;
+    std::vector<Slot> slots(std::size_t{1} << slot_bits);
+    const std::size_t slot_mask = slots.size() - 1;
 
-    // Per-block scratch, reused across blocks.
-    struct Bucket {
-        std::uint32_t key = 0;             // kept-row bitmask within block
-        std::vector<std::int32_t> cols;    // ascending shared columns
-        std::vector<float> vals;           // column-major: per col, row-order
+    struct Bucket
+    {
+        std::uint32_t key;
+        std::int64_t ncols = 0;
+        std::int64_t tiled_rows = 0; // 0: the bucket stays in the remainder
+        std::int64_t col_off = 0;
+        std::int64_t val_off = 0;
     };
     std::vector<Bucket> buckets;
-    std::unordered_map<std::uint32_t, std::size_t> bucket_of;
-    struct ColEntry {
-        std::int32_t col;
-        std::int32_t row_local;
-        float val;
-    };
-    std::vector<ColEntry> ents;
+    std::vector<std::int32_t> multi_cols; // columns kept by >= 2 rows
 
     const std::int64_t nblocks = (src.rows + m_block - 1) / m_block;
     for (std::int64_t b = 0; b < nblocks; ++b) {
         const std::int64_t r0 = b * m_block;
         const std::int64_t r1 = std::min(src.rows, r0 + m_block);
+        const std::uint32_t stamp = static_cast<std::uint32_t>(b + 1);
 
-        // Gather the block's entries and sort by (col, row): runs of equal
-        // col expose each column's kept-row set, which *is* its bucket key.
-        ents.clear();
         for (std::int64_t r = r0; r < r1; ++r) {
-            for (std::int64_t e = src.row_ptr[static_cast<std::size_t>(r)];
-                 e < src.row_ptr[static_cast<std::size_t>(r + 1)]; ++e)
-                ents.push_back({src.col_idx[static_cast<std::size_t>(e)],
-                                static_cast<std::int32_t>(r - r0),
-                                src.values[static_cast<std::size_t>(e)]});
+            const std::uint32_t bit = 1u << (r - r0);
+            for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+                const auto c = static_cast<std::size_t>(col_idx[e]);
+                key[c] |= bit;
+                touched[c / 64] |= std::uint64_t{1} << (c % 64);
+            }
         }
-        std::sort(ents.begin(), ents.end(),
-                  [](const ColEntry &x, const ColEntry &y) {
-                      return x.col != y.col ? x.col < y.col
-                                            : x.row_local < y.row_local;
-                  });
 
+        // Columns in ascending order: a key seen for the first time opens
+        // a bucket, so buckets come out in ascending first-column order.
         buckets.clear();
-        bucket_of.clear();
-        for (std::size_t e = 0; e < ents.size();) {
-            std::size_t e1 = e;
-            std::uint32_t key = 0;
-            while (e1 < ents.size() && ents[e1].col == ents[e].col) {
-                key |= 1u << ents[e1].row_local;
-                ++e1;
+        multi_cols.clear();
+        for (std::size_t w = 0; w < touched.size(); ++w) {
+            for (std::uint64_t bits = touched[w]; bits != 0;
+                 bits &= bits - 1) {
+                const std::size_t c =
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                const std::uint32_t k = key[c];
+                key[c] = 0;
+                col_bucket[c] = -1;
+                if (std::popcount(k) < 2)
+                    continue; // kept by one row: nothing to share
+                std::size_t h = static_cast<std::size_t>(
+                    (k * 0x9E3779B97F4A7C15ull) >> (64 - slot_bits));
+                while (slots[h].stamp == stamp && slots[h].key != k)
+                    h = (h + 1) & slot_mask;
+                if (slots[h].stamp != stamp) {
+                    slots[h] = {k, stamp,
+                                static_cast<std::int32_t>(buckets.size())};
+                    buckets.push_back({k});
+                }
+                col_bucket[c] = slots[h].bucket;
+                col_pos[c] = static_cast<std::int32_t>(
+                    buckets[static_cast<std::size_t>(slots[h].bucket)]
+                        .ncols++);
+                multi_cols.push_back(static_cast<std::int32_t>(c));
             }
-            const auto [it, fresh] =
-                bucket_of.try_emplace(key, buckets.size());
-            if (fresh) {
-                buckets.emplace_back();
-                buckets.back().key = key;
-            }
-            Bucket &bk = buckets[it->second];
-            bk.cols.push_back(ents[e].col);
-            for (std::size_t q = e; q < e1; ++q)
-                bk.vals.push_back(ents[q].val);
-            e = e1;
+            touched[w] = 0;
         }
 
-        // Emit: buckets worth tiling become row-tiles over the shared
-        // column list; thin or singleton buckets fall back to the
-        // single-row remainder. Buckets keep first-seen (ascending first
-        // column) order, so the layout is deterministic.
+        // Lay out the buckets worth tiling: each stores its ascending
+        // column list once, and its kept rows in chunks of up to
+        // kSparseTileMaxRows, every chunk a row-major [nrows x ncols]
+        // tile. A last chunk of one row gains nothing from the tile
+        // kernel and stays in the remainder, as do thin buckets.
         const std::int64_t band_start =
             static_cast<std::int64_t>(out.tiles.size());
-        for (const Bucket &bk : buckets) {
-            const int krows = std::popcount(bk.key);
-            const std::int64_t ncols =
-                static_cast<std::int64_t>(bk.cols.size());
-            if (krows < 2 || ncols < min_cols) {
-                // Column-major bucket -> per-row triples; rem is re-sorted
-                // into row-major CSR order at the end.
-                for (std::int64_t q = 0; q < ncols; ++q) {
-                    std::int64_t v = q * krows;
-                    for (std::uint32_t bits = bk.key; bits != 0;
-                         bits &= bits - 1, ++v) {
-                        const std::int32_t rl = static_cast<std::int32_t>(
-                            std::countr_zero(bits));
-                        rem.push_back({static_cast<std::int32_t>(r0) + rl,
-                                       bk.cols[static_cast<std::size_t>(q)],
-                                       bk.vals[static_cast<std::size_t>(v)]});
-                    }
-                }
+        for (Bucket &bk : buckets) {
+            if (bk.ncols < min_cols)
                 continue;
-            }
-            // Shared column list stored once per bucket; every tile of the
-            // bucket points at it.
-            const std::int64_t col_off =
-                static_cast<std::int64_t>(out.cols.size());
-            out.cols.insert(out.cols.end(), bk.cols.begin(), bk.cols.end());
-
-            std::int32_t rl[32];
-            int nrl = 0;
-            for (std::uint32_t bits = bk.key; bits != 0; bits &= bits - 1)
-                rl[nrl++] = static_cast<std::int32_t>(std::countr_zero(bits));
-
-            int t0 = 0;
-            while (t0 < nrl) {
-                std::int64_t trows = std::min<std::int64_t>(
-                    kSparseTileMaxRows, nrl - t0);
-                if (trows == 1) {
-                    // A leftover chunk of one row gains nothing from the
-                    // tile kernel; route it through the remainder instead.
-                    for (std::int64_t q = 0; q < ncols; ++q)
-                        rem.push_back(
-                            {static_cast<std::int32_t>(r0) + rl[t0],
-                             bk.cols[static_cast<std::size_t>(q)],
-                             bk.vals[static_cast<std::size_t>(q * krows
-                                                              + t0)]});
-                    ++t0;
-                    continue;
-                }
+            const std::int64_t krows = std::popcount(bk.key);
+            bk.tiled_rows =
+                krows - (krows % kSparseTileMaxRows == 1 ? 1 : 0);
+            bk.col_off = static_cast<std::int64_t>(out.cols.size());
+            bk.val_off = static_cast<std::int64_t>(out.vals.size());
+            out.cols.resize(out.cols.size()
+                            + static_cast<std::size_t>(bk.ncols));
+            out.vals.resize(out.vals.size()
+                            + static_cast<std::size_t>(bk.tiled_rows
+                                                       * bk.ncols));
+            std::uint32_t bits = bk.key;
+            for (std::int64_t t0 = 0; t0 < bk.tiled_rows;
+                 t0 += kSparseTileMaxRows) {
                 GroupedSparseMatrix::Tile tl;
-                tl.nrows = static_cast<std::int32_t>(trows);
-                for (std::int64_t r = 0; r < trows; ++r)
-                    tl.row[r] = static_cast<std::int32_t>(r0) + rl[t0 + r];
-                tl.col_off = col_off;
-                tl.ncols = ncols;
-                tl.val_off = static_cast<std::int64_t>(out.vals.size());
-                // Transpose the bucket's column-major values into the
-                // tile's row-major [nrows x ncols] layout.
-                out.vals.resize(out.vals.size()
-                                + static_cast<std::size_t>(trows * ncols));
-                float *dst = out.vals.data() + tl.val_off;
-                for (std::int64_t r = 0; r < trows; ++r)
-                    for (std::int64_t q = 0; q < ncols; ++q)
-                        dst[r * ncols + q] = bk.vals[static_cast<std::size_t>(
-                            q * krows + t0 + r)];
+                tl.nrows = static_cast<std::int32_t>(std::min(
+                    kSparseTileMaxRows, bk.tiled_rows - t0));
+                for (std::int32_t r = 0; r < tl.nrows; ++r, bits &= bits - 1)
+                    tl.row[r] = static_cast<std::int32_t>(r0)
+                        + std::countr_zero(bits);
+                tl.col_off = bk.col_off;
+                tl.ncols = bk.ncols;
+                tl.val_off = bk.val_off + t0 * bk.ncols;
                 out.tiles.push_back(tl);
-                t0 += static_cast<int>(trows);
             }
         }
         if (static_cast<std::int64_t>(out.tiles.size()) > band_start)
             out.band_ptr.push_back(
                 static_cast<std::int64_t>(out.tiles.size()));
-    }
 
-    // Assemble the remainder CSR: blocks emitted in ascending row order
-    // but interleaved across buckets, so one sort puts every row's entries
-    // back into ascending-column CSR order.
-    std::sort(rem.begin(), rem.end(), [](const Entry &x, const Entry &y) {
-        return x.row != y.row ? x.row < y.row : x.col < y.col;
-    });
-    out.remainder.rows = src.rows;
-    out.remainder.cols = src.cols;
-    out.remainder.row_ptr.reserve(static_cast<std::size_t>(src.rows + 1));
-    out.remainder.row_ptr.push_back(0);
-    out.remainder.col_idx.reserve(rem.size());
-    out.remainder.values.reserve(rem.size());
-    std::size_t e = 0;
-    for (std::int64_t r = 0; r < src.rows; ++r) {
-        while (e < rem.size() && rem[e].row == r) {
-            out.remainder.col_idx.push_back(rem[e].col);
-            out.remainder.values.push_back(rem[e].val);
-            ++e;
+        for (const std::int32_t c : multi_cols) {
+            const auto cs = static_cast<std::size_t>(c);
+            const Bucket &bk =
+                buckets[static_cast<std::size_t>(col_bucket[cs])];
+            if (bk.tiled_rows == 0)
+                col_bucket[cs] = -1;
+            else
+                out.cols[static_cast<std::size_t>(bk.col_off + col_pos[cs])] =
+                    c;
         }
-        out.remainder.row_ptr.push_back(
-            static_cast<std::int64_t>(out.remainder.values.size()));
-    }
-    out.remainder.validated = true;
 
-    panicIf(out.tileNnz() + out.remainder.nnz() != src.nnz(),
+        // One pass over the block's entries: a tiled entry lands in its
+        // tile slot (row rank within the bucket, column position), every
+        // other entry appends to the remainder.
+        float *tile_vals = out.vals.data();
+        for (std::int64_t r = r0; r < r1; ++r) {
+            const std::uint32_t below = (1u << (r - r0)) - 1;
+            for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+                const std::int32_t c = col_idx[e];
+                const std::int32_t bi = col_bucket[static_cast<std::size_t>(c)];
+                if (bi >= 0) {
+                    const Bucket &bk = buckets[static_cast<std::size_t>(bi)];
+                    const std::int64_t rank = std::popcount(bk.key & below);
+                    if (rank < bk.tiled_rows) {
+                        tile_vals[bk.val_off + rank * bk.ncols
+                                  + col_pos[static_cast<std::size_t>(c)]] =
+                            values[e];
+                        continue;
+                    }
+                }
+                rem.col_idx.push_back(c);
+                rem.values.push_back(values[e]);
+            }
+            rem.row_ptr[static_cast<std::size_t>(r + 1)] =
+                static_cast<std::int64_t>(rem.values.size());
+        }
+    }
+    rem.validated = true;
+
+    panicIf(out.tileNnz() + rem.nnz() != src.nnz(),
             "groupSparseRows accounting mismatch: ", out.tileNnz(), " + ",
-            out.remainder.nnz(), " != ", src.nnz());
+            rem.nnz(), " != ", src.nnz());
     out.validated = true;
     return out;
 }

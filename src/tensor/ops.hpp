@@ -173,6 +173,9 @@ void validateGroupedOperand(GroupedSparseMatrix &a);
  */
 constexpr std::int64_t kSparseTileMaxRows = 4;
 
+/** groupSparseRows' default shortest shared column list worth a tile. */
+constexpr std::int64_t kSparseTileMinCols = 8;
+
 /**
  * A SparseRowMatrix reorganized around the structure N:M masking imposes:
  * within an M-row block of the operand, every column's set of kept rows
@@ -254,13 +257,17 @@ struct GroupedSparseMatrix
  * groups; any value in [2, 32] is accepted and merely changes which
  * structure gets discovered. min_cols keeps tiles long enough to amortize
  * their per-panel accumulator setup against short shared patterns.
- * Deterministic: bucket order is first appearance within a block, blocks
- * ascend. Validates `rows` (and the derived remainder) as a side effect;
- * panics if `rows` is malformed.
+ * Deterministic: bucket order is first appearance within a block (its
+ * ascending first column), blocks ascend. Sort-free: two passes over each
+ * block's entries plus one hash lookup per column a block's rows share,
+ * so the cost is O(nnz) plus a cols/64-word bitmap scan per block.
+ * Validates `rows` (and the derived remainder) as a side effect; panics
+ * if `rows` is malformed.
  */
 GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
                                     std::int64_t m_block = 16,
-                                    std::int64_t min_cols = 8);
+                                    std::int64_t min_cols =
+                                        kSparseTileMinCols);
 
 /**
  * Grouped-operand forms of the sparse-A gemm entry points. With the

@@ -20,15 +20,10 @@
 #include <limits>
 #include <vector>
 
-#include <cmath>
-#include <cstdlib>
-#include <map>
-
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
-#include "core/grouping.hpp"
 #include "core/mask_codec.hpp"
 #include "core/masked_kmeans.hpp"
 #include "core/nm_pruning.hpp"
@@ -505,9 +500,12 @@ sparseReport(const std::string &json)
  * side times the whole conv forward step (im2col + dense-B gemm) since
  * that is what the fusion replaces; the fused side is one call. Also
  * re-derives the sparse fraction of the ideal 4x flop cut at the conv
- * level with both paths fused — the PR4 accounting in PERF.md.
+ * level with both paths fused (PERF.md, "Fused packing"). With
+ * MVQ_BENCH_GATE_MIN_SPEEDUP set, returns false — loudly — when the avx2
+ * fused sparse-vs-dense speedup on that layer (random 4:16 masks, the
+ * one sparse path) falls below the floor: the CI perf gate.
  */
-void
+bool
 fusedReport(const std::string &json)
 {
     using mvq::bench::appendBenchRecord;
@@ -530,6 +528,9 @@ fusedReport(const std::string &json)
     const Im2colB b{x.data(), g};
     Tensor c(Shape({m, n}));
     const double ideal = static_cast<double>(m * k) / sp.nnz(); // ~4.0
+
+    const double gate = env::real("MVQ_BENCH_GATE_MIN_SPEEDUP", 0.0);
+    bool ok = true;
 
     const int prev_threads = numThreads();
     setNumThreads(1);
@@ -600,176 +601,12 @@ fusedReport(const std::string &json)
         appendBenchRecord(json, name, "sparse_vs_dense_fused",
                           sparse_vs_dense);
         appendBenchRecord(json, name, "flop_cut_fraction", fraction);
-    }
-    simd::setIsa(saved);
-    setNumThreads(prev_threads);
-}
 
-/**
- * Multi-row sparse micro-kernel report on the PR3 reference layer shape
- * (m=256 k=2304 n=784 fused conv, single core per ISA), with the operand
- * built the way MVQ actually builds it: output-channel-wise d=16
- * grouping, magnitude 4:16 masks, and a lognormal per-channel scale
- * spread (real conv layers have widely varying channel norms) so mask
- * codes repeat across columns of a 16-channel block — the structure
- * groupSparseRows buckets. Prints the bucket histogram (bucket count,
- * mean/max rows per bucket, fallback fraction) and times fused dense vs
- * fused sparse with the multi-row path off (single-row kernel, PR3
- * behavior) and on. With MVQ_BENCH_GATE_MIN_SPEEDUP set, returns false —
- * loudly — when the avx2 multi-row sparse-vs-dense speedup regresses
- * below the threshold (the CI perf gate).
- */
-bool
-multiRowReport(const std::string &json)
-{
-    using mvq::bench::appendBenchRecord;
-    using mvq::bench::f2;
-    using simd::Isa;
-
-    const bool fast = mvq::bench::fastMode();
-    const std::int64_t C = 256;
-    const std::int64_t m = 256;
-    const std::int64_t hw = fast ? 14 : 28;
-    const ConvGeom g{C, hw, hw, 3, 3, 1, 1};
-    const std::int64_t k = C * 9;
-    const std::int64_t n = g.outH() * g.outW();
-    const std::int64_t d = 16;
-
-    Rng rng(11);
-    Tensor x(Shape({1, C, hw, hw}));
-    x.fillNormal(rng, 0.0f, 1.0f);
-    Tensor w4(Shape({m, C, 3, 3}));
-    w4.fillNormal(rng, 0.0f, 1.0f);
-    Tensor zscale(Shape({m}));
-    zscale.fillNormal(rng, 0.0f, 1.0f);
-    for (std::int64_t ch = 0; ch < m; ++ch) {
-        const float s = std::exp(1.5f * zscale[ch]);
-        float *row = w4.data() + ch * C * 9;
-        for (std::int64_t i = 0; i < C * 9; ++i)
-            row[i] *= s;
-    }
-    Tensor wr = core::groupWeights(w4, d, core::Grouping::OutputChannelWise);
-    const core::Mask mask = core::nmMask(wr, core::NmPattern{4, 16});
-    core::applyMask(wr, mask);
-    const Tensor w4m = core::ungroupWeights(wr, w4.shape(), d,
-                                            core::Grouping::OutputChannelWise);
-    const Tensor a = w4m.reshaped(Shape({m, k}));
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix grp = groupSparseRows(sp, 16);
-
-    // Bucket histogram: tiles sharing a column pattern (col_off) are one
-    // bucket; rows per bucket = how many A rows one B-panel load feeds.
-    std::map<std::int64_t, std::int64_t> bucket_rows;
-    for (const GroupedSparseMatrix::Tile &t : grp.tiles)
-        bucket_rows[t.col_off] += t.nrows;
-    std::int64_t max_rows = 0;
-    std::int64_t sum_rows = 0;
-    for (const auto &[off, nrows] : bucket_rows) {
-        max_rows = std::max(max_rows, nrows);
-        sum_rows += nrows;
-    }
-    const double nbuckets = static_cast<double>(bucket_rows.size());
-    const double mean_rows =
-        nbuckets != 0.0 ? static_cast<double>(sum_rows) / nbuckets : 0.0;
-    const double fallback = grp.fallbackFraction();
-
-    std::cout << "--- multi-row sparse micro-kernel (4:16 OCW layer m=" << m
-              << " k=" << k << " n=" << n << ", single core) ---\n"
-              << "mask-code buckets: " << bucket_rows.size() << " tiled ("
-              << grp.tiles.size() << " tiles), rows/bucket mean "
-              << f2(mean_rows) << " max " << max_rows
-              << ", single-row fallback fraction " << f2(fallback * 100.0)
-              << "%\n";
-    appendBenchRecord(json, "sparse_multirow_buckets", "bucket_count",
-                      nbuckets);
-    appendBenchRecord(json, "sparse_multirow_buckets", "tile_count",
-                      static_cast<double>(grp.tiles.size()));
-    appendBenchRecord(json, "sparse_multirow_buckets",
-                      "mean_rows_per_bucket", mean_rows);
-    appendBenchRecord(json, "sparse_multirow_buckets", "max_rows_per_bucket",
-                      static_cast<double>(max_rows));
-    appendBenchRecord(json, "sparse_multirow_buckets", "fallback_fraction",
-                      fallback);
-
-    const Im2colB b{x.data(), g};
-    Tensor c(Shape({m, n}));
-
-    const double gate = env::real("MVQ_BENCH_GATE_MIN_SPEEDUP", 0.0);
-    bool ok = true;
-
-    const int prev_threads = numThreads();
-    setNumThreads(1);
-    const simd::Isa saved = simd::activeIsa();
-    for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Neon}) {
-        if (!simd::isaAvailable(isa))
-            continue;
-        simd::setIsa(isa);
-        const std::string tag = simd::isaName(isa);
-
-        const int reps = 7;
-        const double t_dense = secondsOf(
-            [&] {
-                gemmIm2colRaw(m, 1.0f, a.data(), k, b, 0.0f, c.data(), n);
-            },
-            reps);
-        setSparseMultiRowEnabled(false);
-        const double t_single = secondsOf(
-            [&] { gemmSparseAIm2col(grp, b, 1.0f, 0.0f, c.data(), n); },
-            reps);
-        setSparseMultiRowEnabled(true);
-        const double t_multi = secondsOf(
-            [&] { gemmSparseAIm2col(grp, b, 1.0f, 0.0f, c.data(), n); },
-            reps);
-
-        // Knob-off contract: the grouped operand with MVQ_SPARSE_MULTIROW
-        // off must reproduce the plain single-row path bit-for-bit (it
-        // forwards to the same entry point on the embedded operand).
-        Tensor c_plain(Shape({m, n}));
-        Tensor c_knob_off(Shape({m, n}));
-        gemmSparseAIm2col(sp, b, 1.0f, 0.0f, c_plain.data(), n);
-        setSparseMultiRowEnabled(false);
-        gemmSparseAIm2col(grp, b, 1.0f, 0.0f, c_knob_off.data(), n);
-        setSparseMultiRowEnabled(true);
-        const bool bit_identical =
-            std::memcmp(c_plain.data(), c_knob_off.data(),
-                        static_cast<std::size_t>(m * n) * sizeof(float))
-            == 0;
-
-        const double single_vs_dense = t_dense / t_single;
-        const double multi_vs_dense = t_dense / t_multi;
-        const double multi_vs_single = t_single / t_multi;
-        std::cout << tag << ": dense " << f2(t_dense * 1e3)
-                  << " ms, sparse single-row " << f2(t_single * 1e3)
-                  << " ms (" << f2(single_vs_dense) << "x), multi-row "
-                  << f2(t_multi * 1e3) << " ms (" << f2(multi_vs_dense)
-                  << "x vs dense, " << f2(multi_vs_single)
-                  << "x vs single-row); knob-off bit-identical: "
-                  << (bit_identical ? "yes" : "NO") << "\n";
-        const std::string name = "conv_fused_416_multirow_" + tag;
-        appendBenchRecord(json, name, "dense_fused_seconds", t_dense);
-        appendBenchRecord(json, name, "singlerow_seconds", t_single);
-        appendBenchRecord(json, name, "multirow_seconds", t_multi);
-        appendBenchRecord(json, name, "singlerow_vs_dense",
-                          single_vs_dense);
-        appendBenchRecord(json, name, "sparse_vs_dense_fused",
-                          multi_vs_dense);
-        appendBenchRecord(json, name, "multirow_vs_singlerow",
-                          multi_vs_single);
-        appendBenchRecord(json, name, "knob_off_bit_identical",
-                          bit_identical ? 1.0 : 0.0);
-
-        if (!bit_identical) {
-            std::cerr << "\nFAIL: MVQ_SPARSE_MULTIROW=0 on " << tag
-                      << " does not reproduce the single-row path "
-                         "bit-identically.\n\n";
-            ok = false;
-        }
-        if (gate > 0.0 && isa == Isa::Avx2 && multi_vs_dense < gate) {
+        if (gate > 0.0 && isa == Isa::Avx2 && sparse_vs_dense < gate) {
             std::cerr << "\nFAIL: fused sparse-vs-dense speedup on avx2 is "
-                      << f2(multi_vs_dense) << "x, below the "
-                      << f2(gate)
-                      << "x floor (MVQ_BENCH_GATE_MIN_SPEEDUP). The "
-                         "multi-row sparse path has regressed.\n\n";
+                      << f2(sparse_vs_dense) << "x, below the " << f2(gate)
+                      << "x floor (MVQ_BENCH_GATE_MIN_SPEEDUP). The sparse "
+                         "gemm path has regressed.\n\n";
             ok = false;
         }
     }
@@ -805,7 +642,6 @@ main(int argc, char **argv)
     speedupReport(json);
     isaReport(json);
     sparseReport(json);
-    fusedReport(json);
-    const bool gate_ok = multiRowReport(json);
+    const bool gate_ok = fusedReport(json);
     return gate_ok ? 0 : 1;
 }

@@ -27,9 +27,6 @@ const Knob kKnobs[] = {
     {"MVQ_SIMD", "string", "auto-detect",
      "force a SIMD kernel path: scalar|avx2|neon (unavailable requests "
      "warn and fall back)"},
-    {"MVQ_SPARSE_MULTIROW", "flag", "on",
-     "multi-row sparse micro-kernel; 0/off falls back to the single-row "
-     "sparse gemm bit-identically"},
     {"MVQ_SERVE_MAX_BATCH", "int", "8",
      "serving batcher launches a batched forward once this many images "
      "are queued (1 disables coalescing)"},

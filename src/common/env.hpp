@@ -20,7 +20,7 @@
  *
  * Knobs that also need a *programmatic* override (tests/benches flipping
  * them mid-process) keep a module-local cached setter on top of this —
- * e.g. tensor/ops' setSparseMultiRowEnabled — because registry reads
+ * e.g. common/parallel's setNumThreads — because registry reads
  * are sticky by design: setenv after the first read has no effect.
  */
 

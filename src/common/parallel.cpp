@@ -254,6 +254,12 @@ numThreads()
     return ThreadPool::instance().threads();
 }
 
+int
+parallelWidth()
+{
+    return in_parallel_region ? 1 : numThreads();
+}
+
 void
 setNumThreads(int n)
 {

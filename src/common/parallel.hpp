@@ -33,6 +33,14 @@ int numThreads();
 void setNumThreads(int n);
 
 /**
+ * Threads a parallelFor issued by the calling thread can occupy: 1 inside
+ * a parallel region (nested regions run inline), numThreads() elsewhere.
+ * For sizing work splits only; a kernel that keeps the contract above
+ * never lets its results depend on it.
+ */
+int parallelWidth();
+
+/**
  * Number of chunks parallelFor will split [begin, end) into with the
  * given grain. Depends only on the range size and grain, never on the
  * thread count.

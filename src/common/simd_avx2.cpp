@@ -98,104 +98,6 @@ gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
 }
 
 /**
- * Multi-row sparse tile kernel body for a compile-time row count: R x 2
- * accumulator ymm + 2 shared B vectors + 1 value broadcast stays within
- * the 16 architectural registers up to R = kSparseMultiRowMr = 4. The
- * payoff over the single-row kernel is the load-port balance: per shared
- * column the tile issues 2 B loads + R broadcasts for 2R FMAs, versus the
- * single-row path's 2 B loads + 1 broadcast per 2 FMAs — the same packed
- * B row feeds R accumulator rows instead of one, and the R x 2 chains
- * hide FMA latency without entry striping.
- */
-template <int R>
-void
-sparseMultiRowTileAvx2(const float *vals, std::int64_t vstride,
-                       const std::int32_t *kidx, std::int64_t nnz,
-                       std::int64_t k0, const float *bp, float *acc)
-{
-    // Named accumulators, not a c[R][2] array: gcc keeps a stack home for
-    // the array and re-stores every accumulator each iteration (8 dead
-    // 32-byte stores per shared column for R = 4), roughly doubling the
-    // loop's port pressure. Individual __m256 locals scalarize cleanly.
-    // Overwrite contract: accumulators start at zero and the final store
-    // replaces acc — cross-K-block accumulation happens at the driver's
-    // C scatter, so the kernel never reads acc.
-    __m256 c00 = _mm256_setzero_ps();
-    __m256 c01 = _mm256_setzero_ps();
-    __m256 c10 = c00, c11 = c00, c20 = c00, c21 = c00, c30 = c00,
-           c31 = c00;
-    // The shared-column pattern walks the packed panel at irregular
-    // multi-KiB strides the hardware prefetcher cannot follow, and the
-    // panel is sized for L2, not L1 — kidx makes the future addresses
-    // exact, so prefetch a fixed distance ahead (one cache line covers
-    // the whole NR-float row).
-    constexpr std::int64_t PF = 12;
-    for (std::int64_t q = 0; q < nnz; ++q) {
-        if (q + PF < nnz)
-            _mm_prefetch(reinterpret_cast<const char *>(
-                             bp + (kidx[q + PF] - k0) * NR),
-                         _MM_HINT_T0);
-        const float *brow = bp + (kidx[q] - k0) * NR;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 v0 = _mm256_broadcast_ss(vals + q);
-        c00 = _mm256_fmadd_ps(v0, b0, c00);
-        c01 = _mm256_fmadd_ps(v0, b1, c01);
-        if constexpr (R > 1) {
-            const __m256 v1 = _mm256_broadcast_ss(vals + vstride + q);
-            c10 = _mm256_fmadd_ps(v1, b0, c10);
-            c11 = _mm256_fmadd_ps(v1, b1, c11);
-        }
-        if constexpr (R > 2) {
-            const __m256 v2 = _mm256_broadcast_ss(vals + 2 * vstride + q);
-            c20 = _mm256_fmadd_ps(v2, b0, c20);
-            c21 = _mm256_fmadd_ps(v2, b1, c21);
-        }
-        if constexpr (R > 3) {
-            const __m256 v3 = _mm256_broadcast_ss(vals + 3 * vstride + q);
-            c30 = _mm256_fmadd_ps(v3, b0, c30);
-            c31 = _mm256_fmadd_ps(v3, b1, c31);
-        }
-    }
-    _mm256_storeu_ps(acc, c00);
-    _mm256_storeu_ps(acc + 8, c01);
-    if constexpr (R > 1) {
-        _mm256_storeu_ps(acc + NR, c10);
-        _mm256_storeu_ps(acc + NR + 8, c11);
-    }
-    if constexpr (R > 2) {
-        _mm256_storeu_ps(acc + 2 * NR, c20);
-        _mm256_storeu_ps(acc + 2 * NR + 8, c21);
-    }
-    if constexpr (R > 3) {
-        _mm256_storeu_ps(acc + 3 * NR, c30);
-        _mm256_storeu_ps(acc + 3 * NR + 8, c31);
-    }
-}
-
-void
-gemmSparseMultiRowAvx2(const float *vals, std::int64_t vstride,
-                       std::int64_t mrows, const std::int32_t *kidx,
-                       std::int64_t nnz, std::int64_t k0, const float *bp,
-                       std::int64_t /*nr*/, float *acc)
-{
-    switch (mrows) {
-      case 4:
-        sparseMultiRowTileAvx2<4>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-      case 3:
-        sparseMultiRowTileAvx2<3>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-      case 2:
-        sparseMultiRowTileAvx2<2>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-      default:
-        sparseMultiRowTileAvx2<1>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-    }
-}
-
-/**
  * Track the running 8-lane minimum: lane u of (vbest, vbi) holds the best
  * distance and its codeword index among strips processed so far. Strictly-
  * less blending keeps the earliest index within a lane, matching the
@@ -322,7 +224,7 @@ assignBestSparseAvx2(const float *wkeep, const std::int32_t *idx,
 
 constexpr Kernels kAvx2Kernels = {
     Isa::Avx2, "avx2", MR, NR, &gemmMicroAvx2, &gemmSparseMicroAvx2,
-    &gemmSparseMultiRowAvx2, &assignBestDenseAvx2, &assignBestSparseAvx2,
+    &assignBestDenseAvx2, &assignBestSparseAvx2,
 };
 
 } // namespace

@@ -91,89 +91,6 @@ gemmSparseMicroScalar(const float *__restrict vals,
         acc[c] = s0[c] + s1[c];
 }
 
-/**
- * Multi-row sparse tile x packed-B-panel kernel. Unlike the single-row
- * kernel there is no need for entry striping: the mrows accumulator rows
- * are themselves independent dependency chains, and each shared column
- * loads its packed B row once for all of them. Accumulation runs in a
- * local tile so the compiler can keep it in registers and auto-vectorize
- * through the dispatch function pointer.
- */
-namespace {
-
-/**
- * Fixed-shape multi-row tile body: with R and NRC compile-time the loops
- * fully unroll and the accumulator tile scalarizes into vector registers
- * instead of bouncing through a stack array every shared column (the
- * runtime-shape fallback below pays exactly that bounce).
- */
-template <int R, int NRC>
-void
-sparseMultiRowTileFixed(const float *__restrict vals, std::int64_t vstride,
-                        const std::int32_t *__restrict kidx,
-                        std::int64_t nnz, std::int64_t k0,
-                        const float *__restrict bp, float *__restrict acc)
-{
-    // Overwrite contract: the tile starts at zero and the final store
-    // replaces acc (cross-K-block accumulation happens at the driver's C
-    // scatter), so the kernel never reads acc.
-    float c[R][NRC] = {};
-    // kidx walks the packed panel at irregular multi-KiB strides the
-    // hardware prefetcher cannot follow; the index array makes future
-    // addresses exact, so prefetch a fixed distance ahead.
-    constexpr std::int64_t kPrefetchAhead = 12;
-    for (std::int64_t q = 0; q < nnz; ++q) {
-        if (q + kPrefetchAhead < nnz)
-            __builtin_prefetch(bp + (kidx[q + kPrefetchAhead] - k0) * NRC,
-                               0, 3);
-        const float *brow = bp + (kidx[q] - k0) * NRC;
-        for (int r = 0; r < R; ++r) {
-            const float v = vals[r * vstride + q];
-            for (int cidx = 0; cidx < NRC; ++cidx)
-                c[r][cidx] += v * brow[cidx];
-        }
-    }
-    for (int r = 0; r < R; ++r)
-        for (int cidx = 0; cidx < NRC; ++cidx)
-            acc[r * NRC + cidx] = c[r][cidx];
-}
-
-} // namespace
-
-void
-gemmSparseMultiRowMicroScalar(const float *__restrict vals,
-                              std::int64_t vstride, std::int64_t mrows,
-                              const std::int32_t *__restrict kidx,
-                              std::int64_t nnz, std::int64_t k0,
-                              const float *__restrict bp, std::int64_t nr,
-                              float *__restrict acc)
-{
-    // The grouped driver always calls with this table's nr (8); full
-    // tiles (the overwhelmingly common case for N:M operands, where a
-    // mask code keeps >= 2 rows per block) get the fixed-shape body.
-    if (nr == 8 && mrows == kSparseMultiRowMr) {
-        sparseMultiRowTileFixed<kSparseMultiRowMr, 8>(vals, vstride, kidx,
-                                                      nnz, k0, bp, acc);
-        return;
-    }
-    float c[kSparseMultiRowMr][kMaxGemmNr] = {};
-    constexpr std::int64_t kPrefetchAhead = 12;
-    for (std::int64_t q = 0; q < nnz; ++q) {
-        if (q + kPrefetchAhead < nnz)
-            __builtin_prefetch(bp + (kidx[q + kPrefetchAhead] - k0) * nr,
-                               0, 3);
-        const float *brow = bp + (kidx[q] - k0) * nr;
-        for (std::int64_t r = 0; r < mrows; ++r) {
-            const float v = vals[r * vstride + q];
-            for (std::int64_t cidx = 0; cidx < nr; ++cidx)
-                c[r][cidx] += v * brow[cidx];
-        }
-    }
-    for (std::int64_t r = 0; r < mrows; ++r)
-        for (std::int64_t cidx = 0; cidx < nr; ++cidx)
-            acc[r * nr + cidx] = c[r][cidx];
-}
-
 std::int32_t
 assignBestDenseScalar(const float *wrow, const float *mrow, const float *cb,
                       const float * /*cbT*/, std::int64_t k, std::int64_t d)
@@ -222,7 +139,6 @@ assignBestSparseScalar(const float *wkeep, const std::int32_t *idx,
 constexpr Kernels kScalarKernels = {
     Isa::Scalar, "scalar",
     /*mr=*/4,    /*nr=*/8, &gemmMicroScalar, &gemmSparseMicroScalar,
-    &gemmSparseMultiRowMicroScalar,
     &assignBestDenseScalar, &assignBestSparseScalar,
 };
 

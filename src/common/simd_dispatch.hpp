@@ -38,21 +38,12 @@ constexpr std::int64_t kMaxGemmMr = 8;
 constexpr std::int64_t kMaxGemmNr = 16;
 
 /**
- * Row count of the multi-row sparse register tile
- * (gemmSparseMultiRowMicroKernel): up to this many compressed A rows
- * sharing one column pattern accumulate against each packed B row load.
- * 4 matches both the AVX2 budget (4 x 2 accumulator ymm + 2 B vectors +
- * 1 broadcast) and the N of the default 4:16 pattern, where one mask code
- * keeps exactly 4 rows of an M-row block.
- */
-constexpr std::int64_t kSparseMultiRowMr = 4;
-
-/**
- * Cache-blocking parameters of the blocked gemm drivers (dense and
- * sparse-A) in tensor/ops.cpp. A driver iteration packs one KC x NC block
- * of op(B) into nr-column panels (nr from the active table, so a panel is
- * kGemmKC x nr floats at most) and one MC x KC block of op(A) into mr-row
- * panels. Exposed here because B-panel *producers* — packB and the fused
+ * Cache-blocking parameters of the blocked gemm drivers in tensor/ops.cpp.
+ * A dense driver iteration packs one KC x NC block of op(B) into
+ * nr-column panels (nr from the active table, so a panel is kGemmKC x nr
+ * floats at most) and one MC x KC block of op(A) into mr-row panels. The
+ * sparse-A driver shares MC and the NC cap but blocks K more deeply (its
+ * compressed rows need no A packing). Exposed here because B-panel *producers* — packB and the fused
  * packBFromIm2col in tensor/ops — and the tests/benches that pick shapes
  * straddling block boundaries all need the same constants the drivers
  * block with.
@@ -97,30 +88,6 @@ struct Kernels
                                   std::int64_t nnz, std::int64_t k0,
                                   const float *bp, std::int64_t nr,
                                   float *acc);
-
-    /**
-     * Multi-row sparse tile kernel for the grouped operand (see
-     * GroupedSparseMatrix in tensor/ops.hpp): `mrows` compressed rows of A
-     * (1 <= mrows <= kSparseMultiRowMr) share one ascending column pattern
-     * kidx[0..nnz) (all within [k0, k0 + kc)); row r's kept values live at
-     * vals[r*vstride + q]. OVERWRITES the tile:
-     *   acc[r*nr + c] = sum_q vals[r*vstride + q] * bp[(kidx[q] - k0)*nr + c]
-     * over the nnz shared entries for r in [0, mrows), c in [0, nr) —
-     * acc is never read, so callers skip zero-filling it; cross-K-block
-     * accumulation is the caller's job (the grouped driver folds each
-     * tile contribution into C at its scatter). This
-     * is the kernel that realizes MVQ's "one operand fetch serves many
-     * accumulations" on the CPU: each packed B row loads once per tile
-     * instead of once per row, amortizing the B-side traffic the
-     * single-row kernel pays per entry.
-     */
-    void (*gemmSparseMultiRowMicroKernel)(const float *vals,
-                                          std::int64_t vstride,
-                                          std::int64_t mrows,
-                                          const std::int32_t *kidx,
-                                          std::int64_t nnz, std::int64_t k0,
-                                          const float *bp, std::int64_t nr,
-                                          float *acc);
 
     // --- Masked-assignment distance kernels (core/masked_kmeans) --------
     //

@@ -96,72 +96,6 @@ gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
 }
 
 /**
- * Multi-row sparse tile kernel body for a compile-time row count: R x 4
- * accumulator q-regs + 4 shared B vectors stay comfortably within the 32
- * architectural registers up to R = kSparseMultiRowMr = 4 (20 live regs).
- * Each shared column loads its packed B row once and vfmaq_n broadcasts
- * one value per tile row against it, so the B-side traffic the single-row
- * kernel pays per entry is amortized over the R rows; the R x 4 chains
- * hide FMA latency without entry striping.
- */
-template <int R>
-void
-sparseMultiRowTileNeon(const float *vals, std::int64_t vstride,
-                       const std::int32_t *kidx, std::int64_t nnz,
-                       std::int64_t k0, const float *bp, float *acc)
-{
-    // Overwrite contract: accumulators start at zero and the final store
-    // replaces acc (cross-K-block accumulation happens at the driver's C
-    // scatter), so the kernel never reads acc.
-    float32x4_t c[R][4];
-    for (int r = 0; r < R; ++r)
-        for (int v = 0; v < 4; ++v)
-            c[r][v] = vdupq_n_f32(0.0f);
-    // kidx walks the packed panel at irregular multi-KiB strides the
-    // hardware prefetcher cannot follow; the index array makes future
-    // addresses exact, so prefetch a fixed distance ahead.
-    constexpr std::int64_t PF = 12;
-    for (std::int64_t q = 0; q < nnz; ++q) {
-        if (q + PF < nnz)
-            __builtin_prefetch(bp + (kidx[q + PF] - k0) * NR, 0, 3);
-        const float *brow = bp + (kidx[q] - k0) * NR;
-        float32x4_t b[4];
-        for (int v = 0; v < 4; ++v)
-            b[v] = vld1q_f32(brow + 4 * v);
-        for (int r = 0; r < R; ++r) {
-            const float av = vals[r * vstride + q];
-            for (int v = 0; v < 4; ++v)
-                c[r][v] = vfmaq_n_f32(c[r][v], b[v], av);
-        }
-    }
-    for (int r = 0; r < R; ++r)
-        for (int v = 0; v < 4; ++v)
-            vst1q_f32(acc + r * NR + 4 * v, c[r][v]);
-}
-
-void
-gemmSparseMultiRowNeon(const float *vals, std::int64_t vstride,
-                       std::int64_t mrows, const std::int32_t *kidx,
-                       std::int64_t nnz, std::int64_t k0, const float *bp,
-                       std::int64_t /*nr*/, float *acc)
-{
-    switch (mrows) {
-      case 4:
-        sparseMultiRowTileNeon<4>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-      case 3:
-        sparseMultiRowTileNeon<3>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-      case 2:
-        sparseMultiRowTileNeon<2>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-      default:
-        sparseMultiRowTileNeon<1>(vals, vstride, kidx, nnz, k0, bp, acc);
-        break;
-    }
-}
-
-/**
  * Track the running 4-lane minimum: lane u of (vbest, vbi) holds the best
  * distance and its codeword index among strips processed so far. Strictly-
  * less blending keeps the earliest index within a lane, matching the
@@ -281,7 +215,7 @@ assignBestSparseNeon(const float *wkeep, const std::int32_t *idx,
 
 constexpr Kernels kNeonKernels = {
     Isa::Neon, "neon", MR, NR, &gemmMicroNeon, &gemmSparseMicroNeon,
-    &gemmSparseMultiRowNeon, &assignBestDenseNeon, &assignBestSparseNeon,
+    &assignBestDenseNeon, &assignBestSparseNeon,
 };
 
 } // namespace

@@ -111,8 +111,8 @@ struct CompressedLayer
     SparseRowMatrix packSparseRows(const Codebook &cb) const;
 
     /**
-     * packSparseRows split per convolution group and bucketed for the
-     * multi-row sparse kernel: each group's row range [grp*K/groups,
+     * packSparseRows split per convolution group and bucketed by mask
+     * code (the MVQI v1 operand layout): each group's row range [grp*K/groups,
      * (grp+1)*K/groups) of the unrolled weight matrix packs directly into
      * its own GroupedSparseMatrix (no full-operand pack + slice copy),
      * with rows sharing a kept-column pattern tiled together

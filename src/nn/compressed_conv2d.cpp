@@ -21,9 +21,8 @@ CompressedConv2d::CompressedConv2d(const core::CompressedLayer &layer,
             name_, ": out channels not divisible by groups");
 
     // The pack stage: decode the mask codes once and pack each group's
-    // row range straight into its own grouped operand (rows sharing a
-    // kept-column pattern tiled together for the multi-row kernel) — no
-    // full-operand pack followed by per-group slice copies.
+    // row range straight into its own grouped operand — no full-operand
+    // pack followed by per-group slice copies.
     group_rows_ = std::make_shared<const std::vector<GroupedSparseMatrix>>(
         layer.packGroupedRows(codebook, groups_));
     for (const auto &sp : *group_rows_)
@@ -104,10 +103,9 @@ CompressedConv2d::forward(const Tensor &x) const
     //
     // gemmSparseAIm2col packs patches straight into the B panels the
     // sparse micro-kernel reads, never materializing the cols tensor
-    // (bit-identical to im2col + gemmSparseARaw). The grouped operand
-    // routes bucketed rows through the multi-row kernel
-    // (MVQ_SPARSE_MULTIROW=0 restores the single-row walk over the
-    // embedded full operand, bit-identically per ISA).
+    // (bit-identical to im2col + gemmSparseARaw); the grouped operand
+    // runs its embedded CSR. Serially, each gemm spreads its row-block x
+    // panel-range tasks over the pool; nested, it runs them inline.
     const std::int64_t work = batch * groups_;
     auto run_pair = [&](std::int64_t w) {
         const std::int64_t n = w / groups_;

@@ -8,10 +8,10 @@
  * image into gemm B panels, no intermediate cols tensor) — pruned
  * positions are never multiplied, so the 4:16 MAC reduction the paper's
  * accelerator gets from its AND-gate weight loader is realized on the CPU
- * too. The operand is additionally bucketed by kept-column pattern
- * (core::CompressedLayer::packGroupedRows) so rows sharing an N:M mask
- * code run through the multi-row kernel, one B-panel load feeding several
- * output channels; `MVQ_SPARSE_MULTIROW=0` restores the single-row walk.
+ * too. The operand is packed as a GroupedSparseMatrix
+ * (core::CompressedLayer::packGroupedRows) because that is what MVQI
+ * images store; the forward runs its embedded CSR, whose sparse gemm
+ * splits each conv over the whole pool even at batch 1.
  * The forward is bit-identical per ISA to the materializing im2col +
  * gemmSparseARaw composition, which stays as the test oracle (see
  * tensor/ops.hpp). Contrast with CompressedModel::applyTo, which
@@ -94,7 +94,7 @@ class CompressedConv2d
         return (*group_rows_)[static_cast<std::size_t>(grp)].rows;
     }
 
-    /** The bucketed multi-row operand of one group (tests/diagnostics). */
+    /** The grouped operand of one group (tests/diagnostics). */
     const GroupedSparseMatrix &
     groupedOperand(std::int64_t grp) const
     {

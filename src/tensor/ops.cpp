@@ -1,7 +1,6 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,17 +10,11 @@
 #include <memory>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
 
 namespace mvq {
-
-// ops.hpp avoids including the dispatch layer, so the tile row bound is
-// duplicated there; keep the two constants in lockstep.
-static_assert(kSparseTileMaxRows == simd::kSparseMultiRowMr,
-              "grouped-operand tile rows must match the multi-row kernel");
 
 namespace {
 
@@ -60,34 +53,41 @@ constexpr std::int64_t MC = simd::kGemmMC;
 constexpr std::int64_t KC = simd::kGemmKC;
 constexpr std::int64_t NC = simd::kGemmNC;
 
-// K-block for the grouped (multi-row) sparse driver. Dense-style KC keeps
-// a B panel L1-resident because every A row re-reads it; bucket tiles do
-// NOT have that reuse — within a band each packed B row is read at most
-// once (the kept-column sets of a block's buckets partition its columns),
-// so a small K block buys nothing, while it shreds a bucket's shared
-// column list (~50 columns spread over the whole K extent) into slivers
-// whose per-(panel, tile) accumulator zero-fill + alpha-scatter dwarf the
-// kernel work. A K block covering the whole reduction amortizes that
-// fixed cost over the full shared-column list; the cap only bounds the
-// packed-panel buffer (4096 * NR floats = 256 KiB per panel) for
-// pathologically deep reductions.
-constexpr std::int64_t kGroupedKC = 4096;
+// K block of the sparse driver. Dense-style KC keeps a B panel
+// L1-resident because every A row re-reads all of it; a compressed row
+// reads only its kept rows of the panel, so a shallow K block buys little
+// reuse while multiplying the per-(row, panel) fixed cost — accumulator
+// zero-fill, kernel entry, and the C scatter — by k / KC. A K block
+// covering the whole reduction pays that cost once per (row, panel); the
+// cap only bounds the packed strip (4096 * nr floats per panel) for
+// pathologically deep reductions. At KC = 256 the same driver ran
+// ResNet-18's batch-1 conv trunk ~20% slower, its stage4 convs ~1.6x
+// slower (4 threads, avx2).
+constexpr std::int64_t kSparseKC = 4096;
 
-// N-strip budget for the grouped driver, in packed floats (~1.5 MiB).
-// The reuse the tile phase lives on is ACROSS bands: every band re-reads
-// the strip's packed panels once per K block, so the whole strip must
-// stay L2-resident or the B rows stream from L3 on every band. With the
-// K block covering the reduction whole, the strip width is what bounds
-// the buffer: nc per jc strip is chosen as budget / kc (floored to a
+// N-strip budget of the sparse driver, in packed floats (~1.5 MiB): every
+// row block re-reads the strip's packed panels once per K block, so the
+// strip must stay L2-resident or the B rows stream from L3 on every row
+// block. With the K block covering the reduction whole, the strip width
+// is what bounds the buffer: nc per strip is budget / kc (floored to a
 // panel multiple), e.g. 160 columns at k = 2304.
-constexpr std::int64_t kGroupedNcBudget = 384 * 1024;
+constexpr std::int64_t kSparseNcBudget = 384 * 1024;
+
+// Tasks per available thread that each blocked driver splits one (strip,
+// K block) iteration into (see forEachStripTask). A sparse task has no
+// set-up of its own, so the sparse driver splits finely for load
+// balance. Each dense task packs its own row block of A, which a panel
+// split repeats, so the dense driver splits only as far as it takes to
+// occupy the pool — run inline, it does exactly the unsplit work.
+constexpr std::int64_t kSparseTasksPerThread = 8;
+constexpr std::int64_t kDenseTasksPerThread = 1;
 
 /**
- * B-panel producer the blocked drivers call once per (jc, k0) block:
- * fill bp with the packed nr-column panels of op(B)[k0:k0+kc, j0:j0+nc].
- * Bound to packB for a dense operand and to packBFromIm2col for the
- * fused conv path; invoked at block granularity, so the std::function
- * indirection costs nothing measurable.
+ * B-panel producer the blocked drivers call once per panel range of each
+ * (strip, K block) iteration: fill bp with the packed nr-column panels of
+ * op(B)[k0:k0+kc, j0:j0+nc]. Bound to packB for a dense operand and to
+ * packBFromIm2col for the fused conv path; invoked per range of panels,
+ * so the std::function indirection costs nothing measurable.
  */
 using PackBFn = std::function<void(std::int64_t k0, std::int64_t j0,
                                    std::int64_t kc, std::int64_t nc,
@@ -128,23 +128,60 @@ packB(const float *pb, std::int64_t ldb, bool trans_b, std::int64_t k0,
       std::int64_t j0, std::int64_t kc, std::int64_t nc, std::int64_t nr,
       float *bp)
 {
-    // Panels write disjoint bpack regions, so packing runs in parallel
-    // (the pool is otherwise idle here) without affecting determinism.
     const std::int64_t npanels = (nc + nr - 1) / nr;
-    parallelFor(0, npanels, 4, [&](std::int64_t qb, std::int64_t qe) {
-        for (std::int64_t q = qb; q < qe; ++q) {
-            float *dst = bp + q * kc * nr;
-            const std::int64_t cols = std::min(nr, nc - q * nr);
-            for (std::int64_t kk = 0; kk < kc; ++kk) {
-                const std::int64_t kidx = k0 + kk;
-                for (std::int64_t cidx = 0; cidx < cols; ++cidx) {
-                    const std::int64_t j = j0 + q * nr + cidx;
-                    dst[kk * nr + cidx] =
-                        trans_b ? pb[j * ldb + kidx] : pb[kidx * ldb + j];
-                }
-                for (std::int64_t cidx = cols; cidx < nr; ++cidx)
-                    dst[kk * nr + cidx] = 0.0f;
+    for (std::int64_t q = 0; q < npanels; ++q) {
+        float *dst = bp + q * kc * nr;
+        const std::int64_t cols = std::min(nr, nc - q * nr);
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+            const std::int64_t kidx = k0 + kk;
+            for (std::int64_t cidx = 0; cidx < cols; ++cidx) {
+                const std::int64_t j = j0 + q * nr + cidx;
+                dst[kk * nr + cidx] =
+                    trans_b ? pb[j * ldb + kidx] : pb[kidx * ldb + j];
             }
+            for (std::int64_t cidx = cols; cidx < nr; ++cidx)
+                dst[kk * nr + cidx] = 0.0f;
+        }
+    }
+}
+
+/**
+ * The compute partition both blocked drivers share. One (strip, K block)
+ * iteration covers C[0:m, jc:jc+nc); it splits into tasks of one MC-row
+ * block x one range of consecutive nr-column panels, so a layer with a
+ * single row block (m <= MC: ResNet's stem and stage1) still spreads over
+ * the pool. Ranges are sized to give about tasks_per_thread tasks per
+ * thread the call can occupy (parallelWidth()). First pack(q0, q1) fills
+ * panels [q0, q1) of the strip — one call per range, ranges in parallel
+ * (the panels are disjoint) — then task(i0, q0, q1) runs every row-block
+ * x range pair in parallel (tasks write disjoint C tiles). Neither split reaches the arithmetic: each
+ * (row, panel) pair is one kernel call per K block whichever task holds
+ * it, so C is bit-identical for any thread count and between pool and
+ * nested (inline) execution, and every panel is packed exactly once.
+ */
+void
+forEachStripTask(
+    std::int64_t m, std::int64_t npanels, std::int64_t tasks_per_thread,
+    const std::function<void(std::int64_t, std::int64_t)> &pack,
+    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>
+        &task)
+{
+    const std::int64_t mblocks = (m + MC - 1) / MC;
+    const std::int64_t tasks = tasks_per_thread * parallelWidth();
+    const std::int64_t want = std::clamp<std::int64_t>(
+        (tasks + mblocks - 1) / mblocks, 1, npanels);
+    const std::int64_t span = (npanels + want - 1) / want;
+    const std::int64_t nranges = (npanels + span - 1) / span;
+    parallelFor(0, nranges, 1, [&](std::int64_t rb, std::int64_t re) {
+        for (std::int64_t r = rb; r < re; ++r)
+            pack(r * span, std::min(npanels, (r + 1) * span));
+    });
+    parallelFor(0, mblocks * nranges, 1,
+                [&](std::int64_t tb, std::int64_t te) {
+        for (std::int64_t t = tb; t < te; ++t) {
+            const std::int64_t r = t % nranges;
+            task(t / nranges * MC, r * span,
+                 std::min(npanels, (r + 1) * span));
         }
     });
 }
@@ -337,31 +374,32 @@ gemmBlockedDriver(std::int64_t m, std::int64_t n, std::int64_t k,
         kc_max * ((nc_max + nr - 1) / nr) * nr));
 
     // jc/kc loops are sequential (each C element accumulates its KC blocks
-    // in a fixed order); the MC row blocks inside run in parallel and touch
-    // disjoint rows of C, so results are identical for any thread count
-    // (within a given ISA — different micro-kernels reorder the lane sums).
+    // in a fixed order); inside, row-block x panel-range tasks run in
+    // parallel over disjoint C tiles, each packing its own row block of A,
+    // so results are identical for any thread count (within a given ISA —
+    // different micro-kernels reorder the lane sums).
     for (std::int64_t jc = 0; jc < n; jc += NC) {
         const std::int64_t nc = std::min(NC, n - jc);
-        const std::int64_t npanels = (nc + nr - 1) / nr;
         for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
             const std::int64_t kc = std::min(KC, k - k0);
-            pack_b(k0, jc, kc, nc, nr, bpack.data());
-
-            parallelFor(0, (m + MC - 1) / MC, 1,
-                        [&](std::int64_t blk_b, std::int64_t blk_e) {
-                std::vector<float> apack(static_cast<std::size_t>(
-                    kc * ((MC + mr - 1) / mr) * mr));
-                float acc[simd::kMaxGemmMr * simd::kMaxGemmNr];
-                for (std::int64_t blk = blk_b; blk < blk_e; ++blk) {
-                    const std::int64_t i0 = blk * MC;
+            forEachStripTask(
+                m, (nc + nr - 1) / nr, kDenseTasksPerThread,
+                [&](std::int64_t q0, std::int64_t q1) {
+                    pack_b(k0, jc + q0 * nr, kc,
+                           std::min(nc, q1 * nr) - q0 * nr, nr,
+                           bpack.data() + q0 * kc * nr);
+                },
+                [&](std::int64_t i0, std::int64_t q0, std::int64_t q1) {
                     const std::int64_t mc = std::min(MC, m - i0);
+                    std::vector<float> apack(static_cast<std::size_t>(
+                        kc * ((mc + mr - 1) / mr) * mr));
                     packA(pa, lda, trans_a, i0, k0, mc, kc, alpha, mr,
                           apack.data());
+                    float acc[simd::kMaxGemmMr * simd::kMaxGemmNr];
                     const std::int64_t mpanels = (mc + mr - 1) / mr;
-                    for (std::int64_t q = 0; q < npanels; ++q) {
+                    for (std::int64_t q = q0; q < q1; ++q) {
                         const float *bp = bpack.data() + q * kc * nr;
-                        const std::int64_t cols =
-                            std::min(nr, nc - q * nr);
+                        const std::int64_t cols = std::min(nr, nc - q * nr);
                         for (std::int64_t p = 0; p < mpanels; ++p) {
                             const float *ap = apack.data() + p * kc * mr;
                             std::fill(acc, acc + mr * nr, 0.0f);
@@ -369,9 +407,8 @@ gemmBlockedDriver(std::int64_t m, std::int64_t n, std::int64_t k,
                             const std::int64_t rows =
                                 std::min(mr, mc - p * mr);
                             for (std::int64_t r = 0; r < rows; ++r) {
-                                float *crow = pc
-                                    + (i0 + p * mr + r) * ldc + jc
-                                    + q * nr;
+                                float *crow = pc + (i0 + p * mr + r) * ldc
+                                    + jc + q * nr;
                                 const float *arow = acc + r * nr;
                                 for (std::int64_t cidx = 0; cidx < cols;
                                      ++cidx)
@@ -379,8 +416,7 @@ gemmBlockedDriver(std::int64_t m, std::int64_t n, std::int64_t k,
                             }
                         }
                     }
-                }
-            });
+                });
         }
     }
 }
@@ -639,125 +675,118 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
 }
 
 /**
- * One (jc, k0) block of the single-row sparse pass: every row of `a`
- * slices its entry range against [k0, k0 + kc) and streams the packed
- * panels through the per-ISA single-row kernel. MC row blocks run in
- * parallel over disjoint C rows. Shared by the single-row driver (whole
- * operand) and the grouped driver (remainder entries), so the fallback
- * path is literally the same code.
+ * The sparse-A macro-driver behind every sparse entry point (dense B via
+ * packB, virtual B via packBFromIm2col; grouped operands run their
+ * embedded CSR). The A side needs no packing: the compressed rows *are*
+ * the packed format, built once from the mask codes. Blocking comes from
+ * the shape alone — K blocks of kSparseKC, N strips of the
+ * kSparseNcBudget width — and each (strip, K block) iteration packs B
+ * once, then runs the single-row micro-kernel over forEachStripTask's
+ * row-block x panel-range tasks, panel-outer within a task so the packed
+ * panel stays hot across its rows. Strips and K blocks run in a fixed
+ * order, so each C element sums its K blocks in an order the thread
+ * count cannot change. beta has already been applied to C and the
+ * operand validated by the caller.
  */
 void
-sparseRowsKcPass(const SparseRowMatrix &a, std::int64_t k0, std::int64_t kc,
-                 std::int64_t jc, std::int64_t nc, std::int64_t npanels,
-                 float alpha, const float *bpack, float *pc,
-                 std::int64_t ldc, const simd::Kernels &kn)
+gemmSparseDriver(const SparseRowMatrix &a, std::int64_t n, float alpha,
+                 const PackBFn &pack_b, float *pc, std::int64_t ldc)
 {
     const std::int64_t m = a.rows;
-    const std::int64_t nr = kn.nr;
-    parallelFor(0, (m + MC - 1) / MC, 1,
-                [&](std::int64_t blk_b, std::int64_t blk_e) {
-        float acc[simd::kMaxGemmNr];
-        std::int64_t ent0[MC];
-        std::int64_t entn[MC];
-        for (std::int64_t blk = blk_b; blk < blk_e; ++blk) {
-            const std::int64_t i0 = blk * MC;
-            const std::int64_t mc = std::min(MC, m - i0);
-            const std::int32_t *idx = a.col_idx.data();
-            for (std::int64_t r = 0; r < mc; ++r) {
-                const std::size_t row =
-                    static_cast<std::size_t>(i0 + r);
-                const std::int32_t *lo = std::lower_bound(
-                    idx + a.row_ptr[row], idx + a.row_ptr[row + 1],
-                    static_cast<std::int32_t>(k0));
-                const std::int32_t *hi = std::lower_bound(
-                    lo, idx + a.row_ptr[row + 1],
-                    static_cast<std::int32_t>(k0 + kc));
-                ent0[r] = lo - idx;
-                entn[r] = hi - lo;
-            }
-            // Panel-outer, row-inner: the kc x nr packed panel
-            // stays hot across the whole row block.
-            for (std::int64_t q = 0; q < npanels; ++q) {
-                const float *bp = bpack + q * kc * nr;
-                const std::int64_t cols =
-                    std::min(nr, nc - q * nr);
-                for (std::int64_t r = 0; r < mc; ++r) {
-                    if (entn[r] == 0)
-                        continue;
-                    std::fill(acc, acc + nr, 0.0f);
-                    kn.gemmSparseMicroKernel(
-                        a.values.data() + ent0[r], idx + ent0[r],
-                        entn[r], k0, bp, nr, acc);
-                    float *crow =
-                        pc + (i0 + r) * ldc + jc + q * nr;
-                    // x * 1.0f == x bitwise, so the branch is a pure
-                    // fast path (drops a multiply per element in the
-                    // overwhelmingly common alpha == 1 case).
-                    if (alpha == 1.0f) {
-                        for (std::int64_t cidx = 0; cidx < cols;
-                             ++cidx)
-                            crow[cidx] += acc[cidx];
-                    } else {
-                        for (std::int64_t cidx = 0; cidx < cols;
-                             ++cidx)
-                            crow[cidx] += alpha * acc[cidx];
-                    }
-                }
-            }
-        }
-    });
-}
-
-/**
- * The blocked sparse-A macro-driver shared by gemmSparseARaw (dense B,
- * packB) and gemmSparseAIm2col (virtual B, packBFromIm2col). beta has
- * already been applied to C and the operand validated by the caller.
- */
-void
-gemmSparseBlockedDriver(const SparseRowMatrix &a, std::int64_t n,
-                        float alpha, const PackBFn &pack_b, float *pc,
-                        std::int64_t ldc)
-{
     const std::int64_t k = a.cols;
 
     const simd::Kernels &kn = simd::kernels();
     const std::int64_t nr = kn.nr;
 
-    const std::int64_t kc_max = std::min(KC, k);
-    const std::int64_t nc_max = std::min(NC, n);
-    std::vector<float> bpack(static_cast<std::size_t>(
-        kc_max * ((nc_max + nr - 1) / nr) * nr));
+    const std::int64_t kc_max = std::min(kSparseKC, k);
+    const std::int64_t nc_blk = std::min<std::int64_t>(
+        NC, std::max<std::int64_t>(nr, kSparseNcBudget / kc_max / nr * nr));
+    // Uninitialized on purpose: pack_b overwrites every panel byte the
+    // kernel reads, and the deep K block makes this buffer large enough
+    // (a megabyte-plus) that a vector's zero-fill shows up in profiles.
+    const std::int64_t nc_max = std::min(nc_blk, n);
+    std::unique_ptr<float[]> bpack(new float[static_cast<std::size_t>(
+        kc_max * ((nc_max + nr - 1) / nr) * nr)]);
 
-    // Same loop nest as the dense driver: jc/kc sequential so every C
-    // element accumulates its KC blocks in a fixed order, MC row blocks in
-    // parallel over disjoint C rows — bit-identical for any thread count
-    // within an ISA. The A side needs no packing at all: the compressed
-    // rows *are* the packed format, built once from the mask codes; each
-    // row block only slices its entry range per KC block (the indices are
-    // ascending, so two binary searches per row per block).
-    for (std::int64_t jc = 0; jc < n; jc += NC) {
-        const std::int64_t nc = std::min(NC, n - jc);
-        const std::int64_t npanels = (nc + nr - 1) / nr;
-        for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-            const std::int64_t kc = std::min(KC, k - k0);
-            pack_b(k0, jc, kc, nc, nr, bpack.data());
-            sparseRowsKcPass(a, k0, kc, jc, nc, npanels, alpha,
-                             bpack.data(), pc, ldc, kn);
+    // Each row's entry range per K block, sliced once per call: row r's
+    // entries in K block b are [split[b*m + r], split[(b+1)*m + r]). The
+    // column indices ascend within a row, so interior block boundaries
+    // are binary searches; the outer two are row_ptr itself.
+    const std::int64_t nkb = (k + kSparseKC - 1) / kSparseKC;
+    std::vector<std::int64_t> split(static_cast<std::size_t>((nkb + 1) * m));
+    const std::int32_t *idx = a.col_idx.data();
+    for (std::int64_t r = 0; r < m; ++r) {
+        const std::int64_t lo = a.row_ptr[static_cast<std::size_t>(r)];
+        const std::int64_t hi = a.row_ptr[static_cast<std::size_t>(r + 1)];
+        split[static_cast<std::size_t>(r)] = lo;
+        split[static_cast<std::size_t>(nkb * m + r)] = hi;
+        for (std::int64_t b = 1; b < nkb; ++b)
+            split[static_cast<std::size_t>(b * m + r)] =
+                std::lower_bound(idx + lo, idx + hi,
+                                 static_cast<std::int32_t>(b * kSparseKC))
+                - idx;
+    }
+
+    for (std::int64_t jc = 0; jc < n; jc += nc_blk) {
+        const std::int64_t nc = std::min(nc_blk, n - jc);
+        for (std::int64_t b = 0; b < nkb; ++b) {
+            const std::int64_t k0 = b * kSparseKC;
+            const std::int64_t kc = std::min(kSparseKC, k - k0);
+            const std::int64_t *ent0 = split.data() + b * m;
+            const std::int64_t *ent1 = ent0 + m;
+            forEachStripTask(
+                m, (nc + nr - 1) / nr, kSparseTasksPerThread,
+                [&](std::int64_t q0, std::int64_t q1) {
+                    pack_b(k0, jc + q0 * nr, kc,
+                           std::min(nc, q1 * nr) - q0 * nr, nr,
+                           bpack.get() + q0 * kc * nr);
+                },
+                [&](std::int64_t i0, std::int64_t q0, std::int64_t q1) {
+                    const std::int64_t i1 = std::min(m, i0 + MC);
+                    float acc[simd::kMaxGemmNr];
+                    for (std::int64_t q = q0; q < q1; ++q) {
+                        const float *bp = bpack.get() + q * kc * nr;
+                        const std::int64_t cols = std::min(nr, nc - q * nr);
+                        for (std::int64_t r = i0; r < i1; ++r) {
+                            if (ent1[r] == ent0[r])
+                                continue;
+                            std::fill(acc, acc + nr, 0.0f);
+                            kn.gemmSparseMicroKernel(
+                                a.values.data() + ent0[r], idx + ent0[r],
+                                ent1[r] - ent0[r], k0, bp, nr, acc);
+                            float *crow = pc + r * ldc + jc + q * nr;
+                            // x * 1.0f == x bitwise, so the branch is a
+                            // pure fast path (drops a multiply per element
+                            // in the overwhelmingly common alpha == 1
+                            // case).
+                            if (alpha == 1.0f) {
+                                for (std::int64_t cidx = 0; cidx < cols;
+                                     ++cidx)
+                                    crow[cidx] += acc[cidx];
+                            } else {
+                                for (std::int64_t cidx = 0; cidx < cols;
+                                     ++cidx)
+                                    crow[cidx] += alpha * acc[cidx];
+                            }
+                        }
+                    }
+                });
         }
     }
 }
 
 /**
- * Structural check of a grouped operand's tile/band layer (the CSR
- * members are checked by checkSparseOperand). Like the CSR invariants,
- * these are memory safety: the grouped driver binary-searches each tile's
- * shared column list and indexes C rows and the vals/cols pools straight
- * from the tile fields. Builders validate once at pack time; hand-built
- * operands pay per call.
+ * Structural check of a grouped operand: its two CSR members, then the
+ * tile/band layer. No kernel reads the tiles — the driver runs the
+ * embedded `rows` CSR — but the layer is stored in and borrowed from
+ * MVQI images, so a corrupt one must fail loudly instead of riding along.
+ * Builders validate once at pack time; hand-built operands pay per call.
  */
 void
 checkGroupedOperand(const GroupedSparseMatrix &a)
 {
+    checkSparseOperand(a.rows);
+    checkSparseOperand(a.remainder);
     const std::int64_t ncols_pool =
         static_cast<std::int64_t>(a.cols.size());
     const std::int64_t nvals_pool =
@@ -807,167 +836,6 @@ checkGroupedOperand(const GroupedSparseMatrix &a)
             covered, " + ", a.remainder.nnz(), " != ", a.rows.nnz());
 }
 
-/**
- * The blocked multi-row macro-driver behind the GroupedSparseMatrix gemm
- * entry points. Same jc/kc loop nest and packed-B layout as the
- * single-row driver, but K-blocked by kGroupedKC (see the constant for
- * why tile phases want deep K blocks); within a (jc, k0) block the bucket
- * tiles run first — panel-outer, bands in parallel inside each panel
- * (bands touch disjoint C rows; a band's tiles run sequentially) — then
- * the remainder entries run through the unchanged single-row pass. Tile
- * phase then remainder phase is a fixed order per C element, so the
- * thread-count determinism contract carries over. beta has already been
- * applied to C and the operand validated by the caller.
- */
-void
-gemmSparseGroupedBlockedDriver(const GroupedSparseMatrix &a, std::int64_t n,
-                               float alpha, const PackBFn &pack_b, float *pc,
-                               std::int64_t ldc)
-{
-    const std::int64_t k = a.rows.cols;
-
-    const simd::Kernels &kn = simd::kernels();
-    const std::int64_t nr = kn.nr;
-
-    const std::int64_t kc_max = std::min(kGroupedKC, k);
-    const std::int64_t nc_blk = std::min<std::int64_t>(
-        NC,
-        std::max<std::int64_t>(nr, kGroupedNcBudget / kc_max / nr * nr));
-    // Uninitialized on purpose: pack_b overwrites every panel byte the
-    // drivers read, and the deep grouped K block makes this buffer large
-    // enough (a megabyte-plus) that a vector's zero-fill shows up in
-    // profiles.
-    const std::int64_t nc_max = std::min(nc_blk, n);
-    std::unique_ptr<float[]> bpack(new float[static_cast<std::size_t>(
-        kc_max * ((nc_max + nr - 1) / nr) * nr)]);
-
-    // Per-tile slice of the shared column list against the current K
-    // block, computed once per k0 (two binary searches per tile, exactly
-    // like the per-row slicing of the single-row driver). With
-    // kGroupedKC covering typical conv reductions whole, the common case
-    // is one K block whose slice is the entire shared column list.
-    const std::int64_t ntiles = static_cast<std::int64_t>(a.tiles.size());
-    const std::int64_t nbands =
-        static_cast<std::int64_t>(a.band_ptr.size()) - 1;
-    std::vector<std::int64_t> tlo(static_cast<std::size_t>(ntiles));
-    std::vector<std::int64_t> tcnt(static_cast<std::size_t>(ntiles));
-    std::vector<std::int64_t> act_tiles;
-    std::vector<std::int64_t> act_ptr;
-    act_tiles.reserve(static_cast<std::size_t>(ntiles));
-    act_ptr.reserve(static_cast<std::size_t>(nbands) + 1);
-
-    for (std::int64_t jc = 0; jc < n; jc += nc_blk) {
-        const std::int64_t nc = std::min(nc_blk, n - jc);
-        const std::int64_t npanels = (nc + nr - 1) / nr;
-        for (std::int64_t k0 = 0; k0 < k; k0 += kGroupedKC) {
-            const std::int64_t kc = std::min(kGroupedKC, k - k0);
-            pack_b(k0, jc, kc, nc, nr, bpack.get());
-
-            parallelFor(0, ntiles, 64,
-                        [&](std::int64_t tb, std::int64_t te) {
-                for (std::int64_t t = tb; t < te; ++t) {
-                    const GroupedSparseMatrix::Tile &tl =
-                        a.tiles[static_cast<std::size_t>(t)];
-                    const std::int32_t *cbase =
-                        a.cols.data() + tl.col_off;
-                    const std::int32_t *lo = std::lower_bound(
-                        cbase, cbase + tl.ncols,
-                        static_cast<std::int32_t>(k0));
-                    const std::int32_t *hi = std::lower_bound(
-                        lo, cbase + tl.ncols,
-                        static_cast<std::int32_t>(k0 + kc));
-                    tlo[static_cast<std::size_t>(t)] = lo - cbase;
-                    tcnt[static_cast<std::size_t>(t)] = hi - lo;
-                }
-            });
-
-            // Active tiles per band for this K block, as a flat CSR so
-            // the panel loop below doesn't rescan tcnt per panel.
-            act_ptr.assign(1, 0);
-            act_tiles.clear();
-            for (std::int64_t b = 0; b < nbands; ++b) {
-                for (std::int64_t t = a.band_ptr
-                         [static_cast<std::size_t>(b)];
-                     t < a.band_ptr[static_cast<std::size_t>(b + 1)]; ++t) {
-                    if (tcnt[static_cast<std::size_t>(t)] != 0)
-                        act_tiles.push_back(t);
-                }
-                act_ptr.push_back(
-                    static_cast<std::int64_t>(act_tiles.size()));
-            }
-
-            // Panel-outer, bands-inner: one packed panel is consumed by
-            // every band before moving on, so the panel stays cache-hot
-            // across bands (bands have no intra-band B reuse to exploit —
-            // a block's bucket column sets are disjoint — the only reuse
-            // is ACROSS bands). The value/column streams re-read per
-            // panel stream sequentially, which the hardware prefetcher
-            // hides; the band-outer nest that would read them only once
-            // measures ~20% slower on AVX2 because it loses the hot
-            // panel. Bands touch disjoint C rows, so they run in
-            // parallel; each tile's K-block contribution is still one
-            // kernel call + one scatter, so the per-C-element
-            // accumulation order is independent of both the loop nest
-            // and the thread count.
-            for (std::int64_t q = 0; q < npanels; ++q) {
-                const float *bp = bpack.get() + q * kc * nr;
-                const std::int64_t cols = std::min(nr, nc - q * nr);
-                parallelFor(0, nbands, 1,
-                            [&](std::int64_t bb, std::int64_t be) {
-                    float acc[kSparseTileMaxRows * simd::kMaxGemmNr];
-                    for (std::int64_t b = bb; b < be; ++b) {
-                        for (std::int64_t i = act_ptr
-                                 [static_cast<std::size_t>(b)];
-                             i < act_ptr[static_cast<std::size_t>(b + 1)];
-                             ++i) {
-                            const std::int64_t t = act_tiles
-                                [static_cast<std::size_t>(i)];
-                            const GroupedSparseMatrix::Tile &tl =
-                                a.tiles[static_cast<std::size_t>(t)];
-                            const std::int64_t lo =
-                                tlo[static_cast<std::size_t>(t)];
-                            kn.gemmSparseMultiRowMicroKernel(
-                                a.vals.data() + tl.val_off + lo,
-                                tl.ncols, tl.nrows,
-                                a.cols.data() + tl.col_off + lo,
-                                tcnt[static_cast<std::size_t>(t)], k0, bp,
-                                nr, acc);
-                            // x * 1.0f == x bitwise, so the alpha == 1
-                            // branch is a pure fast path (drops a
-                            // multiply per scattered element).
-                            if (alpha == 1.0f) {
-                                for (std::int32_t r = 0; r < tl.nrows;
-                                     ++r) {
-                                    float *crow = pc + tl.row[r] * ldc
-                                        + jc + q * nr;
-                                    const float *arow = acc + r * nr;
-                                    for (std::int64_t cidx = 0;
-                                         cidx < cols; ++cidx)
-                                        crow[cidx] += arow[cidx];
-                                }
-                            } else {
-                                for (std::int32_t r = 0; r < tl.nrows;
-                                     ++r) {
-                                    float *crow = pc + tl.row[r] * ldc
-                                        + jc + q * nr;
-                                    const float *arow = acc + r * nr;
-                                    for (std::int64_t cidx = 0;
-                                         cidx < cols; ++cidx)
-                                        crow[cidx] += alpha * arow[cidx];
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-
-            if (a.remainder.nnz() != 0)
-                sparseRowsKcPass(a.remainder, k0, kc, jc, nc, npanels,
-                                 alpha, bpack.get(), pc, ldc, kn);
-        }
-    }
-}
-
 void
 gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
                std::int64_t n, float alpha, float beta, float *pc,
@@ -988,7 +856,7 @@ gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
         return;
     }
 
-    gemmSparseBlockedDriver(
+    gemmSparseDriver(
         a, n, alpha,
         [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
             std::int64_t nc, std::int64_t nr, float *bp) {
@@ -1009,8 +877,6 @@ gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
 void
 validateGroupedOperand(GroupedSparseMatrix &a)
 {
-    checkSparseOperand(a.rows);
-    checkSparseOperand(a.remainder);
     checkGroupedOperand(a);
     a.rows.validated = true;
     a.remainder.validated = true;
@@ -1022,32 +888,9 @@ gemmSparseARaw(const GroupedSparseMatrix &a, const float *pb,
                std::int64_t ldb, std::int64_t n, float alpha, float beta,
                float *pc, std::int64_t ldc)
 {
-    // Disabled knob, tile-free operands, and small problems all route
-    // through the single-row entry point on the embedded full operand —
-    // the exact code the ungrouped path runs, so results are bit-identical.
-    if (!sparseMultiRowEnabled() || a.tiles.empty()
-        || a.rows.nnz() * n <= kGemmScalarFallbackMacs) {
-        gemmSparseARaw(a.rows, pb, ldb, n, alpha, beta, pc, ldc);
-        return;
-    }
-    if (!a.validated) {
-        checkSparseOperand(a.rows);
-        checkSparseOperand(a.remainder);
+    if (!a.validated)
         checkGroupedOperand(a);
-    }
-    const std::int64_t m = a.rows.rows;
-
-    scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.rows.nnz() == 0)
-        return;
-
-    gemmSparseGroupedBlockedDriver(
-        a, n, alpha,
-        [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-            std::int64_t nc, std::int64_t nr, float *bp) {
-            packB(pb, ldb, false, k0, j0, kc, nc, nr, bp);
-        },
-        pc, ldc);
+    gemmSparseARaw(a.rows, pb, ldb, n, alpha, beta, pc, ldc);
 }
 
 void
@@ -1175,88 +1018,83 @@ packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
     const std::int64_t ow = g.outW();
     const float *pin = b.slab;
 
-    // Panels write disjoint bp regions, so packing runs in parallel (the
-    // pool is otherwise idle between macro-kernel sweeps) without
-    // affecting the packed bytes — same split as packB. Within a panel
-    // the kk loop walks the virtual rows (c, kh, kw); the cidx loop walks
-    // output positions of one im2col row, split into runs that stay on
-    // one output row y (ih fixed), so the padding tests hoist out of the
-    // per-element loop and the stride-1 common case degenerates to one
-    // memcpy per run.
+    // Within a panel the kk loop walks the virtual rows (c, kh, kw); the
+    // cidx loop walks output positions of one im2col row, split into runs
+    // that stay on one output row y (ih fixed), so the padding tests hoist
+    // out of the per-element loop and the stride-1 common case
+    // degenerates to one memcpy per run.
     const std::int64_t npanels = (nc + nr - 1) / nr;
-    parallelFor(0, npanels, 4, [&](std::int64_t qb, std::int64_t qe) {
-        for (std::int64_t q = qb; q < qe; ++q) {
-            float *dst = bp + q * kc * nr;
-            const std::int64_t cols = std::min(nr, nc - q * nr);
-            const std::int64_t jbase = j0 + q * nr;
-            // Walk the (c, kh, kw) decomposition of the virtual row
-            // incrementally: kw carries into kh carries into c, so the kk
-            // loop does no divisions.
-            std::int64_t c = k0 / (g.k_h * g.k_w);
-            std::int64_t kh = (k0 / g.k_w) % g.k_h;
-            std::int64_t kw = k0 % g.k_w;
-            const float *src = pin + c * g.in_h * g.in_w;
-            for (std::int64_t kk = 0; kk < kc; ++kk) {
-                float *drow = dst + kk * nr;
-                std::int64_t cidx = 0;
-                while (cidx < cols) {
-                    const std::int64_t j = jbase + cidx;
-                    const std::int64_t y = j / ow;
-                    const std::int64_t x0 = j % ow;
-                    const std::int64_t run =
-                        std::min(cols - cidx, ow - x0);
-                    const std::int64_t ih = y * g.stride - g.pad + kh;
-                    if (ih < 0 || ih >= g.in_h) {
+    for (std::int64_t q = 0; q < npanels; ++q) {
+        float *dst = bp + q * kc * nr;
+        const std::int64_t cols = std::min(nr, nc - q * nr);
+        const std::int64_t jbase = j0 + q * nr;
+        // Walk the (c, kh, kw) decomposition of the virtual row
+        // incrementally: kw carries into kh carries into c, so the kk
+        // loop does no divisions.
+        std::int64_t c = k0 / (g.k_h * g.k_w);
+        std::int64_t kh = (k0 / g.k_w) % g.k_h;
+        std::int64_t kw = k0 % g.k_w;
+        const float *src = pin + c * g.in_h * g.in_w;
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+            float *drow = dst + kk * nr;
+            std::int64_t cidx = 0;
+            while (cidx < cols) {
+                const std::int64_t j = jbase + cidx;
+                const std::int64_t y = j / ow;
+                const std::int64_t x0 = j % ow;
+                const std::int64_t run =
+                    std::min(cols - cidx, ow - x0);
+                const std::int64_t ih = y * g.stride - g.pad + kh;
+                if (ih < 0 || ih >= g.in_h) {
+                    std::memset(drow + cidx, 0,
+                                static_cast<std::size_t>(run)
+                                    * sizeof(float));
+                } else if (g.stride == 1) {
+                    // iw = x - pad + kw is contiguous in x; split the
+                    // run into left padding / in-bounds memcpy / right
+                    // padding.
+                    const std::int64_t iw0 = x0 - g.pad + kw;
+                    const std::int64_t lo =
+                        std::clamp<std::int64_t>(-iw0, 0, run);
+                    const std::int64_t hi =
+                        std::clamp<std::int64_t>(g.in_w - iw0, lo, run);
+                    if (lo > 0)
                         std::memset(drow + cidx, 0,
-                                    static_cast<std::size_t>(run)
+                                    static_cast<std::size_t>(lo)
                                         * sizeof(float));
-                    } else if (g.stride == 1) {
-                        // iw = x - pad + kw is contiguous in x; split the
-                        // run into left padding / in-bounds memcpy / right
-                        // padding.
-                        const std::int64_t iw0 = x0 - g.pad + kw;
-                        const std::int64_t lo =
-                            std::clamp<std::int64_t>(-iw0, 0, run);
-                        const std::int64_t hi =
-                            std::clamp<std::int64_t>(g.in_w - iw0, lo, run);
-                        if (lo > 0)
-                            std::memset(drow + cidx, 0,
-                                        static_cast<std::size_t>(lo)
-                                            * sizeof(float));
-                        if (hi > lo)
-                            std::memcpy(drow + cidx + lo,
-                                        src + ih * g.in_w + iw0 + lo,
-                                        static_cast<std::size_t>(hi - lo)
-                                            * sizeof(float));
-                        if (run > hi)
-                            std::memset(drow + cidx + hi, 0,
-                                        static_cast<std::size_t>(run - hi)
-                                            * sizeof(float));
-                    } else {
-                        const float *srow = src + ih * g.in_w;
-                        for (std::int64_t t = 0; t < run; ++t) {
-                            const std::int64_t iw =
-                                (x0 + t) * g.stride - g.pad + kw;
-                            drow[cidx + t] = (iw >= 0 && iw < g.in_w)
-                                ? srow[iw]
-                                : 0.0f;
-                        }
+                    if (hi > lo)
+                        std::memcpy(drow + cidx + lo,
+                                    src + ih * g.in_w + iw0 + lo,
+                                    static_cast<std::size_t>(hi - lo)
+                                        * sizeof(float));
+                    if (run > hi)
+                        std::memset(drow + cidx + hi, 0,
+                                    static_cast<std::size_t>(run - hi)
+                                        * sizeof(float));
+                } else {
+                    const float *srow = src + ih * g.in_w;
+                    for (std::int64_t t = 0; t < run; ++t) {
+                        const std::int64_t iw =
+                            (x0 + t) * g.stride - g.pad + kw;
+                        drow[cidx + t] = (iw >= 0 && iw < g.in_w)
+                            ? srow[iw]
+                            : 0.0f;
                     }
-                    cidx += run;
                 }
-                for (std::int64_t t = cols; t < nr; ++t)
-                    drow[t] = 0.0f;
-                if (++kw == g.k_w) {
-                    kw = 0;
-                    if (++kh == g.k_h) {
-                        kh = 0;
-                        ++c;
-                        src += g.in_h * g.in_w;
-                    }
+                cidx += run;
+            }
+            for (std::int64_t t = cols; t < nr; ++t)
+                drow[t] = 0.0f;
+            if (++kw == g.k_w) {
+                kw = 0;
+                if (++kh == g.k_h) {
+                    kh = 0;
+                    ++c;
+                    src += g.in_h * g.in_w;
                 }
             }
         }
-    });
+    }
 }
 
 void
@@ -1314,7 +1152,7 @@ gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float alpha,
         return;
     }
 
-    gemmSparseBlockedDriver(
+    gemmSparseDriver(
         a, n, alpha,
         [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
             std::int64_t nc, std::int64_t nr, float *bp) {
@@ -1327,61 +1165,9 @@ void
 gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                   float alpha, float beta, float *pc, std::int64_t ldc)
 {
-    // Same forwarding rule as the grouped gemmSparseARaw: knob off,
-    // nothing tiled, or below the crossover -> the single-row entry point
-    // on the embedded full operand, bit-identical to the ungrouped path.
-    if (!sparseMultiRowEnabled() || a.tiles.empty()
-        || a.rows.nnz() * b.cols() <= kGemmScalarFallbackMacs) {
-        gemmSparseAIm2col(a.rows, b, alpha, beta, pc, ldc);
-        return;
-    }
-    if (!a.validated) {
-        checkSparseOperand(a.rows);
-        checkSparseOperand(a.remainder);
+    if (!a.validated)
         checkGroupedOperand(a);
-    }
-    checkConvOutputDims(b.g, "gemmSparseAIm2col");
-    panicIf(a.rows.cols != b.rows(),
-            "gemmSparseAIm2col inner dims mismatch: ", a.rows.cols, " vs ",
-            b.rows());
-    const std::int64_t m = a.rows.rows;
-    const std::int64_t n = b.cols();
-
-    scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.rows.nnz() == 0)
-        return;
-
-    gemmSparseGroupedBlockedDriver(
-        a, n, alpha,
-        [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-            std::int64_t nc, std::int64_t nr, float *bp) {
-            packBFromIm2col(b, k0, j0, kc, nc, nr, bp);
-        },
-        pc, ldc);
-}
-
-namespace {
-
-/** -1 = unresolved (read MVQ_SPARSE_MULTIROW on first query). */
-std::atomic<int> g_sparse_multirow{-1};
-
-} // namespace
-
-bool
-sparseMultiRowEnabled()
-{
-    int v = g_sparse_multirow.load(std::memory_order_acquire);
-    if (v < 0) {
-        v = env::flag("MVQ_SPARSE_MULTIROW", true) ? 1 : 0;
-        g_sparse_multirow.store(v, std::memory_order_release);
-    }
-    return v == 1;
-}
-
-void
-setSparseMultiRowEnabled(bool on)
-{
-    g_sparse_multirow.store(on ? 1 : 0, std::memory_order_release);
+    gemmSparseAIm2col(a.rows, b, alpha, beta, pc, ldc);
 }
 
 void

@@ -166,36 +166,29 @@ struct GroupedSparseMatrix;
  */
 void validateGroupedOperand(GroupedSparseMatrix &a);
 
-/**
- * Row count of one multi-row sparse tile. Mirrors
- * simd::kSparseMultiRowMr (static_asserted equal in ops.cpp); duplicated
- * here so this header does not pull in the dispatch layer.
- */
+/** Most rows one bucket tile of a GroupedSparseMatrix holds. */
 constexpr std::int64_t kSparseTileMaxRows = 4;
 
 /** groupSparseRows' default shortest shared column list worth a tile. */
 constexpr std::int64_t kSparseTileMinCols = 8;
 
 /**
- * A SparseRowMatrix reorganized around the structure N:M masking imposes:
- * within an M-row block of the operand, every column's set of kept rows
- * is one of the C(M,N) mask codes, so columns of a block sharing a code
- * share their kept-row pattern exactly. groupSparseRows buckets the
- * columns of each block by that kept-row set and emits each bucket as
- * row-tiles: up to kSparseTileMaxRows rows x the bucket's shared
- * ascending column list, with the tile's kept values stored densely
- * (row-major, row r of tile t at vals[t.val_off + r*t.ncols]). The
- * multi-row micro-kernel then loads each packed B row once per tile
- * instead of once per row — MVQ's "one operand fetch serves many
- * accumulations" argument, realized in software.
- *
- * Entries not worth tiling (columns kept by a single row of their block,
- * buckets too short to amortize the tile setup, leftover rows of an
+ * A SparseRowMatrix plus the structure N:M masking imposes on it: within
+ * an M-row block of the operand, every column's set of kept rows is one
+ * of the C(M,N) mask codes, so columns of a block sharing a code share
+ * their kept-row pattern exactly. groupSparseRows buckets the columns of
+ * each block by that kept-row set and emits each bucket as row-tiles: up
+ * to kSparseTileMaxRows rows x the bucket's shared ascending column list,
+ * with the tile's kept values stored densely (row-major, row r of tile t
+ * at vals[t.val_off + r*t.ncols]). Entries not worth tiling (columns kept
+ * by a single row of their block, buckets too short, leftover rows of an
  * odd-sized bucket) stay in `remainder`, a CSR over the same row/column
- * space driven by the single-row kernel. Tiles + remainder partition
- * rows.nnz() exactly. The full `rows` operand is retained for the
- * MVQ_SPARSE_MULTIROW=0 fallback path (bit-identical to the ungrouped
- * entry points) and as the shape/validation source of truth.
+ * space. Tiles + remainder partition rows.nnz() exactly.
+ *
+ * The gemm entry points run the full `rows` CSR; no kernel reads the
+ * tiles. The tile layer stays because MVQI v1 images store it and the
+ * serving benchmark reports its coverage (io.tile_nnz_frac); it goes
+ * with the next format version.
  */
 struct GroupedSparseMatrix
 {
@@ -211,20 +204,18 @@ struct GroupedSparseMatrix
         std::int64_t val_off = 0; //!< into vals; nrows x ncols row-major
     };
 
-    SparseRowMatrix rows;      //!< full single-row operand (fallback path)
+    SparseRowMatrix rows;      //!< full CSR operand (what the gemms run)
     OperandArray<Tile> tiles;  //!< bucket chunks, grouped into bands
     OperandArray<std::int32_t> cols; //!< shared column patterns, ascending
     OperandArray<float> vals;        //!< tile values, row-major per tile
     /**
      * Bands partition `tiles`: band b owns tiles [band_ptr[b],
-     * band_ptr[b+1]), and tiles of *different* bands touch disjoint C
-     * rows (a band is one M-row block's tiles — rows within a block can
-     * appear in several of its buckets). The grouped driver parallelizes
-     * over bands and runs a band's tiles sequentially, preserving the
-     * bit-identical-across-thread-counts contract.
+     * band_ptr[b+1]), and tiles of *different* bands cover disjoint rows
+     * (a band is one M-row block's tiles — rows within a block can
+     * appear in several of its buckets).
      */
     OperandArray<std::int64_t> band_ptr{0};
-    SparseRowMatrix remainder; //!< untiled entries (single-row kernel)
+    SparseRowMatrix remainder; //!< untiled entries
     bool validated = false;    //!< set by the builders after checking
 
     /** Kept entries covered by tiles (rows.nnz() - remainder.nnz()). */
@@ -237,7 +228,7 @@ struct GroupedSparseMatrix
         return n;
     }
 
-    /** Fraction of kept entries the single-row fallback still carries. */
+    /** Fraction of kept entries left untiled (in the remainder). */
     double
     fallbackFraction() const
     {
@@ -251,13 +242,12 @@ struct GroupedSparseMatrix
 /**
  * Build the grouped operand: bucket each `m_block`-row block's columns by
  * their kept-row set (the decoded N:M mask code of that column's group)
- * and emit buckets of >= 2 rows and >= min_cols shared columns as
- * multi-row tiles, everything else into the remainder CSR. m_block should
- * be the mask pattern's M (16 for 4:16) so blocks align with the code
- * groups; any value in [2, 32] is accepted and merely changes which
- * structure gets discovered. min_cols keeps tiles long enough to amortize
- * their per-panel accumulator setup against short shared patterns.
- * Deterministic: bucket order is first appearance within a block (its
+ * and emit buckets of >= 2 rows and >= min_cols shared columns as row
+ * tiles, everything else into the remainder CSR. m_block should be the
+ * mask pattern's M (16 for 4:16) so blocks align with the code groups;
+ * any value in [2, 32] is accepted and merely changes which structure
+ * gets discovered. min_cols is the shortest shared column list that
+ * becomes a tile. Deterministic: bucket order is first appearance within a block (its
  * ascending first column), blocks ascend. Sort-free: two passes over each
  * block's entries plus one hash lookup per column a block's rows share,
  * so the cost is O(nnz) plus a cols/64-word bitmap scan per block.
@@ -270,15 +260,10 @@ GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
                                         kSparseTileMinCols);
 
 /**
- * Grouped-operand forms of the sparse-A gemm entry points. With the
- * multi-row path enabled (default) and tiles present, the blocked driver
- * walks buckets instead of rows: per (jc, k0) block each band's tiles run
- * through the per-ISA multi-row micro-kernel (one shared B-row load per
- * tile) and the remainder rows through the single-row kernel, in a fixed
- * order per C element — bit-identical for any thread count within an
- * ISA. With MVQ_SPARSE_MULTIROW=0 (or no tiles) these forward to the
- * SparseRowMatrix overloads on a.rows, reproducing the single-row path
- * bit-for-bit.
+ * Grouped-operand forms of the sparse-A gemm entry points. They run the
+ * SparseRowMatrix overloads on the embedded `rows` CSR, so results are
+ * bit-identical to the ungrouped path; the tile layer is validated (when
+ * the operand is not yet) but never read by a kernel.
  */
 void gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
                  float alpha = 1.0f, float beta = 0.0f);
@@ -290,13 +275,16 @@ void gemmSparseARaw(const GroupedSparseMatrix &a, const float *b,
 
 /**
  * Sparse-A GEMM: C = alpha * A * B + beta * C with A in compressed-row
- * form and B/C dense. Runs the same KC/NC cache-blocked, B-panel-packed
- * driver as gemm(), but the A side consumes the compressed rows directly:
- * only kept entries are walked, their column indices steering the per-ISA
- * sparse micro-kernel (simd::Kernels::gemmSparseMicroKernel) to the
- * matching packed B rows. Flops scale with nnz, so a 4:16 operand does
- * ~1/4 the multiplies of the dense path. Deterministic across thread
- * counts within an ISA, like gemm().
+ * form and B/C dense. Runs a cache-blocked, B-panel-packed driver like
+ * gemm()'s — with K blocks deep enough to cover typical conv reductions
+ * whole and L2-sized N strips — but the A side consumes the compressed
+ * rows directly: only kept entries are walked, their column indices
+ * steering the per-ISA sparse micro-kernel
+ * (simd::Kernels::gemmSparseMicroKernel) to the matching packed B rows.
+ * Flops scale with nnz, so a 4:16 operand does ~1/4 the multiplies of
+ * the dense path. Both drivers split C into row-block x panel-range
+ * tasks, so a layer with one row block still uses the whole pool.
+ * Deterministic across thread counts within an ISA, like gemm().
  */
 void gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
                  float alpha = 1.0f, float beta = 0.0f);
@@ -396,10 +384,10 @@ struct Im2colB
  * input image exactly once, directly into the pack buffer, instead of
  * being written to a [k, n] intermediate and re-read by packB.
  *
- * ISA-agnostic (plain C++, nr is a runtime parameter) and parallel over
- * panel columns; panels write disjoint bp regions so the parallel split
- * never affects the packed bytes. Panics on non-positive output dims,
- * like im2col.
+ * ISA-agnostic (plain C++, nr is a runtime parameter) and serial: the
+ * blocked drivers call it once per range of panels, ranges in parallel
+ * (panels write disjoint bp regions, so the split never affects the
+ * packed bytes). Panics on non-positive output dims, like im2col.
  */
 void packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
                      std::int64_t kc, std::int64_t nc, std::int64_t nr,
@@ -435,25 +423,12 @@ void gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b,
                        float alpha, float beta, float *c, std::int64_t ldc);
 
 /**
- * Grouped-operand form of gemmSparseAIm2col: the multi-row bucket walk
- * with B panels packed straight from the input image. Falls back to the
- * single-row fused path (bit-identical) when multi-row is disabled or the
- * operand has no tiles.
+ * Grouped-operand form of gemmSparseAIm2col: runs the SparseRowMatrix
+ * overload on the embedded `rows` CSR (bit-identical to calling it
+ * directly), after validating an unvalidated operand whole.
  */
 void gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                        float alpha, float beta, float *c, std::int64_t ldc);
-
-/**
- * Whether the grouped sparse gemm entry points use the multi-row tile
- * path (default) or forward everything to the single-row kernels. First
- * call reads `MVQ_SPARSE_MULTIROW` (0/off disables); the disabled setting
- * reproduces the ungrouped entry points bit-identically per ISA — the
- * knob exists for A/B perf comparison and as a debug fallback.
- */
-bool sparseMultiRowEnabled();
-
-/** Programmatic override of sparseMultiRowEnabled (tests/benches). */
-void setSparseMultiRowEnabled(bool on);
 
 /**
  * Scatter-add a column matrix back into an image gradient (inverse of

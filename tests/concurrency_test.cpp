@@ -82,26 +82,21 @@ TEST(Concurrency, FirstTouchKnobReadsAgreeAcrossThreads)
     // Each thread resolves every knob repeatedly; the registry caches the
     // first read, so all threads must observe identical values even when
     // they race the very first resolution.
-    std::vector<int> multirow(kHammerThreads, -1);
     std::vector<std::int64_t> nthreads(kHammerThreads, -1);
     std::vector<std::string> simd_str(kHammerThreads);
     hammer(kHammerThreads, [&](int t) {
         for (int i = 0; i < 64; ++i) {
-            const bool m = sparseMultiRowEnabled();
             const std::int64_t n = env::int_("MVQ_NUM_THREADS", 0);
             const std::string s = env::str("MVQ_SIMD", "");
             if (i == 0) {
-                multirow[static_cast<std::size_t>(t)] = m ? 1 : 0;
                 nthreads[static_cast<std::size_t>(t)] = n;
                 simd_str[static_cast<std::size_t>(t)] = s;
             }
-            ASSERT_EQ(m ? 1 : 0, multirow[static_cast<std::size_t>(t)]);
             ASSERT_EQ(n, nthreads[static_cast<std::size_t>(t)]);
             ASSERT_EQ(s, simd_str[static_cast<std::size_t>(t)]);
         }
     });
     for (int t = 1; t < kHammerThreads; ++t) {
-        EXPECT_EQ(multirow[0], multirow[static_cast<std::size_t>(t)]);
         EXPECT_EQ(nthreads[0], nthreads[static_cast<std::size_t>(t)]);
         EXPECT_EQ(simd_str[0], simd_str[static_cast<std::size_t>(t)]);
     }

@@ -273,34 +273,92 @@ TEST(FusedPack, SparseSmallProblemFallbackBitIdentical)
     }
 }
 
+/**
+ * Run `gemm` (which fills its argument) from inside chunk 0 of an outer
+ * parallelFor, the way a batched conv calls it per image: the nested
+ * call runs its tasks inline on that chunk's thread.
+ */
+template <typename Fn>
+void
+runNested(Fn gemm)
+{
+    parallelFor(0, 2, 1, [&](std::int64_t b, std::int64_t) {
+        if (b == 0)
+            gemm();
+    });
+}
+
 TEST(FusedPack, ThreadCountDeterministicPerIsa)
 {
     IsaGuard guard;
     ThreadGuard tguard;
-    const ConvGeom g{16, 13, 13, 3, 3, 1, 1};
-    const Tensor x = randomInput(71, g);
-    const std::int64_t k = g.in_c * g.k_h * g.k_w; // 144: multiple of M=16
-    const std::int64_t n = g.outH() * g.outW();
-    Rng rng(72);
-    Tensor a(Shape({32, k}));
-    a.fillNormal(rng, 0.0f, 1.0f);
-    Tensor am = masked416Matrix(73, 32, k);
-    const SparseRowMatrix sp = sparsifyRows(am);
+    // Geometries straddle both drivers' partitions: several row blocks;
+    // one row block with n split over many panels and two N strips; a
+    // 1-row second block; two sparse K blocks with one strip whose last
+    // panel has one column; and a single output pixel. The dense driver
+    // splits panels only while row blocks are fewer than threads, so the
+    // 8-block case runs sparse only (it is the slow one under TSan).
+    struct Case
+    {
+        std::int64_t m;
+        ConvGeom g;
+        bool dense;
+    };
+    const Case cases[] = {
+        {32, {16, 13, 13, 3, 3, 1, 1}, true},
+        {64, {16, 48, 48, 3, 3, 1, 1}, true},
+        {65, {16, 13, 13, 3, 3, 1, 1}, true},
+        {512, {512, 7, 7, 3, 3, 1, 1}, false},
+        {16, {512, 3, 3, 3, 3, 1, 0}, true},
+    };
+    for (const Case &cs : cases) {
+        const std::int64_t m = cs.m;
+        const ConvGeom &g = cs.g;
+        const std::int64_t k = g.in_c * g.k_h * g.k_w; // multiple of M=16
+        const std::int64_t n = g.outH() * g.outW();
+        SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k
+                                        << " n=" << n);
+        const Tensor x = randomInput(71 + m, g);
+        Rng rng(72 + m);
+        Tensor a(Shape({m, k}));
+        a.fillNormal(rng, 0.0f, 1.0f);
+        Tensor am = masked416Matrix(73 + m, m, k);
+        const SparseRowMatrix sp = sparsifyRows(am);
+        ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // blocked path
+        const Tensor cols = im2col(x, 0, g);
+        Tensor s_oracle(Shape({m, n}));
+        gemmSparseAReference(sp, cols, s_oracle);
+        auto sparse = [&](Tensor &s) {
+            gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f,
+                              s.data(), n);
+        };
 
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setNumThreads(1);
-        const Tensor d1 = denseFused(a, x, g);
-        Tensor s1(Shape({32, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f, s1.data(),
-                          n);
-        setNumThreads(4);
-        const Tensor d4 = denseFused(a, x, g);
-        Tensor s4(Shape({32, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f, s4.data(),
-                          n);
-        expectBitIdentical(d1, d4, simd::isaName(isa));
-        expectBitIdentical(s1, s4, simd::isaName(isa));
+        for (Isa isa : availableIsas()) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            setNumThreads(1);
+            const Tensor d1 = cs.dense ? denseFused(a, x, g) : Tensor();
+            Tensor s1(Shape({m, n}));
+            sparse(s1);
+            expectClose(s_oracle, s1, simd::isaName(isa));
+            for (int threads : {2, 3, 4}) {
+                setNumThreads(threads);
+                if (cs.dense)
+                    expectBitIdentical(d1, denseFused(a, x, g),
+                                       simd::isaName(isa));
+                Tensor st(Shape({m, n}));
+                sparse(st);
+                expectBitIdentical(s1, st, simd::isaName(isa));
+            }
+            Tensor dn, sn(Shape({m, n}));
+            runNested([&] {
+                if (cs.dense)
+                    dn = denseFused(a, x, g);
+                sparse(sn);
+            });
+            if (cs.dense)
+                expectBitIdentical(d1, dn, simd::isaName(isa));
+            expectBitIdentical(s1, sn, simd::isaName(isa));
+        }
     }
 }
 

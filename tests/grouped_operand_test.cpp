@@ -1,22 +1,19 @@
 /**
- * @file
- * Multi-row sparse micro-kernel coverage: the groupSparseRows bucketing
- * (tiles + remainder partition, adversarial bucket shapes), the grouped
- * gemm entry points vs gemmSparseAReference and — bit-for-bit — vs the
- * single-row path wherever the contract promises identity (knob off, no
- * tiles, below the crossover), the per-ISA multi-row kernels against the
- * scalar table, thread-count determinism, the MVQ_SPARSE_MULTIROW knob,
- * and the packGroupedRows conv path (grouped + strided).
+ * GroupedSparseMatrix coverage: the groupSparseRows bucketing (tiles +
+ * remainder partition, adversarial bucket shapes), the grouped gemm entry
+ * points vs gemmSparseAReference and — bit-for-bit — vs the CSR entry
+ * points they forward to (tiled or not, on both sides of the crossover),
+ * thread-count determinism, structural validation of hand-built
+ * operands, and the packGroupedRows conv path (grouped + strided) against
+ * the densified forward.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
@@ -40,11 +37,6 @@ struct IsaGuard
 struct ThreadGuard
 {
     ~ThreadGuard() { setNumThreads(0); }
-};
-
-struct MultiRowGuard
-{
-    ~MultiRowGuard() { setSparseMultiRowEnabled(true); }
 };
 
 std::vector<Isa>
@@ -186,54 +178,7 @@ TEST(GroupSparseRows, RejectsBadBlockSize)
     EXPECT_THROW(groupSparseRows(sp, 16, 0), PanicError);
 }
 
-TEST(SparseMultiRow, MicroKernelMatchesScalarTableAllIsas)
-{
-    IsaGuard guard;
-    // Direct kernel-contract check: same tile, every mrows arity, each
-    // ISA vs the scalar table (tolerance: the vector paths may fuse).
-    const std::int64_t ncols = 24;
-    const std::int64_t kmax = 96;
-    Rng rng(23);
-    Tensor vals(Shape({simd::kSparseMultiRowMr, ncols}));
-    vals.fillNormal(rng, 0.0f, 1.0f);
-    std::vector<std::int32_t> kidx;
-    for (std::int64_t q = 0; q < ncols; ++q)
-        kidx.push_back(static_cast<std::int32_t>(q * 4 + (q % 3)));
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        const simd::Kernels &kn = simd::kernels();
-        const std::int64_t nr = kn.nr;
-        Tensor bp(Shape({kmax, nr}));
-        Rng brng(29);
-        bp.fillNormal(brng, 0.0f, 1.0f);
-        for (std::int64_t mrows = 1; mrows <= simd::kSparseMultiRowMr;
-             ++mrows) {
-            // Different garbage on each side: the kernel contract is
-            // OVERWRITE (acc is never read), so the results must agree
-            // regardless of the incoming contents — a kernel that
-            // accumulated would diverge by the 0.5 vs -2.0 difference.
-            std::vector<float> acc(
-                static_cast<std::size_t>(mrows * nr), 0.5f);
-            std::vector<float> want(
-                static_cast<std::size_t>(mrows * nr), -2.0f);
-            kn.gemmSparseMultiRowMicroKernel(vals.data(), ncols, mrows,
-                                             kidx.data(), ncols, 0,
-                                             bp.data(), nr, acc.data());
-            simd::scalarKernels().gemmSparseMultiRowMicroKernel(
-                vals.data(), ncols, mrows, kidx.data(), ncols, 0,
-                bp.data(), nr, want.data());
-            for (std::size_t i = 0; i < acc.size(); ++i) {
-                const float denom = std::max(1.0f, std::fabs(want[i]));
-                ASSERT_LE(std::fabs(want[i] - acc[i]) / denom, 1e-4f)
-                    << simd::isaName(isa) << " mrows " << mrows
-                    << " elem " << i;
-            }
-        }
-    }
-}
-
-TEST(SparseMultiRow, GroupedGemmMatchesReferenceAllIsas)
+TEST(GroupedSparseGemm, GroupedGemmMatchesReferenceAllIsas)
 {
     IsaGuard guard;
     const std::int64_t m = 64, k = 288, n = 100;
@@ -254,17 +199,17 @@ TEST(SparseMultiRow, GroupedGemmMatchesReferenceAllIsas)
         Tensor c_grouped(Shape({m, n}));
         gemmSparseA(g, b, c_grouped);
         expectClose(c_oracle, c_grouped, simd::isaName(isa));
-        Tensor c_single(Shape({m, n}));
-        gemmSparseA(sp, b, c_single);
-        expectClose(c_single, c_grouped, simd::isaName(isa));
+        Tensor c_csr(Shape({m, n}));
+        gemmSparseA(sp, b, c_csr);
+        expectBitIdentical(c_csr, c_grouped, simd::isaName(isa));
     }
 }
 
-TEST(SparseMultiRow, MixedTileAndRemainderMatchesReferenceAllIsas)
+TEST(GroupedSparseGemm, MixedTileAndRemainderMatchesReferenceAllIsas)
 {
     IsaGuard guard;
     // Half the blocks share patterns (tiled), half are row-wise random
-    // (remainder): both phases of the grouped driver run in one gemm.
+    // (remainder): the gemm still covers every entry of the CSR.
     const std::int64_t m = 64, k = 288, n = 100;
     Tensor a = blockPatternedMatrix(41, m, k);
     Tensor r = masked416Matrix(42, m, k);
@@ -291,58 +236,46 @@ TEST(SparseMultiRow, MixedTileAndRemainderMatchesReferenceAllIsas)
     }
 }
 
-TEST(SparseMultiRow, KnobOffReproducesSingleRowBitIdentically)
+TEST(GroupedSparseGemm, ForwardsToCsrBitIdentically)
 {
     IsaGuard guard;
-    MultiRowGuard mguard;
+    // Tiled or not (min_cols forced high), both grouped entry points run
+    // the CSR overloads on the embedded rows — same code, same bytes.
+    const ConvGeom geom{32, 10, 10, 3, 3, 1, 1};
     const std::int64_t m = 64, k = 288, n = 100;
-    Tensor a = blockPatternedMatrix(51, m, k);
+    Tensor a = blockPatternedMatrix(61, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16);
-    ASSERT_GT(g.tileNnz(), 0);
-    Rng rng(52);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setSparseMultiRowEnabled(true);
-        Tensor c_single(Shape({m, n}));
-        gemmSparseA(sp, b, c_single);
-        setSparseMultiRowEnabled(false);
-        Tensor c_off(Shape({m, n}));
-        gemmSparseA(g, b, c_off);
-        expectBitIdentical(c_single, c_off, simd::isaName(isa));
-        setSparseMultiRowEnabled(true);
-    }
-}
-
-TEST(SparseMultiRow, TileFreeOperandForwardsBitIdentically)
-{
-    IsaGuard guard;
-    // All patterns unique enough that nothing tiles (min_cols forced
-    // high): the grouped entry point must take the single-row path even
-    // with the knob on — same code, bit-identical.
-    const std::int64_t m = 64, k = 288, n = 100;
-    Tensor a = masked416Matrix(61, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16, 1 << 20);
-    ASSERT_TRUE(g.tiles.empty());
+    const GroupedSparseMatrix tiled = groupSparseRows(sp, 16);
+    const GroupedSparseMatrix untiled = groupSparseRows(sp, 16, 1 << 20);
+    ASSERT_GT(tiled.tileNnz(), 0);
+    ASSERT_TRUE(untiled.tiles.empty());
     Rng rng(62);
     Tensor b(Shape({k, n}));
     b.fillNormal(rng, 0.0f, 1.0f);
+    Tensor x(Shape({1, geom.in_c, geom.in_h, geom.in_w}));
+    x.fillNormal(rng, 0.0f, 1.0f);
+    const Im2colB xb{x.data(), geom};
+    ASSERT_EQ(xb.rows(), k);
+    ASSERT_EQ(xb.cols(), n);
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c_single(Shape({m, n}));
-        gemmSparseA(sp, b, c_single);
-        Tensor c_grouped(Shape({m, n}));
-        gemmSparseA(g, b, c_grouped);
-        expectBitIdentical(c_single, c_grouped, simd::isaName(isa));
+        Tensor c_csr(Shape({m, n}));
+        gemmSparseA(sp, b, c_csr);
+        Tensor f_csr(Shape({m, n}));
+        gemmSparseAIm2col(sp, xb, 1.0f, 0.0f, f_csr.data(), n);
+        for (const GroupedSparseMatrix *g : {&tiled, &untiled}) {
+            Tensor c_grouped(Shape({m, n}));
+            gemmSparseA(*g, b, c_grouped);
+            expectBitIdentical(c_csr, c_grouped, simd::isaName(isa));
+            Tensor f_grouped(Shape({m, n}));
+            gemmSparseAIm2col(*g, xb, 1.0f, 0.0f, f_grouped.data(), n);
+            expectBitIdentical(f_csr, f_grouped, simd::isaName(isa));
+        }
     }
 }
 
-TEST(SparseMultiRow, SmallProblemForwardsBitIdentically)
+TEST(GroupedSparseGemm, SmallProblemForwardsBitIdentically)
 {
     IsaGuard guard;
     const std::int64_t m = 16, k = 64, n = 8;
@@ -362,7 +295,7 @@ TEST(SparseMultiRow, SmallProblemForwardsBitIdentically)
     expectBitIdentical(c_single, c_grouped, "small-problem crossover");
 }
 
-TEST(SparseMultiRow, AlphaBetaMatchReference)
+TEST(GroupedSparseGemm, AlphaBetaMatchReference)
 {
     IsaGuard guard;
     const std::int64_t m = 48, k = 160, n = 64;
@@ -385,7 +318,7 @@ TEST(SparseMultiRow, AlphaBetaMatchReference)
     }
 }
 
-TEST(SparseMultiRow, ThreadCountDeterministicPerIsa)
+TEST(GroupedSparseGemm, ThreadCountDeterministicPerIsa)
 {
     IsaGuard guard;
     ThreadGuard tguard;
@@ -417,11 +350,11 @@ TEST(SparseMultiRow, ThreadCountDeterministicPerIsa)
     }
 }
 
-TEST(SparseMultiRow, MalformedGroupedOperandPanics)
+TEST(GroupedSparseGemm, MalformedGroupedOperandPanics)
 {
     // Hand-built grouped operands (validated == false) must fail the
-    // structural check before the driver indexes C rows and the pools
-    // with tile fields.
+    // structural check of their tile layer before any kernel runs, even
+    // though the gemm itself only reads the embedded CSR.
     Tensor a = blockPatternedMatrix(101, 64, 288);
     const std::int64_t n = 100; // keeps nnz * n above the crossover
     Tensor b(Shape({288, n}));
@@ -451,14 +384,7 @@ struct CompressedFixture
     core::CompressedLayer layer;
     core::Codebook cb;
 
-    /**
-     * concentrate=true scales every 16th block's first four output
-     * channels up hard, so the magnitude mask keeps (nearly) the same
-     * four channels at every column — realistic channel-norm spread taken
-     * to the extreme, guaranteeing the pack produces multi-row buckets.
-     */
-    explicit CompressedFixture(Shape s, std::uint64_t seed = 131,
-                               bool concentrate = false)
+    explicit CompressedFixture(Shape s, std::uint64_t seed = 131)
         : shape(std::move(s))
     {
         cfg.k = 16;
@@ -469,16 +395,6 @@ struct CompressedFixture
         Rng rng(seed);
         Tensor w4(shape);
         w4.fillNormal(rng, 0.0f, 1.0f);
-        if (concentrate) {
-            const std::int64_t per_k = shape.numel() / shape.dim(0);
-            for (std::int64_t k = 0; k < shape.dim(0); ++k) {
-                if (k % 16 >= 4)
-                    continue;
-                float *row = w4.data() + k * per_k;
-                for (std::int64_t i = 0; i < per_k; ++i)
-                    row[i] *= 16.0f;
-            }
-        }
         Tensor wr = core::groupWeights(w4, cfg.d, cfg.grouping);
         core::Mask mask = core::nmMask(wr, cfg.pattern);
         core::applyMask(wr, mask);
@@ -492,7 +408,7 @@ struct CompressedFixture
     }
 };
 
-TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
+TEST(GroupedSparseGemm, PackGroupedRowsMatchesPackSparseRows)
 {
     CompressedFixture f(Shape({32, 4, 3, 3}));
     const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
@@ -527,32 +443,7 @@ TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
     }
 }
 
-TEST(SparseMultiRow, CompressedConvKnobOffMatchesKnobOn)
-{
-    IsaGuard guard;
-    MultiRowGuard mguard;
-    CompressedFixture f(Shape({32, 8, 3, 3}), 131, /*concentrate=*/true);
-
-    const nn::CompressedConv2d conv(f.layer, f.cb, 1, 1);
-    // Concentrated channel norms make the stored mask codes repeat across
-    // columns, so the pack must discover multi-row structure.
-    EXPECT_GT(conv.groupedOperand(0).tileNnz(), 0);
-    Rng rng(141);
-    Tensor x(Shape({2, 8, 14, 14}));
-    x.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setSparseMultiRowEnabled(false);
-        const Tensor ref = conv.forward(x);
-        setSparseMultiRowEnabled(true);
-        const Tensor got = conv.forward(x);
-        ASSERT_EQ(ref.shape(), got.shape());
-        expectClose(ref, got, simd::isaName(isa));
-    }
-}
-
-TEST(SparseMultiRow, GroupedStridedConvMatchesDensifiedForward)
+TEST(GroupedSparseGemm, GroupedStridedConvMatchesDensifiedForward)
 {
     IsaGuard guard;
     CompressedFixture f(Shape({16, 2, 3, 3}), 151); // groups = 2, C = 4
@@ -572,18 +463,6 @@ TEST(SparseMultiRow, GroupedStridedConvMatchesDensifiedForward)
         ASSERT_EQ(ref.shape(), got.shape()) << simd::isaName(isa);
         expectClose(ref, got, simd::isaName(isa));
     }
-}
-
-TEST(SparseMultiRow, KnobDefaultsOnAndToggles)
-{
-    MultiRowGuard mguard;
-    if (!env::isSet("MVQ_SPARSE_MULTIROW")) {
-        EXPECT_TRUE(sparseMultiRowEnabled());
-    }
-    setSparseMultiRowEnabled(false);
-    EXPECT_FALSE(sparseMultiRowEnabled());
-    setSparseMultiRowEnabled(true);
-    EXPECT_TRUE(sparseMultiRowEnabled());
 }
 
 } // namespace

@@ -95,6 +95,20 @@ TEST(Parallel, NestedRegionsRunInline)
     EXPECT_EQ(total.load(), 80);
 }
 
+TEST(Parallel, WidthIsOneInsideARegion)
+{
+    ThreadGuard guard;
+    setNumThreads(4);
+    EXPECT_EQ(parallelWidth(), 4);
+    std::atomic<int> inside{0};
+    parallelFor(0, 8, 1, [&](std::int64_t, std::int64_t) {
+        inside.fetch_add(parallelWidth());
+    });
+    EXPECT_EQ(inside.load(), 8); // every chunk saw width 1
+    setNumThreads(1);
+    EXPECT_EQ(parallelWidth(), 1);
+}
+
 TEST(Parallel, ExceptionsPropagate)
 {
     ThreadGuard guard;

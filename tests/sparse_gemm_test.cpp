@@ -206,29 +206,73 @@ TEST(SparseGemm, MalformedOperandPanics)
     EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
 }
 
+/**
+ * Run `gemm` (which fills its argument) from inside chunk 0 of an outer
+ * parallelFor, the way a batched conv calls it per image: the nested
+ * call runs its tasks inline on that chunk's thread.
+ */
+template <typename Fn>
+void
+runNested(Fn gemm)
+{
+    parallelFor(0, 2, 1, [&](std::int64_t b, std::int64_t) {
+        if (b == 0)
+            gemm();
+    });
+}
+
 TEST(SparseGemm, ThreadCountDeterministicPerIsa)
 {
     IsaGuard guard;
     ThreadGuard tguard;
-    const std::int64_t m = 96, k = 320, n = 80;
-    Tensor a = masked416Matrix(51, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    Rng rng(52);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
+    // Shapes straddle the driver's partition: several row blocks; one row
+    // block with n split over many panels and two N strips; a 1-row
+    // second block; two K blocks with one strip whose last panel has one
+    // column; and a single output column.
+    struct Case
+    {
+        std::int64_t m, k, n;
+    };
+    const Case cases[] = {
+        {96, 320, 80}, {64, 320, 1500}, {65, 320, 80},
+        {512, 4608, 49}, {16, 4608, 1},
+    };
+    for (const Case &cs : cases) {
+        const std::int64_t m = cs.m, k = cs.k, n = cs.n;
+        SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k
+                                        << " n=" << n);
+        Tensor a = masked416Matrix(51 + m, m, k);
+        const SparseRowMatrix sp = sparsifyRows(a);
+        ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // blocked path
+        Rng rng(52 + m);
+        Tensor b(Shape({k, n}));
+        b.fillNormal(rng, 0.0f, 1.0f);
+        Tensor c_oracle(Shape({m, n}));
+        gemmSparseAReference(sp, b, c_oracle);
 
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setNumThreads(1);
-        Tensor c1(Shape({m, n}));
-        gemmSparseA(sp, b, c1);
-        setNumThreads(4);
-        Tensor c4(Shape({m, n}));
-        gemmSparseA(sp, b, c4);
-        EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(),
-                                 static_cast<std::size_t>(m * n)
-                                     * sizeof(float)))
-            << simd::isaName(isa);
+        for (Isa isa : availableIsas()) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            setNumThreads(1);
+            Tensor c1(Shape({m, n}));
+            gemmSparseA(sp, b, c1);
+            expectClose(c_oracle, c1, simd::isaName(isa));
+            for (int threads : {2, 3, 4}) {
+                setNumThreads(threads);
+                Tensor ct(Shape({m, n}));
+                gemmSparseA(sp, b, ct);
+                EXPECT_EQ(0, std::memcmp(c1.data(), ct.data(),
+                                         static_cast<std::size_t>(m * n)
+                                             * sizeof(float)))
+                    << simd::isaName(isa) << " at " << threads
+                    << " threads";
+            }
+            Tensor cn(Shape({m, n}));
+            runNested([&] { gemmSparseA(sp, b, cn); });
+            EXPECT_EQ(0, std::memcmp(c1.data(), cn.data(),
+                                     static_cast<std::size_t>(m * n)
+                                         * sizeof(float)))
+                << simd::isaName(isa) << " nested";
+        }
     }
 }
 

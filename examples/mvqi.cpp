@@ -153,8 +153,9 @@ cmdVerify(const std::string &path)
     const auto art = openArtifact(path);
     std::int64_t nnz = 0;
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        // packedOperands runs the full O(nnz) semantic validation
-        // (validateGroupedOperand over the borrowed views).
+        // openArtifact checked every operand's geometry against its
+        // layer; packedOperands runs the full O(nnz) semantic validation
+        // (validateSparseOperand over each borrowed CSR).
         const SharedOperands ops = art->packedOperands(i);
         for (const GroupedSparseMatrix &g : *ops)
             nnz += g.rows.nnz();

@@ -61,7 +61,7 @@ const Knob kKnobs[] = {
      "serve_load exits nonzero below this sustained images/s floor at "
      "the highest client count"},
     {"MVQ_WRITE_GOLDEN", "flag", "off",
-     "model_artifact_test regenerates tests/data/golden_v1.mvqi instead "
+     "model_artifact_test regenerates tests/data/golden_v2.mvqi instead "
      "of checking against it"},
 };
 

@@ -1,7 +1,5 @@
 #include "core/compressed_layer.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 #include "common/math_util.hpp"
 #include "nn/conv2d.hpp"
@@ -203,24 +201,12 @@ CompressedLayer::packGroupedRows(const Codebook &cb,
             groups);
     const std::int64_t kg = kk / groups;
 
-    // Bucket in M-row blocks: under output-channel-wise grouping one mask
-    // code governs M consecutive gemm rows at one column, so M-blocks are
-    // exactly the spans within which rows can share a kept-column
-    // pattern. Degenerate patterns (M < 2, i.e. dense vanilla VQ) have no
-    // code granularity to align with; a 16-row block tiles them fully.
-    const std::int64_t mb = cfg.pattern.m >= 2
-        ? std::min<std::int64_t>(cfg.pattern.m, 32)
-        : 16;
-
     const Mask mask = decodeMask();
     const ColumnOffsets col_off = columnOffsets(*this);
-    std::vector<GroupedSparseMatrix> out;
-    out.reserve(static_cast<std::size_t>(groups));
+    std::vector<GroupedSparseMatrix> out(static_cast<std::size_t>(groups));
     for (std::int64_t grp = 0; grp < groups; ++grp)
-        out.push_back(groupSparseRows(
-            packRowRange(*this, mask, col_off, cb, grp * kg,
-                         (grp + 1) * kg),
-            mb));
+        out[static_cast<std::size_t>(grp)].rows = packRowRange(
+            *this, mask, col_off, cb, grp * kg, (grp + 1) * kg);
     return out;
 }
 

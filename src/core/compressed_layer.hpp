@@ -111,14 +111,11 @@ struct CompressedLayer
     SparseRowMatrix packSparseRows(const Codebook &cb) const;
 
     /**
-     * packSparseRows split per convolution group and bucketed by mask
-     * code (the MVQI v1 operand layout): each group's row range [grp*K/groups,
-     * (grp+1)*K/groups) of the unrolled weight matrix packs directly into
-     * its own GroupedSparseMatrix (no full-operand pack + slice copy),
-     * with rows sharing a kept-column pattern tiled together
-     * (groupSparseRows; block size follows the layer's M so buckets align
-     * with mask-code granularity). Built once at load time — the bucket
-     * structure is a property of the stored mask codes, not of any input.
+     * packSparseRows split per convolution group: each group's row range
+     * [grp*K/groups, (grp+1)*K/groups) of the unrolled weight matrix packs
+     * directly into its own operand's CSR (no full-operand pack + slice
+     * copy), byte-identical to that row slice of packSparseRows. This is
+     * the operand MVQI images store and nn::CompressedConv2d runs.
      */
     std::vector<GroupedSparseMatrix>
     packGroupedRows(const Codebook &cb, std::int64_t groups = 1) const;

@@ -19,7 +19,7 @@ borrowArr(const MvqiView &v, const MvqiArray &a)
     return OperandArray<T>::borrow(v.array<T>(a), a.count);
 }
 
-/** Assemble a GroupedSparseMatrix whose every array aliases the image. */
+/** Assemble an operand whose CSR arrays alias the image. */
 GroupedSparseMatrix
 borrowOperand(const MvqiView &v, const MvqiOperand &op)
 {
@@ -29,15 +29,6 @@ borrowOperand(const MvqiView &v, const MvqiOperand &op)
     g.rows.row_ptr = borrowArr<std::int64_t>(v, op.row_ptr);
     g.rows.col_idx = borrowArr<std::int32_t>(v, op.col_idx);
     g.rows.values = borrowArr<float>(v, op.values);
-    g.tiles = borrowArr<GroupedSparseMatrix::Tile>(v, op.tiles);
-    g.cols = borrowArr<std::int32_t>(v, op.tile_cols);
-    g.vals = borrowArr<float>(v, op.tile_vals);
-    g.band_ptr = borrowArr<std::int64_t>(v, op.band_ptr);
-    g.remainder.rows = op.rows;
-    g.remainder.cols = op.cols;
-    g.remainder.row_ptr = borrowArr<std::int64_t>(v, op.rem_row_ptr);
-    g.remainder.col_idx = borrowArr<std::int32_t>(v, op.rem_col_idx);
-    g.remainder.values = borrowArr<float>(v, op.rem_values);
     return g;
 }
 
@@ -184,10 +175,10 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
 
     SharedOperands shared;
     if (g == baked) {
-        // Zero-copy path: borrow every operand array from the image, then
+        // Zero-copy path: borrow every operand's CSR from the image, then
         // run the O(nnz) semantic validation — the line between a corrupt
         // image failing loudly and the kernels reading out of bounds.
-        // Structural bounds were already checked by MvqiView.
+        // Structural bounds and geometry were already checked by MvqiView.
         auto holder = std::make_shared<OperandHolder>();
         holder->keepalive = image_;
         holder->ops.reserve(static_cast<std::size_t>(g));
@@ -195,7 +186,7 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         for (std::int64_t grp = 0; grp < g; ++grp) {
             GroupedSparseMatrix op = borrowOperand(view_, recs[grp]);
             try {
-                validateGroupedOperand(op);
+                validateSparseOperand(op.rows);
             } catch (const PanicError &e) {
                 // Invariant violations in *our* data are bugs (panic);
                 // in a file they are the file's fault — rewrap.

@@ -11,9 +11,9 @@
  *    an MVQI image in 64-byte-aligned memory (every layer at groups 1: the
  *    stream stores no conv geometry), and the decoded model is dropped.
  *
- * From there every artifact takes one path: packedOperands borrows the
- * pre-packed operand sections straight out of the image
- * (validateGroupedOperand is the only O(nnz) work, and it reads — never
+ * From there every artifact takes one path: packedOperands borrows each
+ * pre-packed operand's CSR sections straight out of the image
+ * (validateSparseOperand is the only O(nnz) work, and it reads — never
  * copies — the image), and model() is materialized from the image on
  * first call. openArtifact() sniffs the file magic, so callers are
  * format-agnostic, and converting between formats is
@@ -48,8 +48,8 @@ enum class ArtifactFormat
 std::string artifactFormatName(ArtifactFormat f);
 
 /**
- * Shared handle to one layer's packed gemm operands (one
- * GroupedSparseMatrix per conv group). The shared_ptr's control block
+ * Shared handle to one layer's packed gemm operands (one CSR per conv
+ * group, held as GroupedSparseMatrix::rows). The shared_ptr's control block
  * keeps whatever owns the underlying bytes alive — for a borrowed operand
  * that is the image itself — so holders may outlive the artifact that
  * produced them.

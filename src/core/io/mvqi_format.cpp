@@ -20,17 +20,7 @@
 
 namespace mvq::core::io {
 
-// The tiles section stores GroupedSparseMatrix::Tile verbatim; pin its
-// layout so an image written by one build is readable by another.
-static_assert(std::is_trivially_copyable_v<GroupedSparseMatrix::Tile>,
-              "Tile must be trivially copyable to live in an MVQI image");
-static_assert(sizeof(GroupedSparseMatrix::Tile) == 48,
-              "Tile layout drifted; bump kMvqiVersion and update "
-              "docs/FORMAT.md");
-
 namespace {
-
-using Tile = GroupedSparseMatrix::Tile;
 
 /**
  * Append-only image buffer. Every section lands on a kMvqiAlign boundary
@@ -97,52 +87,15 @@ struct ImageBuilder
     }
 };
 
-/**
- * Tiles as built by groupSparseRows leave row[] slots beyond nrows (and
- * struct padding) indeterminate. The image must be byte-deterministic
- * (the golden-fixture test memcmps it), so copy field-by-field into
- * value-initialized (all-zero) storage before appending.
- */
-std::vector<Tile>
-normalizedTiles(const OperandArray<Tile> &tiles)
-{
-    std::vector<Tile> norm(tiles.size());
-    if (norm.empty())
-        return norm;
-    // Tile is trivially copyable (static_asserted above); the void cast
-    // silences -Wclass-memaccess, which keys off the NSDMIs alone.
-    std::memset(static_cast<void *>(norm.data()), 0,
-                norm.size() * sizeof(Tile));
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-        const Tile &s = tiles[i];
-        Tile &t = norm[i];
-        for (std::int32_t r = 0; r < s.nrows; ++r)
-            t.row[r] = s.row[r];
-        t.nrows = s.nrows;
-        t.col_off = s.col_off;
-        t.ncols = s.ncols;
-        t.val_off = s.val_off;
-    }
-    return norm;
-}
-
 MvqiOperand
-appendOperand(ImageBuilder &b, const GroupedSparseMatrix &op)
+appendOperand(ImageBuilder &b, const SparseRowMatrix &op)
 {
     MvqiOperand rec;
-    rec.rows = op.rows.rows;
-    rec.cols = op.rows.cols;
-    rec.row_ptr = b.append(op.rows.row_ptr);
-    rec.col_idx = b.append(op.rows.col_idx);
-    rec.values = b.append(op.rows.values);
-    const std::vector<Tile> tiles = normalizedTiles(op.tiles);
-    rec.tiles = b.append(tiles);
-    rec.tile_cols = b.append(op.cols);
-    rec.tile_vals = b.append(op.vals);
-    rec.band_ptr = b.append(op.band_ptr);
-    rec.rem_row_ptr = b.append(op.remainder.row_ptr);
-    rec.rem_col_idx = b.append(op.remainder.col_idx);
-    rec.rem_values = b.append(op.remainder.values);
+    rec.rows = op.rows;
+    rec.cols = op.cols;
+    rec.row_ptr = b.append(op.row_ptr);
+    rec.col_idx = b.append(op.col_idx);
+    rec.values = b.append(op.values);
     return rec;
 }
 
@@ -160,19 +113,14 @@ bakedGroups(const CompressedLayer &cl, const MvqiWriteOptions &opts)
  * An upper bound on buildMvqiImage's output size, so the image is
  * allocated once and no append copies it. Each section may be preceded
  * by up to kMvqiAlign - 1 pad bytes. Every stored mask code keeps N
- * weights, and the operands hold each kept weight twice: in the CSR
- * `rows` (8 bytes) and split between the tiles and the remainder.
- * Remainder entries cost 8 bytes; tiled ones cost 4 (value) + at most 2
- * (a bucket's shared column serves >= 2 rows) + at most 3 (a 48-byte
- * tile covers >= 2 x kSparseTileMinCols entries). Row pointers, remainder
- * row pointers and band pointers cost at most 8 bytes per row each, plus
- * one per group. Every term comes from the stored arrays or is capped by
- * them, so a corrupt layer (which the pack rejects) cannot inflate it.
+ * weights, and each kept weight costs 8 bytes (column + value) in its
+ * operand's CSR; row pointers cost 8 bytes per row, plus one per group.
+ * Every term comes from the stored arrays or is capped by them, so a
+ * corrupt layer (which the pack rejects) cannot inflate it.
  */
 std::size_t
 imageBytesBound(const CompressedModel &model, const MvqiWriteOptions &opts)
 {
-    static_assert(sizeof(Tile) <= 2 * kSparseTileMinCols * 3);
     const std::size_t pad = static_cast<std::size_t>(kMvqiAlign) - 1;
     auto section = [&](std::size_t bytes) { return bytes + pad; };
     std::size_t total = section(sizeof(MvqiHeader))
@@ -196,9 +144,9 @@ imageBytesBound(const CompressedModel &model, const MvqiWriteOptions &opts)
             + section(cl.mask_codes.size() * sizeof(std::uint32_t))
             + section(static_cast<std::size_t>(groups)
                       * sizeof(MvqiOperand))
-            + static_cast<std::size_t>(groups) * 10 * pad
-            + static_cast<std::size_t>(3 * (rows + groups) * 8)
-            + static_cast<std::size_t>(kept * (8 + 9));
+            + static_cast<std::size_t>(groups) * 3 * pad
+            + static_cast<std::size_t>((rows + groups) * 8)
+            + static_cast<std::size_t>(kept * 8);
     }
     return total + pad;
 }
@@ -280,7 +228,7 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         std::vector<MvqiOperand> op_recs;
         op_recs.reserve(ops.size());
         for (const GroupedSparseMatrix &op : ops)
-            op_recs.push_back(appendOperand(b, op));
+            op_recs.push_back(appendOperand(b, op.rows));
         rec.operands_off = b.appendRaw(op_recs.data(),
                                        static_cast<std::int64_t>(
                                            op_recs.size()));
@@ -513,6 +461,10 @@ MvqiView::validate()
         for (int j = 0; j < 4; ++j)
             fatalIf(L.shape[j] <= 0, what_, ": layer ", i,
                     " has invalid shape dimension ", L.shape[j]);
+        constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+        fatalIf(L.shape[1] > kMax / L.shape[2]
+                    || L.shape[1] * L.shape[2] > kMax / L.shape[3],
+                what_, ": layer ", i, " shape overflows");
         fatalIf(L.k <= 0, what_, ": layer ", i, " has invalid k ", L.k);
         fatalIf(L.d <= 0 || L.m <= 0 || L.d % L.m != 0, what_, ": layer ",
                 i, " has inconsistent d=", L.d, " M=", L.m);
@@ -528,8 +480,9 @@ MvqiView::validate()
                         >= h.n_codebooks,
                 what_, ": layer ", i, " references codebook ",
                 L.codebook_id, " of ", h.n_codebooks);
-        fatalIf(L.groups < 1 || L.groups > L.shape[0], what_, ": layer ",
-                i, " has invalid conv groups ", L.groups);
+        fatalIf(L.groups < 1 || L.shape[0] % L.groups != 0, what_,
+                ": layer ", i, " has invalid conv groups ", L.groups,
+                " for ", L.shape[0], " output channels");
         fatalIf(L.ng < 0, what_, ": layer ", i, " has negative ng");
 
         checkArray(L.assignments, sizeof(std::int32_t), "assignments");
@@ -544,10 +497,18 @@ MvqiView::validate()
                              static_cast<std::int64_t>(L.groups)},
                    sizeof(MvqiOperand), "operand TOC");
 
+        // Each operand is its group's unrolled [K/groups, C/groups*R*S]
+        // weight matrix; any other geometry would pass the CSR checks and
+        // still be rejected by every conv built over it.
+        const std::int64_t kg = L.shape[0] / L.groups;
+        const std::int64_t unrolled = L.shape[1] * L.shape[2] * L.shape[3];
         for (std::int32_t g = 0; g < L.groups; ++g) {
             const MvqiOperand &op = operands(i)[g];
-            fatalIf(op.rows < 0 || op.cols < 0, what_, ": layer ", i,
-                    " operand ", g, " has negative dimensions");
+            fatalIf(op.rows != kg || op.cols != unrolled, what_, ": layer ",
+                    i, " ('", L.name, "') operand ", g, " is ", op.rows,
+                    "x", op.cols, ", but its shape [", L.shape[0], ", ",
+                    L.shape[1], ", ", L.shape[2], ", ", L.shape[3],
+                    "] at ", L.groups, " groups needs ", kg, "x", unrolled);
             checkArray(op.row_ptr, sizeof(std::int64_t), "row_ptr");
             fatalIf(op.row_ptr.count != op.rows + 1, what_, ": layer ", i,
                     " operand ", g, " row_ptr count ", op.row_ptr.count,
@@ -556,24 +517,6 @@ MvqiView::validate()
             checkArray(op.values, sizeof(float), "values");
             fatalIf(op.col_idx.count != op.values.count, what_, ": layer ",
                     i, " operand ", g, " col_idx/values count mismatch");
-            checkArray(op.tiles, sizeof(Tile), "tiles");
-            checkArray(op.tile_cols, sizeof(std::int32_t), "tile cols");
-            checkArray(op.tile_vals, sizeof(float), "tile vals");
-            checkArray(op.band_ptr, sizeof(std::int64_t), "band_ptr");
-            fatalIf(op.band_ptr.count < 1, what_, ": layer ", i,
-                    " operand ", g, " band_ptr is empty");
-            checkArray(op.rem_row_ptr, sizeof(std::int64_t),
-                       "remainder row_ptr");
-            fatalIf(op.rem_row_ptr.count != op.rows + 1, what_, ": layer ",
-                    i, " operand ", g, " remainder row_ptr count ",
-                    op.rem_row_ptr.count, " does not match rows+1 = ",
-                    op.rows + 1);
-            checkArray(op.rem_col_idx, sizeof(std::int32_t),
-                       "remainder col_idx");
-            checkArray(op.rem_values, sizeof(float), "remainder values");
-            fatalIf(op.rem_col_idx.count != op.rem_values.count, what_,
-                    ": layer ", i, " operand ", g,
-                    " remainder col_idx/values count mismatch");
         }
     }
 }

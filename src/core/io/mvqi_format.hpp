@@ -1,16 +1,16 @@
 /**
  * @file
- * MVQI ("MVQ Image") v1 — the flat, aligned, versioned serving format.
+ * MVQI ("MVQ Image") v2 — the flat, aligned, versioned serving format.
  * Where the bit-packed stream format (core/serialize) optimizes for the
  * paper's Eq. 7 storage accounting and must be decoded and re-packed on
  * every load, an MVQI file *is* the in-memory operand layout: fixed-width
  * little-endian header + TOC structs, then 64-byte-aligned sections
- * holding codebooks, assignments, mask codes, and the pre-packed
- * panel-ready sparse operands (GroupedSparseMatrix tiles + CSR remainder)
- * exactly as the gemm drivers consume them. Loading is therefore mmap +
- * validate: no bit-stream decode, no packSparseRows/packGroupedRows, and
- * N server processes share one read-only page-cached image. A stream file
- * is served through the same image, built in memory when it is opened.
+ * holding codebooks, assignments, mask codes, and the pre-packed sparse
+ * operands (one CSR per conv group) exactly as the gemm drivers consume
+ * them. Loading is therefore mmap + validate: no bit-stream decode, no
+ * packGroupedRows, and N server processes share one read-only
+ * page-cached image. A stream file is served through the same image,
+ * built in memory when it is opened.
  *
  * Byte-level layout, alignment rules, and the versioning policy are
  * specified in docs/FORMAT.md; this header is the single source of truth
@@ -31,7 +31,7 @@
 namespace mvq::core::io {
 
 constexpr std::uint32_t kMvqiMagic = 0x4951564Du; //!< "MVQI", little-endian
-constexpr std::uint32_t kMvqiVersion = 1;
+constexpr std::uint32_t kMvqiVersion = 2;
 constexpr std::int64_t kMvqiAlign = 64;  //!< section alignment (bytes)
 constexpr std::size_t kMvqiNameBytes = 64; //!< fixed layer-name field
 
@@ -75,28 +75,19 @@ struct MvqiCodebook
 static_assert(sizeof(MvqiCodebook) == 48);
 
 /**
- * One pre-packed sparse operand: a GroupedSparseMatrix (one conv group of
- * one layer) flattened into offset-addressed sections. The tiles section
- * stores GroupedSparseMatrix::Tile structs verbatim (their layout is
- * static_asserted in mvqi_format.cpp), so a loaded operand borrows every
- * array straight from the image.
+ * One pre-packed sparse operand: the CSR of one conv group of one layer,
+ * flattened into offset-addressed sections that a loaded operand borrows
+ * straight from the image.
  */
 struct MvqiOperand
 {
-    std::int64_t rows = 0;
-    std::int64_t cols = 0;
+    std::int64_t rows = 0; //!< shape[0] / groups of the layer
+    std::int64_t cols = 0; //!< shape[1] * shape[2] * shape[3]
     MvqiArray row_ptr;     //!< int64, rows + 1
     MvqiArray col_idx;     //!< int32, nnz
     MvqiArray values;      //!< fp32, nnz
-    MvqiArray tiles;       //!< GroupedSparseMatrix::Tile (48 B each)
-    MvqiArray tile_cols;   //!< int32 shared-column pool
-    MvqiArray tile_vals;   //!< fp32 tile-value pool
-    MvqiArray band_ptr;    //!< int64, n_bands + 1
-    MvqiArray rem_row_ptr; //!< int64, rows + 1
-    MvqiArray rem_col_idx; //!< int32, remainder nnz
-    MvqiArray rem_values;  //!< fp32, remainder nnz
 };
-static_assert(sizeof(MvqiOperand) == 16 + 10 * sizeof(MvqiArray));
+static_assert(sizeof(MvqiOperand) == 64);
 
 /** One layer TOC entry. */
 struct MvqiLayer
@@ -226,8 +217,9 @@ class MvqiImage
  * and alignment-checked against the image during construction.
  *
  * Structural validation is O(layers + groups), independent of model
- * size; the O(nnz) semantic validation of each operand's indices happens
- * when the operand is borrowed (validateGroupedOperand, see
+ * size, and includes each operand's geometry against its layer's shape
+ * and groups; the O(nnz) semantic validation of each operand's indices
+ * happens when the operand is borrowed (validateSparseOperand, see
  * ModelArtifact::packedOperands).
  */
 class MvqiView

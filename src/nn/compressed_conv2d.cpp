@@ -21,8 +21,8 @@ CompressedConv2d::CompressedConv2d(const core::CompressedLayer &layer,
             name_, ": out channels not divisible by groups");
 
     // The pack stage: decode the mask codes once and pack each group's
-    // row range straight into its own grouped operand — no full-operand
-    // pack followed by per-group slice copies.
+    // row range straight into its own CSR — no full-operand pack followed
+    // by per-group slice copies.
     group_rows_ = std::make_shared<const std::vector<GroupedSparseMatrix>>(
         layer.packGroupedRows(codebook, groups_));
     for (const auto &sp : *group_rows_)
@@ -103,9 +103,9 @@ CompressedConv2d::forward(const Tensor &x) const
     //
     // gemmSparseAIm2col packs patches straight into the B panels the
     // sparse micro-kernel reads, never materializing the cols tensor
-    // (bit-identical to im2col + gemmSparseARaw); the grouped operand
-    // runs its embedded CSR. Serially, each gemm spreads its row-block x
-    // panel-range tasks over the pool; nested, it runs them inline.
+    // (bit-identical to im2col + gemmSparseARaw). Serially, each gemm
+    // spreads its row-block x panel-range tasks over the pool; nested, it
+    // runs them inline.
     const std::int64_t work = batch * groups_;
     auto run_pair = [&](std::int64_t w) {
         const std::int64_t n = w / groups_;
@@ -113,8 +113,8 @@ CompressedConv2d::forward(const Tensor &x) const
         float *po = out.data() + ((n * out_c + grp * kg) * oh * ow);
         const float *slab =
             x.data() + (n * cg * groups_ + grp * cg) * g.in_h * g.in_w;
-        gemmSparseAIm2col((*group_rows_)[static_cast<std::size_t>(grp)],
-                          Im2colB{slab, g}, 1.0f, 0.0f, po, oh * ow);
+        gemmSparseAIm2col(groupOperand(grp), Im2colB{slab, g}, 1.0f, 0.0f,
+                          po, oh * ow);
     };
     if (work < numThreads()) {
         for (std::int64_t w = 0; w < work; ++w)

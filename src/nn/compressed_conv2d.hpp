@@ -8,10 +8,10 @@
  * image into gemm B panels, no intermediate cols tensor) — pruned
  * positions are never multiplied, so the 4:16 MAC reduction the paper's
  * accelerator gets from its AND-gate weight loader is realized on the CPU
- * too. The operand is packed as a GroupedSparseMatrix
- * (core::CompressedLayer::packGroupedRows) because that is what MVQI
- * images store; the forward runs its embedded CSR, whose sparse gemm
- * splits each conv over the whole pool even at batch 1.
+ * too. The operand is one CSR per conv group
+ * (core::CompressedLayer::packGroupedRows), exactly what MVQI images
+ * store, and the sparse gemm splits each conv over the whole pool even
+ * at batch 1.
  * The forward is bit-identical per ISA to the materializing im2col +
  * gemmSparseARaw composition, which stays as the test oracle (see
  * tensor/ops.hpp). Contrast with CompressedModel::applyTo, which
@@ -52,9 +52,9 @@ class CompressedConv2d
                      std::int64_t pad = 0, std::int64_t groups = 1);
 
     /**
-     * Construct over *injected* pre-packed operands (one
-     * GroupedSparseMatrix per conv group) instead of packing here — the
-     * serving path: operands come from
+     * Construct over *injected* pre-packed operands (one CSR per conv
+     * group, held as GroupedSparseMatrix::rows) instead of packing here —
+     * the serving path: operands come from
      * core::io::ModelArtifact::packedOperands, so N conv instances (and,
      * with an MVQI image, N processes) share one packed operand set and
      * construction does no decode and no pack. The shared_ptr keeps
@@ -86,19 +86,11 @@ class CompressedConv2d
     /** Kept fraction of the packed operand (N/M for an exact N:M layer). */
     double density() const;
 
-    /** The packed single-row (CSR) operand of one group
-     *  (tests/diagnostics). */
+    /** The packed CSR operand of one group (tests/diagnostics). */
     const SparseRowMatrix &
     groupOperand(std::int64_t grp) const
     {
         return (*group_rows_)[static_cast<std::size_t>(grp)].rows;
-    }
-
-    /** The grouped operand of one group (tests/diagnostics). */
-    const GroupedSparseMatrix &
-    groupedOperand(std::int64_t grp) const
-    {
-        return (*group_rows_)[static_cast<std::size_t>(grp)];
     }
 
     /**

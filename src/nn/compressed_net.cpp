@@ -5,25 +5,19 @@
 
 namespace mvq::nn {
 
-CompressedNet::CompressedNet(const core::io::ModelArtifact &artifact,
-                             const std::vector<ConvGeomSpec> &geom)
+CompressedNet::CompressedNet(const core::io::ModelArtifact &artifact)
 {
     const std::int64_t n = artifact.layerCount();
     fatalIf(n == 0, "CompressedNet: artifact ", artifact.path(),
             " has no layers");
-    fatalIf(!geom.empty() && static_cast<std::int64_t>(geom.size()) != n,
-            "CompressedNet: ", geom.size(), " geometry entries for ", n,
-            " layers (pass one per layer, or none for stride 1 / pad 1)");
 
     layers_.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
-        const ConvGeomSpec g =
-            geom.empty() ? ConvGeomSpec{} : geom[static_cast<std::size_t>(i)];
         // packedOperands(i) serves the artifact's baked group count from
         // its shared per-(layer, groups) cache as borrowed views into the
         // image — the zero-copy serving path.
         layers_.emplace_back(artifact.layerName(i), artifact.layerShape(i),
-                             artifact.packedOperands(i), g.stride, g.pad);
+                             artifact.packedOperands(i), 1, 1);
     }
     in_channels_ = artifact.layerShape(0).dim(1) * artifact.bakedGroups(0);
 }

@@ -32,13 +32,6 @@ class ModelArtifact;
 
 namespace mvq::nn {
 
-/** Convolution geometry the compressed container does not store. */
-struct ConvGeomSpec
-{
-    std::int64_t stride = 1;
-    std::int64_t pad = 1;
-};
-
 /** Forward-only chain of compressed convs over shared artifact operands. */
 class CompressedNet
 {
@@ -46,14 +39,10 @@ class CompressedNet
     /**
      * Build one CompressedConv2d per artifact layer, in artifact order,
      * each over the artifact's shared packed operands at its baked conv
-     * group count.
-     *
-     * @param geom Per-layer stride/pad; empty means stride 1 / pad 1 for
-     *        every layer ("same" geometry for 3x3 kernels). A non-empty
-     *        vector must have exactly one entry per layer.
+     * group count, at stride 1 / pad 1 ("same" geometry for 3x3 kernels;
+     * the artifact stores no conv geometry).
      */
-    explicit CompressedNet(const core::io::ModelArtifact &artifact,
-                           const std::vector<ConvGeomSpec> &geom = {});
+    explicit CompressedNet(const core::io::ModelArtifact &artifact);
 
     /**
      * NCHW batched forward through every layer in order. Per-image

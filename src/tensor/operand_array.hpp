@@ -1,9 +1,9 @@
 /**
  * @file
  * Owned-or-borrowed storage for sparse-operand arrays. The packed gemm
- * operands (SparseRowMatrix / GroupedSparseMatrix) historically owned
- * their arrays as std::vectors, which forces every serving process to
- * rebuild them from the bit-packed model stream at startup. The MVQI
+ * operand (SparseRowMatrix) historically owned its arrays as
+ * std::vectors, which forces every serving process to rebuild them from
+ * the bit-packed model stream at startup. The MVQI
  * model image (core/io) instead stores the packed arrays verbatim, so a
  * loaded operand can *alias* the mmap'ed file directly — zero copies,
  * zero decode, and N processes share one page-cached image. OperandArray

@@ -1,7 +1,6 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -478,207 +477,11 @@ sparsifyRows(const Tensor &a)
     return sp;
 }
 
-GroupedSparseMatrix
-groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
-                std::int64_t min_cols)
-{
-    panicIf(m_block < 2 || m_block > 32,
-            "groupSparseRows m_block must be in [2, 32], got ", m_block);
-    panicIf(min_cols < 1, "groupSparseRows min_cols must be positive, got ",
-            min_cols);
-    if (!rows.validated)
-        validateSparseOperand(rows);
-
-    GroupedSparseMatrix out;
-    out.rows = std::move(rows);
-    const SparseRowMatrix &src = out.rows;
-    const std::int64_t *row_ptr = src.row_ptr.data();
-    const std::int32_t *col_idx = src.col_idx.data();
-    const float *values = src.values.data();
-    const std::size_t ncols = static_cast<std::size_t>(src.cols);
-
-    // The remainder is the CSR minus the tiled entries, so it streams out
-    // in CSR order. Reserved at the bound (every entry) so growing it
-    // leaves no freed copies behind: on the largest ResNet-18 layer those
-    // doubled the peak heap of a pack.
-    SparseRowMatrix &rem = out.remainder;
-    rem.rows = src.rows;
-    rem.cols = src.cols;
-    rem.row_ptr.resize(static_cast<std::size_t>(src.rows) + 1);
-    rem.row_ptr[0] = 0;
-    rem.col_idx.reserve(static_cast<std::size_t>(src.nnz()));
-    rem.values.reserve(static_cast<std::size_t>(src.nnz()));
-
-    // Per-column scratch, reused across blocks. A column's key is the
-    // bitmask of the block rows that keep it; `touched` marks the columns
-    // with a key so they can be visited in ascending order.
-    std::vector<std::uint32_t> key(ncols, 0);
-    std::vector<std::uint64_t> touched((ncols + 63) / 64, 0);
-    std::vector<std::int32_t> col_bucket(ncols); // tiled bucket, or -1
-    std::vector<std::int32_t> col_pos(ncols);    // index in its bucket
-
-    // Key -> bucket, open addressing; a slot belongs to the current block
-    // only when it carries the block's stamp, so it never needs clearing.
-    struct Slot
-    {
-        std::uint32_t key = 0;
-        std::uint32_t stamp = 0;
-        std::int32_t bucket = -1;
-    };
-    int slot_bits = 4;
-    while ((std::size_t{1} << slot_bits) < 2 * ncols)
-        ++slot_bits;
-    std::vector<Slot> slots(std::size_t{1} << slot_bits);
-    const std::size_t slot_mask = slots.size() - 1;
-
-    struct Bucket
-    {
-        std::uint32_t key;
-        std::int64_t ncols = 0;
-        std::int64_t tiled_rows = 0; // 0: the bucket stays in the remainder
-        std::int64_t col_off = 0;
-        std::int64_t val_off = 0;
-    };
-    std::vector<Bucket> buckets;
-    std::vector<std::int32_t> multi_cols; // columns kept by >= 2 rows
-
-    const std::int64_t nblocks = (src.rows + m_block - 1) / m_block;
-    for (std::int64_t b = 0; b < nblocks; ++b) {
-        const std::int64_t r0 = b * m_block;
-        const std::int64_t r1 = std::min(src.rows, r0 + m_block);
-        const std::uint32_t stamp = static_cast<std::uint32_t>(b + 1);
-
-        for (std::int64_t r = r0; r < r1; ++r) {
-            const std::uint32_t bit = 1u << (r - r0);
-            for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-                const auto c = static_cast<std::size_t>(col_idx[e]);
-                key[c] |= bit;
-                touched[c / 64] |= std::uint64_t{1} << (c % 64);
-            }
-        }
-
-        // Columns in ascending order: a key seen for the first time opens
-        // a bucket, so buckets come out in ascending first-column order.
-        buckets.clear();
-        multi_cols.clear();
-        for (std::size_t w = 0; w < touched.size(); ++w) {
-            for (std::uint64_t bits = touched[w]; bits != 0;
-                 bits &= bits - 1) {
-                const std::size_t c =
-                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-                const std::uint32_t k = key[c];
-                key[c] = 0;
-                col_bucket[c] = -1;
-                if (std::popcount(k) < 2)
-                    continue; // kept by one row: nothing to share
-                std::size_t h = static_cast<std::size_t>(
-                    (k * 0x9E3779B97F4A7C15ull) >> (64 - slot_bits));
-                while (slots[h].stamp == stamp && slots[h].key != k)
-                    h = (h + 1) & slot_mask;
-                if (slots[h].stamp != stamp) {
-                    slots[h] = {k, stamp,
-                                static_cast<std::int32_t>(buckets.size())};
-                    buckets.push_back({k});
-                }
-                col_bucket[c] = slots[h].bucket;
-                col_pos[c] = static_cast<std::int32_t>(
-                    buckets[static_cast<std::size_t>(slots[h].bucket)]
-                        .ncols++);
-                multi_cols.push_back(static_cast<std::int32_t>(c));
-            }
-            touched[w] = 0;
-        }
-
-        // Lay out the buckets worth tiling: each stores its ascending
-        // column list once, and its kept rows in chunks of up to
-        // kSparseTileMaxRows, every chunk a row-major [nrows x ncols]
-        // tile. A last chunk of one row gains nothing from the tile
-        // kernel and stays in the remainder, as do thin buckets.
-        const std::int64_t band_start =
-            static_cast<std::int64_t>(out.tiles.size());
-        for (Bucket &bk : buckets) {
-            if (bk.ncols < min_cols)
-                continue;
-            const std::int64_t krows = std::popcount(bk.key);
-            bk.tiled_rows =
-                krows - (krows % kSparseTileMaxRows == 1 ? 1 : 0);
-            bk.col_off = static_cast<std::int64_t>(out.cols.size());
-            bk.val_off = static_cast<std::int64_t>(out.vals.size());
-            out.cols.resize(out.cols.size()
-                            + static_cast<std::size_t>(bk.ncols));
-            out.vals.resize(out.vals.size()
-                            + static_cast<std::size_t>(bk.tiled_rows
-                                                       * bk.ncols));
-            std::uint32_t bits = bk.key;
-            for (std::int64_t t0 = 0; t0 < bk.tiled_rows;
-                 t0 += kSparseTileMaxRows) {
-                GroupedSparseMatrix::Tile tl;
-                tl.nrows = static_cast<std::int32_t>(std::min(
-                    kSparseTileMaxRows, bk.tiled_rows - t0));
-                for (std::int32_t r = 0; r < tl.nrows; ++r, bits &= bits - 1)
-                    tl.row[r] = static_cast<std::int32_t>(r0)
-                        + std::countr_zero(bits);
-                tl.col_off = bk.col_off;
-                tl.ncols = bk.ncols;
-                tl.val_off = bk.val_off + t0 * bk.ncols;
-                out.tiles.push_back(tl);
-            }
-        }
-        if (static_cast<std::int64_t>(out.tiles.size()) > band_start)
-            out.band_ptr.push_back(
-                static_cast<std::int64_t>(out.tiles.size()));
-
-        for (const std::int32_t c : multi_cols) {
-            const auto cs = static_cast<std::size_t>(c);
-            const Bucket &bk =
-                buckets[static_cast<std::size_t>(col_bucket[cs])];
-            if (bk.tiled_rows == 0)
-                col_bucket[cs] = -1;
-            else
-                out.cols[static_cast<std::size_t>(bk.col_off + col_pos[cs])] =
-                    c;
-        }
-
-        // One pass over the block's entries: a tiled entry lands in its
-        // tile slot (row rank within the bucket, column position), every
-        // other entry appends to the remainder.
-        float *tile_vals = out.vals.data();
-        for (std::int64_t r = r0; r < r1; ++r) {
-            const std::uint32_t below = (1u << (r - r0)) - 1;
-            for (std::int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
-                const std::int32_t c = col_idx[e];
-                const std::int32_t bi = col_bucket[static_cast<std::size_t>(c)];
-                if (bi >= 0) {
-                    const Bucket &bk = buckets[static_cast<std::size_t>(bi)];
-                    const std::int64_t rank = std::popcount(bk.key & below);
-                    if (rank < bk.tiled_rows) {
-                        tile_vals[bk.val_off + rank * bk.ncols
-                                  + col_pos[static_cast<std::size_t>(c)]] =
-                            values[e];
-                        continue;
-                    }
-                }
-                rem.col_idx.push_back(c);
-                rem.values.push_back(values[e]);
-            }
-            rem.row_ptr[static_cast<std::size_t>(r + 1)] =
-                static_cast<std::int64_t>(rem.values.size());
-        }
-    }
-    rem.validated = true;
-
-    panicIf(out.tileNnz() + rem.nnz() != src.nnz(),
-            "groupSparseRows accounting mismatch: ", out.tileNnz(), " + ",
-            rem.nnz(), " != ", src.nnz());
-    out.validated = true;
-    return out;
-}
-
 /**
  * The sparse-A macro-driver behind every sparse entry point (dense B via
- * packB, virtual B via packBFromIm2col; grouped operands run their
- * embedded CSR). The A side needs no packing: the compressed rows *are*
- * the packed format, built once from the mask codes. Blocking comes from
+ * packB, virtual B via packBFromIm2col). The A side needs no packing:
+ * the compressed rows *are* the packed format, built once from the mask
+ * codes. Blocking comes from
  * the shape alone — K blocks of kSparseKC, N strips of the
  * kSparseNcBudget width — and each (strip, K block) iteration packs B
  * once, then runs the single-row micro-kernel over forEachStripTask's
@@ -775,67 +578,6 @@ gemmSparseDriver(const SparseRowMatrix &a, std::int64_t n, float alpha,
     }
 }
 
-/**
- * Structural check of a grouped operand: its two CSR members, then the
- * tile/band layer. No kernel reads the tiles — the driver runs the
- * embedded `rows` CSR — but the layer is stored in and borrowed from
- * MVQI images, so a corrupt one must fail loudly instead of riding along.
- * Builders validate once at pack time; hand-built operands pay per call.
- */
-void
-checkGroupedOperand(const GroupedSparseMatrix &a)
-{
-    checkSparseOperand(a.rows);
-    checkSparseOperand(a.remainder);
-    const std::int64_t ncols_pool =
-        static_cast<std::int64_t>(a.cols.size());
-    const std::int64_t nvals_pool =
-        static_cast<std::int64_t>(a.vals.size());
-    panicIf(a.remainder.rows != a.rows.rows
-                || a.remainder.cols != a.rows.cols,
-            "grouped operand remainder shape mismatch");
-    panicIf(a.band_ptr.empty() || a.band_ptr.front() != 0
-                || a.band_ptr.back()
-                    != static_cast<std::int64_t>(a.tiles.size()),
-            "grouped operand band_ptr does not cover tiles");
-    for (std::size_t b = 1; b < a.band_ptr.size(); ++b)
-        panicIf(a.band_ptr[b - 1] > a.band_ptr[b],
-                "grouped operand band_ptr not monotone");
-    std::int64_t covered = 0;
-    for (const GroupedSparseMatrix::Tile &t : a.tiles) {
-        panicIf(t.nrows < 1 || t.nrows > kSparseTileMaxRows,
-                "grouped operand tile row count ", t.nrows,
-                " out of range");
-        for (std::int32_t r = 0; r < t.nrows; ++r) {
-            panicIf(t.row[r] < 0 || t.row[r] >= a.rows.rows,
-                    "grouped operand tile row ", t.row[r],
-                    " out of range");
-            panicIf(r > 0 && t.row[r] <= t.row[r - 1],
-                    "grouped operand tile rows not ascending");
-        }
-        panicIf(t.ncols <= 0 || t.col_off < 0
-                    || t.col_off + t.ncols > ncols_pool,
-                "grouped operand tile column range out of bounds");
-        panicIf(t.val_off < 0
-                    || t.val_off + t.nrows * t.ncols > nvals_pool,
-                "grouped operand tile value range out of bounds");
-        std::int32_t prev = -1;
-        for (std::int64_t q = 0; q < t.ncols; ++q) {
-            const std::int32_t col =
-                a.cols[static_cast<std::size_t>(t.col_off + q)];
-            panicIf(col <= prev,
-                    "grouped operand tile columns not strictly ascending");
-            panicIf(col >= a.rows.cols,
-                    "grouped operand tile column ", col, " out of range");
-            prev = col;
-        }
-        covered += static_cast<std::int64_t>(t.nrows) * t.ncols;
-    }
-    panicIf(covered + a.remainder.nnz() != a.rows.nnz(),
-            "grouped operand tiles + remainder do not partition nnz: ",
-            covered, " + ", a.remainder.nnz(), " != ", a.rows.nnz());
-}
-
 void
 gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
                std::int64_t n, float alpha, float beta, float *pc,
@@ -870,34 +612,6 @@ gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
             float alpha, float beta)
 {
     checkSparseGemmShapes(a, b, c, "gemmSparseA");
-    gemmSparseARaw(a, b.data(), b.dim(1), b.dim(1), alpha, beta, c.data(),
-                   b.dim(1));
-}
-
-void
-validateGroupedOperand(GroupedSparseMatrix &a)
-{
-    checkGroupedOperand(a);
-    a.rows.validated = true;
-    a.remainder.validated = true;
-    a.validated = true;
-}
-
-void
-gemmSparseARaw(const GroupedSparseMatrix &a, const float *pb,
-               std::int64_t ldb, std::int64_t n, float alpha, float beta,
-               float *pc, std::int64_t ldc)
-{
-    if (!a.validated)
-        checkGroupedOperand(a);
-    gemmSparseARaw(a.rows, pb, ldb, n, alpha, beta, pc, ldc);
-}
-
-void
-gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
-            float alpha, float beta)
-{
-    checkSparseGemmShapes(a.rows, b, c, "gemmSparseA");
     gemmSparseARaw(a, b.data(), b.dim(1), b.dim(1), alpha, beta, c.data(),
                    b.dim(1));
 }
@@ -1159,15 +873,6 @@ gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float alpha,
             packBFromIm2col(b, k0, j0, kc, nc, nr, bp);
         },
         pc, ldc);
-}
-
-void
-gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
-                  float alpha, float beta, float *pc, std::int64_t ldc)
-{
-    if (!a.validated)
-        checkGroupedOperand(a);
-    gemmSparseAIm2col(a.rows, b, alpha, beta, pc, ldc);
 }
 
 void

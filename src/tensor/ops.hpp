@@ -150,128 +150,32 @@ void validateSparseOperand(SparseRowMatrix &a);
 /** Compress a rank-2 tensor's exact non-zeros into CSR (tests/benches). */
 SparseRowMatrix sparsifyRows(const Tensor &a);
 
-struct GroupedSparseMatrix;
-
 /**
- * Full structural validation of a grouped operand: the embedded CSR
- * operands (rows + remainder) via validateSparseOperand's invariants plus
- * the tile/band layer (tile rows ascending and in range, column/value
- * pools covered, band_ptr covering tiles, tiles + remainder partitioning
- * rows.nnz()). Panics (PanicError) on violation; marks every validated
- * flag on success. groupSparseRows validates what it builds; this entry
- * point exists for operands assembled from *untrusted* storage — above
- * all borrowed views over an MVQI model image, where these invariants
- * are the line between a corrupt file failing loudly and the kernels
- * reading out of bounds.
- */
-void validateGroupedOperand(GroupedSparseMatrix &a);
-
-/** Most rows one bucket tile of a GroupedSparseMatrix holds. */
-constexpr std::int64_t kSparseTileMaxRows = 4;
-
-/** groupSparseRows' default shortest shared column list worth a tile. */
-constexpr std::int64_t kSparseTileMinCols = 8;
-
-/**
- * A SparseRowMatrix plus the structure N:M masking imposes on it: within
- * an M-row block of the operand, every column's set of kept rows is one
- * of the C(M,N) mask codes, so columns of a block sharing a code share
- * their kept-row pattern exactly. groupSparseRows buckets the columns of
- * each block by that kept-row set and emits each bucket as row-tiles: up
- * to kSparseTileMaxRows rows x the bucket's shared ascending column list,
- * with the tile's kept values stored densely (row-major, row r of tile t
- * at vals[t.val_off + r*t.ncols]). Entries not worth tiling (columns kept
- * by a single row of their block, buckets too short, leftover rows of an
- * odd-sized bucket) stay in `remainder`, a CSR over the same row/column
- * space. Tiles + remainder partition rows.nnz() exactly.
- *
- * The gemm entry points run the full `rows` CSR; no kernel reads the
- * tiles. The tile layer stays because MVQI v1 images store it and the
- * serving benchmark reports its coverage (io.tile_nnz_frac); it goes
- * with the next format version.
+ * One conv group's packed operand. Only `rows`, its CSR, is ever packed,
+ * stored, borrowed or served; the other members are always empty. They
+ * remain because the serving benchmark (perfbench/) still reads them,
+ * and the type collapses into SparseRowMatrix once it reads the CSR
+ * instead (ROADMAP item 1).
  */
 struct GroupedSparseMatrix
 {
-    /** One bucket chunk: `nrows` rows sharing the ascending column list
-     *  at cols[col_off .. col_off + ncols). Chunks of one bucket share
-     *  their column storage and differ only in rows/values. */
     struct Tile
     {
-        std::int32_t row[kSparseTileMaxRows]; //!< absolute rows, ascending
-        std::int32_t nrows = 0;               //!< 2..kSparseTileMaxRows
-        std::int64_t col_off = 0; //!< into cols (shared per bucket)
-        std::int64_t ncols = 0;   //!< shared pattern length
-        std::int64_t val_off = 0; //!< into vals; nrows x ncols row-major
     };
 
-    SparseRowMatrix rows;      //!< full CSR operand (what the gemms run)
-    OperandArray<Tile> tiles;  //!< bucket chunks, grouped into bands
-    OperandArray<std::int32_t> cols; //!< shared column patterns, ascending
-    OperandArray<float> vals;        //!< tile values, row-major per tile
-    /**
-     * Bands partition `tiles`: band b owns tiles [band_ptr[b],
-     * band_ptr[b+1]), and tiles of *different* bands cover disjoint rows
-     * (a band is one M-row block's tiles — rows within a block can
-     * appear in several of its buckets).
-     */
-    OperandArray<std::int64_t> band_ptr{0};
-    SparseRowMatrix remainder; //!< untiled entries
-    bool validated = false;    //!< set by the builders after checking
+    SparseRowMatrix rows; //!< the operand (what the gemms run)
+    OperandArray<Tile> tiles;
+    OperandArray<std::int32_t> cols;
+    OperandArray<float> vals;
+    OperandArray<std::int64_t> band_ptr;
+    SparseRowMatrix remainder;
 
-    /** Kept entries covered by tiles (rows.nnz() - remainder.nnz()). */
     std::int64_t
     tileNnz() const
     {
-        std::int64_t n = 0;
-        for (const Tile &t : tiles)
-            n += static_cast<std::int64_t>(t.nrows) * t.ncols;
-        return n;
-    }
-
-    /** Fraction of kept entries left untiled (in the remainder). */
-    double
-    fallbackFraction() const
-    {
-        return rows.nnz() != 0
-            ? static_cast<double>(remainder.nnz())
-                / static_cast<double>(rows.nnz())
-            : 0.0;
+        return 0;
     }
 };
-
-/**
- * Build the grouped operand: bucket each `m_block`-row block's columns by
- * their kept-row set (the decoded N:M mask code of that column's group)
- * and emit buckets of >= 2 rows and >= min_cols shared columns as row
- * tiles, everything else into the remainder CSR. m_block should be the
- * mask pattern's M (16 for 4:16) so blocks align with the code groups;
- * any value in [2, 32] is accepted and merely changes which structure
- * gets discovered. min_cols is the shortest shared column list that
- * becomes a tile. Deterministic: bucket order is first appearance within a block (its
- * ascending first column), blocks ascend. Sort-free: two passes over each
- * block's entries plus one hash lookup per column a block's rows share,
- * so the cost is O(nnz) plus a cols/64-word bitmap scan per block.
- * Validates `rows` (and the derived remainder) as a side effect; panics
- * if `rows` is malformed.
- */
-GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
-                                    std::int64_t m_block = 16,
-                                    std::int64_t min_cols =
-                                        kSparseTileMinCols);
-
-/**
- * Grouped-operand forms of the sparse-A gemm entry points. They run the
- * SparseRowMatrix overloads on the embedded `rows` CSR, so results are
- * bit-identical to the ungrouped path; the tile layer is validated (when
- * the operand is not yet) but never read by a kernel.
- */
-void gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
-                 float alpha = 1.0f, float beta = 0.0f);
-
-/** Raw-pointer form of the grouped gemmSparseA (see gemmSparseARaw). */
-void gemmSparseARaw(const GroupedSparseMatrix &a, const float *b,
-                    std::int64_t ldb, std::int64_t n, float alpha,
-                    float beta, float *c, std::int64_t ldc);
 
 /**
  * Sparse-A GEMM: C = alpha * A * B + beta * C with A in compressed-row
@@ -420,14 +324,6 @@ void gemmIm2colRaw(std::int64_t m, float alpha, const float *a,
  * removes the cols tensor's write+read round trip entirely.
  */
 void gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b,
-                       float alpha, float beta, float *c, std::int64_t ldc);
-
-/**
- * Grouped-operand form of gemmSparseAIm2col: runs the SparseRowMatrix
- * overload on the embedded `rows` CSR (bit-identical to calling it
- * directly), after validating an unvalidated operand whole.
- */
-void gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                        float alpha, float beta, float *c, std::int64_t ldc);
 
 /**

@@ -491,7 +491,7 @@ struct CompressedFixture
 
 /**
  * CompressedConv2d::forward without the fusion: materialize each (batch,
- * group) pair's cols and run the grouped sparse gemm into its slab.
+ * group) pair's cols and run the CSR sparse gemm into its slab.
  */
 Tensor
 compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
@@ -507,7 +507,7 @@ compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
     for (std::int64_t n = 0; n < x.dim(0); ++n) {
         for (std::int64_t grp = 0; grp < groups; ++grp) {
             const Tensor cols = im2col(x, n, g, grp * cg);
-            gemmSparseARaw(conv.groupedOperand(grp), cols.data(), ohw, ohw,
+            gemmSparseARaw(conv.groupOperand(grp), cols.data(), ohw, ohw,
                            1.0f, 0.0f,
                            out.data() + (n * ws.dim(0) + grp * kg) * ohw,
                            ohw);

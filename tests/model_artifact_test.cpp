@@ -4,8 +4,9 @@
  * (reconstructed tensors and forward outputs memcmp-equal under the
  * active MVQ_SIMD ISA), borrowed-view vs owned-operand forward identity,
  * operand sharing/caching, image lifetime, stream files served from an
- * in-memory image, the `mvqi` CLI's option checks, and the checked-in
- * golden fixture pinning MVQI format v1 byte-for-byte.
+ * in-memory image, the `mvqi` CLI's option checks, the checked-in
+ * golden fixture pinning MVQI format v2 byte-for-byte, and the v1
+ * fixture every reader must reject.
  *
  * Regenerate the fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
@@ -159,19 +160,22 @@ TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
         const auto art = io::openArtifact(path);
         const auto *base = art->view().data();
         const auto *end = base + art->view().size();
+        auto inImage = [&](const void *p) {
+            const auto *b = static_cast<const std::uint8_t *>(p);
+            return b >= base && b <= end;
+        };
         for (std::int64_t i = 0; i < art->layerCount(); ++i) {
             const io::SharedOperands ops = art->packedOperands(i);
             for (const GroupedSparseMatrix &g : *ops) {
-                // Borrowed mode, and every array points into the image —
-                // no packGroupedRows at borrow time, no copies.
+                // Borrowed mode, and all three CSR arrays point into the
+                // image — no packGroupedRows at borrow time, no copies.
+                EXPECT_TRUE(g.rows.row_ptr.borrowed()) << path;
+                EXPECT_TRUE(g.rows.col_idx.borrowed()) << path;
                 EXPECT_TRUE(g.rows.values.borrowed()) << path;
-                EXPECT_TRUE(g.tiles.borrowed()) << path;
-                EXPECT_TRUE(g.band_ptr.borrowed()) << path;
-                EXPECT_TRUE(g.remainder.values.borrowed()) << path;
-                const auto *p = reinterpret_cast<const std::uint8_t *>(
-                    g.rows.values.data());
-                EXPECT_TRUE(p >= base && p <= end) << path;
-                EXPECT_TRUE(g.validated) << path;
+                EXPECT_TRUE(inImage(g.rows.row_ptr.data())) << path;
+                EXPECT_TRUE(inImage(g.rows.col_idx.data())) << path;
+                EXPECT_TRUE(inImage(g.rows.values.data())) << path;
+                EXPECT_TRUE(g.rows.validated) << path;
             }
         }
     }
@@ -308,13 +312,19 @@ TEST_F(ModelArtifactTest, NonBakedGroupCountFallsBackCorrectly)
     EXPECT_FALSE((*m->packedOperands(1, 1))[0].rows.values.borrowed());
 }
 
-TEST(MvqiGolden, FixturePinsFormatV1)
+/** A checked-in fixture under tests/data/. */
+std::string
+fixturePath(const char *name)
 {
-    // Byte-for-byte lock on the checked-in v1 image. If this fails you
+    return std::string(MVQ_SOURCE_DIR) + "/tests/data/" + name;
+}
+
+TEST(MvqiGolden, FixturePinsFormatV2)
+{
+    // Byte-for-byte lock on the checked-in v2 image. If this fails you
     // changed the on-disk layout: bump kMvqiVersion, update
     // docs/FORMAT.md, and regenerate with MVQ_WRITE_GOLDEN=1.
-    const std::string golden_path =
-        std::string(MVQ_SOURCE_DIR) + "/tests/data/golden_v1.mvqi";
+    const std::string golden_path = fixturePath("golden_v2.mvqi");
     const io::MvqiBytes image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
 
@@ -333,16 +343,14 @@ TEST(MvqiGolden, FixturePinsFormatV1)
         std::istreambuf_iterator<char>());
     ASSERT_EQ(image.size(), golden.size());
     EXPECT_EQ(std::memcmp(image.data(), golden.data(), image.size()), 0)
-        << "MVQI writer output drifted from the v1 fixture";
+        << "MVQI writer output drifted from the v2 fixture";
 }
 
 TEST(MvqiGolden, FixtureLoadsAndForwards)
 {
     // The fixture is not just bytes: it must open, validate, and serve
     // borrowed operands that forward bit-identically to a fresh image.
-    const std::string golden_path =
-        std::string(MVQ_SOURCE_DIR) + "/tests/data/golden_v1.mvqi";
-    const auto art = io::openArtifact(golden_path);
+    const auto art = io::openArtifact(fixturePath("golden_v2.mvqi"));
     ASSERT_EQ(art->layerCount(), 2);
 
     const std::string fresh_path = tmpPath("mvq_golden_fresh.mvqi");
@@ -372,10 +380,23 @@ runMvqi(const std::string &args, std::string *out)
     return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
 }
 
+TEST(MvqiGolden, V1FixtureIsRejected)
+{
+    // v1 images (tile and remainder sections beside the CSR) are not
+    // read: the open fails with a typed error, and `mvqi verify` reports
+    // it with exit status 2. Converting the model through the stream
+    // format is the upgrade path.
+    const std::string v1 = fixturePath("golden_v1.mvqi");
+    expectOpenFails(v1, "unsupported MVQI version 1");
+    std::string text;
+    EXPECT_EQ(runMvqi("verify '" + v1 + "'", &text), 2) << text;
+    EXPECT_NE(text.find("unsupported MVQI version 1"), std::string::npos)
+        << text;
+}
+
 TEST(MvqiCli, ConvertAcceptsOnlyWholeGroupCountsAndKnownLayers)
 {
-    const std::string in = "'" + std::string(MVQ_SOURCE_DIR)
-        + "/tests/data/golden_v1.mvqi'";
+    const std::string in = "'" + fixturePath("golden_v2.mvqi") + "'";
     const std::string out_path = tmpPath("mvq_cli_test.mvqi");
     const std::string convert = "convert " + in + " '" + out_path + "' ";
     std::string text;

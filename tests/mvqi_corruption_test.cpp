@@ -5,12 +5,14 @@
  * undefined behaviour, never a crash, never an escaped PanicError. The
  * targeted cases pin one diagnostic each (truncation, bad magic, wrong
  * version, misaligned section, out-of-range TOC, inconsistent counts,
- * semantically corrupt operands); the deterministic byte-flip sweep is
- * the fuzz-style pass the ASan/UBSan CI job runs over.
+ * operand geometry that disagrees with its layer, semantically corrupt
+ * operands); the deterministic byte-flip sweep is the fuzz-style pass
+ * the ASan/UBSan CI job runs over.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -177,7 +179,7 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
 {
     // Flip a col_idx of layer 0's operand out of range: structural
     // bounds still pass, so this must be caught by the O(nnz) semantic
-    // validation (validateGroupedOperand) and rewrapped as a FatalError
+    // validation (validateSparseOperand) and rewrapped as a FatalError
     // naming the file — the line that keeps the kernels in bounds.
     std::vector<std::uint8_t> img = validImage();
     io::MvqiHeader h;
@@ -191,6 +193,35 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
     std::memcpy(img.data() + op.col_idx.off, &bogus, sizeof(bogus));
     writeBytes(img);
     expectFatal("corrupt MVQI operand");
+}
+
+TEST_F(MvqiCorruptionTest, OperandGeometryMustMatchItsLayer)
+{
+    // Widen layer 0's operand by 16 columns. Its CSR stays valid (every
+    // column index is still in range), so only a check against the
+    // layer's shape can tell: opening the image and borrowing every
+    // operand must fail before any conv is built over them.
+    const std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    io::MvqiLayer L;
+    std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
+    io::MvqiOperand op;
+    std::memcpy(&op, img.data() + L.operands_off, sizeof(op));
+    ASSERT_EQ(op.cols, L.shape[1] * L.shape[2] * L.shape[3]);
+    patchU64(L.operands_off + offsetof(io::MvqiOperand, cols),
+             static_cast<std::uint64_t>(op.cols + 16));
+    try {
+        const auto art = io::openArtifact(kPath);
+        for (std::int64_t i = 0; i < art->layerCount(); ++i)
+            (void)art->packedOperands(i);
+        FAIL() << "an operand wider than its layer loaded";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(kPath), std::string::npos) << msg;
+        EXPECT_NE(msg.find("layer 0 ('conv0') operand 0"), std::string::npos)
+            << msg;
+    }
 }
 
 TEST_F(MvqiCorruptionTest, OpenFaultSiteFailsCleanlyOnValidImage)

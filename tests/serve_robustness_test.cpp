@@ -228,17 +228,39 @@ TEST_F(ServeRobustnessTest, PastDeadlineIsAdmittedThenExpired)
 
 TEST_F(ServeRobustnessTest, ExpiredRequestsDoNotPoisonTheBatch)
 {
-    // Two requests, one with a reachable deadline. Expiring it must not
+    // A full queue of two, one past its deadline. Expiring it must not
     // touch the survivor, which then serves by batch-size launch.
+    //
+    // Two requests fill a max_batch 2 queue, so an idle batcher would
+    // launch them the moment the second one lands, before the clock
+    // moves. A gated first batch keeps the batcher busy until the clock
+    // is past the deadline: its next claim sees the expired request.
+    std::promise<void> open_gate;
+    std::shared_future<void> gate = open_gate.get_future().share();
     RigidServer f(/*max_batch=*/2, /*deadline_us=*/1000000,
-                  /*max_queue=*/16);
+                  /*max_queue=*/16, /*request_timeout_us=*/0,
+                  /*fail_threshold=*/1000000, [gate](const Tensor &x) {
+                      gate.wait();
+                      return affineEcho(x);
+                  });
+    auto plug0 = f.server->submit(taggedImage(f.chw, 4.0f));
+    auto plug1 = f.server->submit(taggedImage(f.chw, 5.0f));
     auto doomed =
         f.server->submitWithDeadline(taggedImage(f.chw, 1.0f), 500);
     auto survivor = f.server->submitWithDeadline(
         taggedImage(f.chw, 2.0f), kNoDeadline);
     f.clock->advance(500);
+    open_gate.set_value();
+    EXPECT_TRUE(tensorsBitIdentical(
+        plug0.get(), affineEcho(taggedImage(f.chw, 4.0f))));
+    EXPECT_TRUE(tensorsBitIdentical(
+        plug1.get(), affineEcho(taggedImage(f.chw, 5.0f))));
     expectRejected([&] { (void)doomed.get(); },
                    RejectReason::DeadlineExpired);
+    // A served doomed request launched with the survivor, so a mate
+    // would wait alone for a batch that never fills: stop here.
+    if (HasFatalFailure())
+        return;
     // One slot now free forever (max_batch 2, one queued): submit the
     // second half of the batch and both serve.
     auto mate = f.server->submitWithDeadline(taggedImage(f.chw, 3.0f),
@@ -249,7 +271,8 @@ TEST_F(ServeRobustnessTest, ExpiredRequestsDoNotPoisonTheBatch)
         mate.get(), affineEcho(taggedImage(f.chw, 3.0f))));
     const ServerStats st = f.server->stats();
     EXPECT_EQ(st.expired, 1);
-    EXPECT_EQ(st.served, 2);
+    EXPECT_EQ(st.served, 4);
+    EXPECT_EQ(st.batches, 2);
 }
 
 // ----------------------------------------------- batch isolation + health

@@ -22,7 +22,7 @@ compiler nor clang-tidy sees them):
      rand/srand (outside src/common/random.*), printf in src/ (use
      common/logging; bench mains and examples may print).
 
-Run from anywhere inside the repo (ctest runs it as `mvq_lint`); use
+Run from any working directory (ctest runs it as `mvq_lint`); use
 --selftest to run the checks against tests/lint_fixtures/ and assert
 each known-bad snippet is flagged (ctest `lint_selftest`).
 """
@@ -64,11 +64,10 @@ PRINTF_RE = re.compile(r"\bprintf\s*\(")
 
 
 def repo_root() -> Path:
-    out = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        check=True, capture_output=True, text=True,
-    )
-    return Path(out.stdout.strip())
+    # From the script's own path, not the caller's working directory:
+    # ctest runs it from the build tree, which may live outside the
+    # checkout.
+    return Path(__file__).resolve().parent.parent
 
 
 def tracked_files(root: Path) -> list[str]:

@@ -22,7 +22,8 @@ namespace {
 
 constexpr std::int64_t MR = 6;
 constexpr std::int64_t NR = 16;
-static_assert(MR <= kMaxGemmMr && NR <= kMaxGemmNr);
+constexpr std::int64_t SNR = 32;
+static_assert(MR <= kMaxGemmMr && NR <= kMaxGemmNr && SNR <= kMaxSparseNr);
 
 /**
  * 6x16 register tile: 12 accumulator ymm + 2 B vectors + 1 A broadcast
@@ -54,47 +55,56 @@ gemmMicroAvx2(const float *ap, const float *bp, std::int64_t kc, float *acc)
 }
 
 /**
- * Sparse-A row x packed-B-panel kernel. Unlike the dense tile (12
- * independent accumulator chains), one compressed row has no mr
- * dimension to hide FMA latency behind, so the accumulators are striped
- * 4-way across *entries*: entry q feeds chain q % 4, giving 8 independent
- * FMA chains (4 stripes x 2 halves of the 16-wide panel); the stripes
- * fold together at the end. Each kept A entry broadcasts once and FMAs
- * against its matching packed B row — pruned positions cost nothing.
+ * Sparse-A row x packed-B-panel kernel, 1x32. One compressed row has no
+ * mr dimension to hide FMA latency behind, so the entries stripe 2-way
+ * (even entries and an odd tail into stripe 0, odd entries into stripe
+ * 1) over four 8-lane groups: 8 independent FMA chains, folded per lane
+ * as stripe0 + stripe1 (the order the kernel contract in
+ * simd_dispatch.hpp documents). Each kept A entry's index load and
+ * broadcast feed four FMAs against one contiguous 128-byte packed B row,
+ * and pruned positions cost nothing. Named accumulators, not an array,
+ * so they stay in registers: 8 accumulators + 2 broadcasts fit in 16 ymm.
  */
 void
 gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
                     std::int64_t nnz, std::int64_t k0, const float *bp,
                     std::int64_t /*nr*/, float *acc)
 {
-    __m256 c0[4], c1[4];
-    c0[0] = _mm256_loadu_ps(acc);
-    c1[0] = _mm256_loadu_ps(acc + 8);
-    for (int u = 1; u < 4; ++u) {
-        c0[u] = _mm256_setzero_ps();
-        c1[u] = _mm256_setzero_ps();
-    }
+    __m256 e0 = _mm256_loadu_ps(acc);
+    __m256 e1 = _mm256_loadu_ps(acc + 8);
+    __m256 e2 = _mm256_loadu_ps(acc + 16);
+    __m256 e3 = _mm256_loadu_ps(acc + 24);
+    __m256 o0 = _mm256_setzero_ps();
+    __m256 o1 = _mm256_setzero_ps();
+    __m256 o2 = _mm256_setzero_ps();
+    __m256 o3 = _mm256_setzero_ps();
     std::int64_t q = 0;
-    for (; q + 4 <= nnz; q += 4) {
-        for (int u = 0; u < 4; ++u) {
-            const __m256 v = _mm256_broadcast_ss(vals + q + u);
-            const float *brow = bp + (kidx[q + u] - k0) * NR;
-            c0[u] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow), c0[u]);
-            c1[u] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow + 8), c1[u]);
-        }
+    for (; q + 2 <= nnz; q += 2) {
+        const __m256 ve = _mm256_broadcast_ss(vals + q);
+        const __m256 vo = _mm256_broadcast_ss(vals + q + 1);
+        const float *be = bp + (kidx[q] - k0) * SNR;
+        const float *bo = bp + (kidx[q + 1] - k0) * SNR;
+        e0 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be), e0);
+        e1 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 8), e1);
+        e2 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 16), e2);
+        e3 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 24), e3);
+        o0 = _mm256_fmadd_ps(vo, _mm256_loadu_ps(bo), o0);
+        o1 = _mm256_fmadd_ps(vo, _mm256_loadu_ps(bo + 8), o1);
+        o2 = _mm256_fmadd_ps(vo, _mm256_loadu_ps(bo + 16), o2);
+        o3 = _mm256_fmadd_ps(vo, _mm256_loadu_ps(bo + 24), o3);
     }
-    for (; q < nnz; ++q) {
-        const __m256 v = _mm256_broadcast_ss(vals + q);
-        const float *brow = bp + (kidx[q] - k0) * NR;
-        c0[0] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow), c0[0]);
-        c1[0] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow + 8), c1[0]);
+    if (q < nnz) {
+        const __m256 ve = _mm256_broadcast_ss(vals + q);
+        const float *be = bp + (kidx[q] - k0) * SNR;
+        e0 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be), e0);
+        e1 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 8), e1);
+        e2 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 16), e2);
+        e3 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 24), e3);
     }
-    _mm256_storeu_ps(acc,
-                     _mm256_add_ps(_mm256_add_ps(c0[0], c0[1]),
-                                   _mm256_add_ps(c0[2], c0[3])));
-    _mm256_storeu_ps(acc + 8,
-                     _mm256_add_ps(_mm256_add_ps(c1[0], c1[1]),
-                                   _mm256_add_ps(c1[2], c1[3])));
+    _mm256_storeu_ps(acc, _mm256_add_ps(e0, o0));
+    _mm256_storeu_ps(acc + 8, _mm256_add_ps(e1, o1));
+    _mm256_storeu_ps(acc + 16, _mm256_add_ps(e2, o2));
+    _mm256_storeu_ps(acc + 24, _mm256_add_ps(e3, o3));
 }
 
 /**
@@ -223,7 +233,7 @@ assignBestSparseAvx2(const float *wkeep, const std::int32_t *idx,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    Isa::Avx2, "avx2", MR, NR, &gemmMicroAvx2, &gemmSparseMicroAvx2,
+    Isa::Avx2, "avx2", MR, NR, &gemmMicroAvx2, SNR, &gemmSparseMicroAvx2,
     &assignBestDenseAvx2, &assignBestSparseAvx2,
 };
 

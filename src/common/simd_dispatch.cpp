@@ -64,8 +64,8 @@ gemmSparseMicroScalar(const float *__restrict vals,
                       std::int64_t k0, const float *__restrict bp,
                       std::int64_t nr, float *__restrict acc)
 {
-    float s0[kMaxGemmNr];
-    float s1[kMaxGemmNr];
+    float s0[kMaxSparseNr];
+    float s1[kMaxSparseNr];
     for (std::int64_t c = 0; c < nr; ++c) {
         s0[c] = acc[c];
         s1[c] = 0.0f;
@@ -138,7 +138,8 @@ assignBestSparseScalar(const float *wkeep, const std::int32_t *idx,
 
 constexpr Kernels kScalarKernels = {
     Isa::Scalar, "scalar",
-    /*mr=*/4,    /*nr=*/8, &gemmMicroScalar, &gemmSparseMicroScalar,
+    /*mr=*/4,    /*nr=*/8, &gemmMicroScalar, /*sparse_nr=*/8,
+    &gemmSparseMicroScalar,
     &assignBestDenseScalar, &assignBestSparseScalar,
 };
 
@@ -243,7 +244,9 @@ resolveActive()
     g_active.store(table, std::memory_order_release);
     inform("simd: ", source, " kernel path '", table->name,
            "' (gemm micro-kernel ", table->mr, "x", table->nr,
-           ", B panels ", kGemmKC, "x", table->nr,
+           ", B panels ", kGemmKC, "x", table->nr, "; sparse kernel 1x",
+           table->sparse_nr, ", B panels ", kSparseKC, "x",
+           table->sparse_nr,
            "; available:", isaAvailable(Isa::Avx2) ? " avx2" : "",
            isaAvailable(Isa::Neon) ? " neon" : "", " scalar)");
 }

@@ -32,25 +32,31 @@ enum class Isa
     Neon = 2,   //!< aarch64 Advanced SIMD (baseline on that target)
 };
 
-/** Upper bounds on micro-kernel register-tile dims across all ISAs; the
- *  gemm driver sizes its on-stack accumulator with these. */
+/** Upper bounds on the dense micro-kernel's register tile (mr x nr)
+ *  across all ISAs; the dense gemm driver sizes its on-stack accumulator
+ *  with these. The sparse kernel's panel width has its own bound. */
 constexpr std::int64_t kMaxGemmMr = 8;
 constexpr std::int64_t kMaxGemmNr = 16;
+/** Upper bound on any table's sparse panel width (sparse_nr); the sparse
+ *  driver and the scalar sparse kernel size their accumulators with it. */
+constexpr std::int64_t kMaxSparseNr = 32;
 
 /**
  * Cache-blocking parameters of the blocked gemm drivers in tensor/ops.cpp.
  * A dense driver iteration packs one KC x NC block of op(B) into
  * nr-column panels (nr from the active table, so a panel is kGemmKC x nr
  * floats at most) and one MC x KC block of op(A) into mr-row panels. The
- * sparse-A driver shares MC and the NC cap but blocks K more deeply (its
- * compressed rows need no A packing). Exposed here because B-panel *producers* — packB and the fused
- * packBFromIm2col in tensor/ops — and the tests/benches that pick shapes
- * straddling block boundaries all need the same constants the drivers
- * block with.
+ * sparse-A driver shares MC and the NC cap, packs sparse_nr-column panels
+ * and blocks K more deeply, at kSparseKC (its compressed rows need no A
+ * packing). Exposed here because B-panel *producers* — packB and the
+ * fused packBFromIm2col in tensor/ops — and the tests/benches that pick
+ * shapes straddling block boundaries all need the same constants the
+ * drivers block with.
  */
 constexpr std::int64_t kGemmMC = 64;   //!< rows of C per packed A block
 constexpr std::int64_t kGemmKC = 256;  //!< depth of one packed K block
 constexpr std::int64_t kGemmNC = 2048; //!< columns of C per packed B block
+constexpr std::int64_t kSparseKC = 4096; //!< depth of one sparse K block
 
 /**
  * One ISA's kernel table. All function pointers are non-null; ISAs without
@@ -62,8 +68,8 @@ struct Kernels
     const char *name; //!< "scalar", "avx2", "neon"
 
     // --- GEMM register-tile micro-kernel --------------------------------
-    std::int64_t mr; //!< rows of the register tile
-    std::int64_t nr; //!< columns of the register tile
+    std::int64_t mr; //!< rows of the dense register tile
+    std::int64_t nr; //!< columns of the dense register tile and B panel
     /**
      * acc[mr x nr, row stride nr] += Ap panel * Bp panel over kc steps,
      * with the packed layouts ap[kk*mr + r], bp[kk*nr + c] produced by the
@@ -73,16 +79,34 @@ struct Kernels
     void (*gemmMicroKernel)(const float *ap, const float *bp,
                             std::int64_t kc, float *acc);
 
+    // --- Sparse-A row micro-kernel -------------------------------------
+    /** Columns of the sparse kernel's packed B panel: the sparse driver
+     *  packs, sizes strips and scatters C at this width (<= kMaxSparseNr).
+     *  A row has no mr dimension, so the width is chosen for the kernel
+     *  alone: wider panels amortize each kept entry's index load and
+     *  broadcast over more FMAs (scalar 8, NEON 16, AVX2 32). */
+    std::int64_t sparse_nr;
     /**
-     * Sparse-A register-tile kernel for gemmSparseA (tensor/ops.cpp): one
+     * Sparse-A kernel for the sparse gemm driver (tensor/ops.cpp): one
      * compressed row of A meets one packed B panel. The row's nnz kept
      * entries arrive as values vals[] with ascending absolute column
      * indices kidx[] (all within [k0, k0 + kc) of the current K block);
      * bp is the driver's packed panel (bp[kk*nr + c] = B(k0 + kk, jq + c),
-     * the same layout packB produces for the dense kernel), and the kernel
+     * the layout packB produces, at nr = sparse_nr), and the kernel
      * accumulates acc[c] += vals[q] * bp[(kidx[q] - k0)*nr + c] over the
      * nnz entries for c in [0, nr). nr is passed explicitly so one scalar
-     * implementation can serve tables with different tile widths.
+     * implementation can serve tables with different widths.
+     *
+     * Per-lane order: every kernel stripes the entries 2-way. Stripe 0
+     * starts from acc[c] and takes the even entries q = 0, 2, 4, ...;
+     * stripe 1 starts from 0 and takes the odd ones; an odd tail entry
+     * goes to stripe 0. In the AVX2 and NEON kernels each entry is one
+     * fused multiply-add into its stripe (the scalar kernel's s += v * b
+     * fuses only where the compiler contracts it), and lane c returns
+     * stripe0 + stripe1. The order depends on nothing but the row's
+     * entries, so the result is the same whichever thread or task runs
+     * the (row, panel) pair; simd_dispatch_test pins the AVX2 order bit
+     * for bit.
      */
     void (*gemmSparseMicroKernel)(const float *vals, const std::int32_t *kidx,
                                   std::int64_t nnz, std::int64_t k0,

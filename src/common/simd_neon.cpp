@@ -214,7 +214,7 @@ assignBestSparseNeon(const float *wkeep, const std::int32_t *idx,
 }
 
 constexpr Kernels kNeonKernels = {
-    Isa::Neon, "neon", MR, NR, &gemmMicroNeon, &gemmSparseMicroNeon,
+    Isa::Neon, "neon", MR, NR, &gemmMicroNeon, NR, &gemmSparseMicroNeon,
     &assignBestDenseNeon, &assignBestSparseNeon,
 };
 

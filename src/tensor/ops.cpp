@@ -58,18 +58,20 @@ constexpr std::int64_t NC = simd::kGemmNC;
 // reuse while multiplying the per-(row, panel) fixed cost — accumulator
 // zero-fill, kernel entry, and the C scatter — by k / KC. A K block
 // covering the whole reduction pays that cost once per (row, panel); the
-// cap only bounds the packed strip (4096 * nr floats per panel) for
-// pathologically deep reductions. At KC = 256 the same driver ran
+// cap only bounds the packed strip (4096 * sparse_nr floats per panel)
+// for pathologically deep reductions. At KC = 256 the same driver ran
 // ResNet-18's batch-1 conv trunk ~20% slower, its stage4 convs ~1.6x
 // slower (4 threads, avx2).
-constexpr std::int64_t kSparseKC = 4096;
+constexpr std::int64_t kSparseKC = simd::kSparseKC;
 
 // N-strip budget of the sparse driver, in packed floats (~1.5 MiB): every
 // row block re-reads the strip's packed panels once per K block, so the
 // strip must stay L2-resident or the B rows stream from L3 on every row
 // block. With the K block covering the reduction whole, the strip width
 // is what bounds the buffer: nc per strip is budget / kc (floored to a
-// panel multiple), e.g. 160 columns at k = 2304.
+// panel multiple), e.g. 160 columns (five 32-column avx2 panels) at
+// k = 2304, so stage3's n = 196 at batch 1 runs as strips of 160 and 36
+// columns.
 constexpr std::int64_t kSparseNcBudget = 384 * 1024;
 
 // Tasks per available thread that each blocked driver splits one (strip,
@@ -481,10 +483,10 @@ sparsifyRows(const Tensor &a)
  * The sparse-A macro-driver behind every sparse entry point (dense B via
  * packB, virtual B via packBFromIm2col). The A side needs no packing:
  * the compressed rows *are* the packed format, built once from the mask
- * codes. Blocking comes from
- * the shape alone — K blocks of kSparseKC, N strips of the
- * kSparseNcBudget width — and each (strip, K block) iteration packs B
- * once, then runs the single-row micro-kernel over forEachStripTask's
+ * codes. Blocking comes from the shape alone — K blocks of kSparseKC,
+ * N strips of the kSparseNcBudget width — and each (strip, K block)
+ * iteration packs B once, into panels of the active table's sparse_nr
+ * columns, then runs the single-row micro-kernel over forEachStripTask's
  * row-block x panel-range tasks, panel-outer within a task so the packed
  * panel stays hot across its rows. Strips and K blocks run in a fixed
  * order, so each C element sums its K blocks in an order the thread
@@ -498,8 +500,9 @@ gemmSparseDriver(const SparseRowMatrix &a, std::int64_t n, float alpha,
     const std::int64_t m = a.rows;
     const std::int64_t k = a.cols;
 
+    // The sparse kernel's panel width, not the dense register tile's.
     const simd::Kernels &kn = simd::kernels();
-    const std::int64_t nr = kn.nr;
+    const std::int64_t nr = kn.sparse_nr;
 
     const std::int64_t kc_max = std::min(kSparseKC, k);
     const std::int64_t nc_blk = std::min<std::int64_t>(
@@ -546,7 +549,7 @@ gemmSparseDriver(const SparseRowMatrix &a, std::int64_t n, float alpha,
                 },
                 [&](std::int64_t i0, std::int64_t q0, std::int64_t q1) {
                     const std::int64_t i1 = std::min(m, i0 + MC);
-                    float acc[simd::kMaxGemmNr];
+                    float acc[simd::kMaxSparseNr];
                     for (std::int64_t q = q0; q < q1; ++q) {
                         const float *bp = bpack.get() + q * kc * nr;
                         const std::int64_t cols = std::min(nr, nc - q * nr);
@@ -735,13 +738,31 @@ packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
     // Within a panel the kk loop walks the virtual rows (c, kh, kw); the
     // cidx loop walks output positions of one im2col row, split into runs
     // that stay on one output row y (ih fixed), so the padding tests hoist
-    // out of the per-element loop and the stride-1 common case
-    // degenerates to one memcpy per run.
+    // out of the per-element loop. Output column x reads input column
+    // iw = x * stride - pad + kw, which lies inside the row exactly for x
+    // in [xlo[kw], xhi[kw]); with those bounds tabled once per call, each
+    // run splits into left padding / interior / right padding without a
+    // division, and its interior is one memcpy at stride 1 and a plain
+    // strided copy otherwise.
+    const std::int64_t s = g.stride;
+    auto ceilDiv = [s](std::int64_t v) {
+        return (std::max<std::int64_t>(v, 0) + s - 1) / s;
+    };
+    std::vector<std::int64_t> xlo(static_cast<std::size_t>(g.k_w));
+    std::vector<std::int64_t> xhi(static_cast<std::size_t>(g.k_w));
+    for (std::int64_t kw = 0; kw < g.k_w; ++kw) {
+        xlo[static_cast<std::size_t>(kw)] = ceilDiv(g.pad - kw);
+        xhi[static_cast<std::size_t>(kw)] = ceilDiv(g.in_w + g.pad - kw);
+    }
+
     const std::int64_t npanels = (nc + nr - 1) / nr;
     for (std::int64_t q = 0; q < npanels; ++q) {
         float *dst = bp + q * kc * nr;
         const std::int64_t cols = std::min(nr, nc - q * nr);
-        const std::int64_t jbase = j0 + q * nr;
+        // The panel's first output position; every later run starts a
+        // new output row at x = 0.
+        const std::int64_t ybase = (j0 + q * nr) / ow;
+        const std::int64_t xbase = (j0 + q * nr) % ow;
         // Walk the (c, kh, kw) decomposition of the virtual row
         // incrementally: kw carries into kh carries into c, so the kk
         // loop does no divisions.
@@ -751,49 +772,42 @@ packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
         const float *src = pin + c * g.in_h * g.in_w;
         for (std::int64_t kk = 0; kk < kc; ++kk) {
             float *drow = dst + kk * nr;
-            std::int64_t cidx = 0;
-            while (cidx < cols) {
-                const std::int64_t j = jbase + cidx;
-                const std::int64_t y = j / ow;
-                const std::int64_t x0 = j % ow;
+            std::int64_t y = ybase;
+            std::int64_t x0 = xbase;
+            for (std::int64_t cidx = 0; cidx < cols; ++y, x0 = 0) {
                 const std::int64_t run =
                     std::min(cols - cidx, ow - x0);
-                const std::int64_t ih = y * g.stride - g.pad + kh;
+                const std::int64_t ih = y * s - g.pad + kh;
                 if (ih < 0 || ih >= g.in_h) {
                     std::memset(drow + cidx, 0,
                                 static_cast<std::size_t>(run)
                                     * sizeof(float));
-                } else if (g.stride == 1) {
-                    // iw = x - pad + kw is contiguous in x; split the
-                    // run into left padding / in-bounds memcpy / right
-                    // padding.
-                    const std::int64_t iw0 = x0 - g.pad + kw;
-                    const std::int64_t lo =
-                        std::clamp<std::int64_t>(-iw0, 0, run);
-                    const std::int64_t hi =
-                        std::clamp<std::int64_t>(g.in_w - iw0, lo, run);
+                } else {
+                    const std::int64_t lo = std::clamp<std::int64_t>(
+                        xlo[static_cast<std::size_t>(kw)] - x0, 0, run);
+                    const std::int64_t hi = std::clamp<std::int64_t>(
+                        xhi[static_cast<std::size_t>(kw)] - x0, lo, run);
+                    float *d = drow + cidx;
                     if (lo > 0)
-                        std::memset(drow + cidx, 0,
+                        std::memset(d, 0,
                                     static_cast<std::size_t>(lo)
                                         * sizeof(float));
-                    if (hi > lo)
-                        std::memcpy(drow + cidx + lo,
-                                    src + ih * g.in_w + iw0 + lo,
-                                    static_cast<std::size_t>(hi - lo)
-                                        * sizeof(float));
+                    if (hi > lo) {
+                        const float *in = src + ih * g.in_w
+                            + (x0 + lo) * s - g.pad + kw;
+                        if (s == 1) {
+                            std::memcpy(d + lo, in,
+                                        static_cast<std::size_t>(hi - lo)
+                                            * sizeof(float));
+                        } else {
+                            for (std::int64_t t = lo; t < hi; ++t, in += s)
+                                d[t] = *in;
+                        }
+                    }
                     if (run > hi)
-                        std::memset(drow + cidx + hi, 0,
+                        std::memset(d + hi, 0,
                                     static_cast<std::size_t>(run - hi)
                                         * sizeof(float));
-                } else {
-                    const float *srow = src + ih * g.in_w;
-                    for (std::int64_t t = 0; t < run; ++t) {
-                        const std::int64_t iw =
-                            (x0 + t) * g.stride - g.pad + kw;
-                        drow[cidx + t] = (iw >= 0 && iw < g.in_w)
-                            ? srow[iw]
-                            : 0.0f;
-                    }
                 }
                 cidx += run;
             }

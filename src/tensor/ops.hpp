@@ -288,7 +288,8 @@ struct Im2colB
  * input image exactly once, directly into the pack buffer, instead of
  * being written to a [k, n] intermediate and re-read by packB.
  *
- * ISA-agnostic (plain C++, nr is a runtime parameter) and serial: the
+ * ISA-agnostic (plain C++, nr is a runtime parameter: the table's nr for
+ * the dense driver, its sparse_nr for the sparse one) and serial: the
  * blocked drivers call it once per range of panels, ranges in parallel
  * (panels write disjoint bp regions, so the split never affects the
  * packed bytes). Panics on non-positive output dims, like im2col.

@@ -158,15 +158,19 @@ TEST(FusedPack, DenseStridedPaddedGeometries)
 {
     IsaGuard guard;
     // Geometry sweep: heavy padding (pad >= kernel reach so whole panel
-    // rows are padding), stride 2 and 3 (the non-memcpy pack path),
-    // non-square input, 1x1 kernel, and an n big enough to straddle
-    // several nr-panels with a ragged final panel.
+    // rows are padding), stride 2 and 3 (the strided-copy pack path),
+    // non-square input, 1x1 kernel, an n big enough to straddle several
+    // nr-panels with a ragged final panel, a stem-like 7x7/2 whose
+    // padding cuts into both ends of an output row, and a 7-wide strided
+    // output whose rows are shorter than a panel.
     const std::vector<ConvGeom> geoms = {
         {4, 9, 13, 3, 3, 2, 1},  // strided, non-square
         {3, 8, 8, 3, 3, 1, 3},   // pad wider than the kernel reach
         {6, 17, 17, 5, 5, 3, 2}, // large kernel, stride 3
         {8, 12, 12, 1, 1, 1, 0}, // 1x1: im2col is a pure copy
         {2, 21, 21, 3, 3, 1, 1}, // n = 441: ragged last nr-panel
+        {3, 23, 23, 7, 7, 2, 3}, // stem-like: padding at both run ends
+        {8, 14, 14, 3, 3, 2, 1}, // 7-wide output rows
     };
     for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
         const ConvGeom &g = geoms[gi];
@@ -295,7 +299,9 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
     // Geometries straddle both drivers' partitions: several row blocks;
     // one row block with n split over many panels and two N strips; a
     // 1-row second block; two sparse K blocks with one strip whose last
-    // panel has one column; and a single output pixel. The dense driver
+    // panel has one column; and a single output pixel. n = 31, 33, 63
+    // and 196 leave the last 32-column sparse panel ragged (196 is
+    // stage3's batch-1 n, two strips at k = 2304). The dense driver
     // splits panels only while row blocks are fewer than threads, so the
     // 8-block case runs sparse only (it is the slow one under TSan).
     struct Case
@@ -310,6 +316,10 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
         {65, {16, 13, 13, 3, 3, 1, 1}, true},
         {512, {512, 7, 7, 3, 3, 1, 1}, false},
         {16, {512, 3, 3, 3, 3, 1, 0}, true},
+        {32, {16, 1, 31, 3, 3, 1, 1}, true},    // n = 31
+        {33, {32, 3, 11, 3, 3, 1, 1}, true},    // n = 33
+        {66, {16, 7, 9, 3, 3, 1, 1}, true},     // n = 63
+        {64, {256, 14, 14, 3, 3, 1, 1}, true},  // n = 196
     };
     for (const Case &cs : cases) {
         const std::int64_t m = cs.m;

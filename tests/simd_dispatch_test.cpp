@@ -69,6 +69,8 @@ TEST(SimdDispatch, DetectionSanity)
         EXPECT_LE(simd::kernels().mr, simd::kMaxGemmMr);
         EXPECT_GE(simd::kernels().nr, 1);
         EXPECT_LE(simd::kernels().nr, simd::kMaxGemmNr);
+        EXPECT_GE(simd::kernels().sparse_nr, 1);
+        EXPECT_LE(simd::kernels().sparse_nr, simd::kMaxSparseNr);
     }
     // An ISA this build/host can't run is refused and leaves the active
     // table untouched.
@@ -108,6 +110,85 @@ TEST(SimdDispatch, ForcedScalarGemmBitExactVsReference)
                                      * sizeof(float)))
             << "m=" << m << " n=" << n << " k=" << k;
     }
+}
+
+/**
+ * The AVX2 sparse kernel's per-lane accumulation order, bit for bit:
+ * stripe 0 starts from acc and takes the even entries and an odd tail,
+ * stripe 1 starts from 0 and takes the odd entries, each entry one fused
+ * multiply-add, and lane c returns stripe0 + stripe1 (the contract in
+ * simd_dispatch.hpp). Inputs span several binades so a different order
+ * rounds differently; the test checks that a single-chain order would
+ * have been caught.
+ */
+TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
+{
+    if (!simd::isaAvailable(Isa::Avx2))
+        GTEST_SKIP() << "avx2 not available on this host/build";
+    IsaGuard guard;
+    ASSERT_TRUE(simd::setIsa(Isa::Avx2));
+    const simd::Kernels &kn = simd::kernels();
+    ASSERT_EQ(kn.sparse_nr, 32);
+    const std::int64_t nr = kn.sparse_nr;
+    const std::int64_t kc = 96;
+    const std::int64_t k0 = 4096; // kidx are absolute, panel rows k0-based
+
+    Rng rng(5);
+    auto spread = [&rng] {
+        return std::ldexp(rng.normal(0.0f, 1.0f),
+                          static_cast<int>(rng.intIn(-6, 6)));
+    };
+    std::vector<float> bp(static_cast<std::size_t>(kc * nr));
+    for (float &x : bp)
+        x = spread();
+
+    bool order_matters = false;
+    for (const std::int64_t nnz : {0, 1, 2, 3, 8, 33, 96}) {
+        SCOPED_TRACE(testing::Message() << "nnz=" << nnz);
+        // nnz ascending panel rows spread over [0, kc).
+        std::vector<std::int32_t> kidx;
+        std::vector<float> vals;
+        for (std::int64_t q = 0; q < nnz; ++q) {
+            kidx.push_back(static_cast<std::int32_t>(k0 + q * kc / nnz));
+            vals.push_back(spread());
+        }
+        std::vector<float> acc0(static_cast<std::size_t>(nr));
+        for (float &x : acc0)
+            x = spread();
+
+        std::vector<float> got = acc0;
+        kn.gemmSparseMicroKernel(vals.data(), kidx.data(), nnz, k0,
+                                 bp.data(), nr, got.data());
+
+        std::vector<float> want(static_cast<std::size_t>(nr));
+        for (std::int64_t c = 0; c < nr; ++c) {
+            auto b = [&](std::int64_t q) {
+                return bp[static_cast<std::size_t>(
+                    (kidx[static_cast<std::size_t>(q)] - k0) * nr + c)];
+            };
+            float s0 = acc0[static_cast<std::size_t>(c)];
+            float s1 = 0.0f;
+            float chain = s0;
+            for (std::int64_t q = 0; q < nnz; ++q) {
+                const float v = vals[static_cast<std::size_t>(q)];
+                if (q % 2 == 1)
+                    s1 = std::fma(v, b(q), s1);
+                else
+                    s0 = std::fma(v, b(q), s0);
+                chain = std::fma(v, b(q), chain);
+            }
+            want[static_cast<std::size_t>(c)] = s0 + s1;
+            order_matters = order_matters
+                || std::memcmp(&chain, &want[static_cast<std::size_t>(c)],
+                               sizeof(float))
+                    != 0;
+        }
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 static_cast<std::size_t>(nr)
+                                     * sizeof(float)));
+    }
+    EXPECT_TRUE(order_matters)
+        << "inputs too tame: a single-chain order would also pass";
 }
 
 TEST(SimdDispatch, VectorGemmMatchesScalarAllTransposeCases)

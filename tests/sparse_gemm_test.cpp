@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -160,25 +161,38 @@ TEST(SparseGemm, SmallProblemRowScanPath)
 TEST(SparseGemm, EmptyRowsProduceZeroRows)
 {
     IsaGuard guard;
-    const std::int64_t m = 40, k = 256, n = 48;
-    Tensor a = masked416Matrix(41, m, k);
-    // Zero out some full rows: their CSR ranges become empty.
-    for (std::int64_t j = 0; j < k; ++j) {
-        a.at(3, j) = 0.0f;
-        a.at(39, j) = 0.0f;
-    }
-    const SparseRowMatrix sp = sparsifyRows(a);
-    Rng rng(42);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
+    // k = 256 is one K block. At k = 4608 the driver runs two K blocks
+    // and skips a row's empty range in each: row 5 has entries only in
+    // the second block, row 7 only in the first.
+    for (const std::int64_t k : {std::int64_t{256}, std::int64_t{4608}}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k);
+        const std::int64_t m = 40, n = 48;
+        const bool two_blocks = k > simd::kSparseKC;
+        Tensor a = masked416Matrix(41, m, k);
+        // Zero out some full rows: their CSR ranges become empty.
+        for (std::int64_t j = 0; j < k; ++j) {
+            a.at(3, j) = 0.0f;
+            a.at(39, j) = 0.0f;
+            if (two_blocks)
+                a.at(j < simd::kSparseKC ? 5 : 7, j) = 0.0f;
+        }
+        const SparseRowMatrix sp = sparsifyRows(a);
+        Rng rng(42);
+        Tensor b(Shape({k, n}));
+        b.fillNormal(rng, 0.0f, 1.0f);
+        Tensor c_oracle(Shape({m, n}));
+        gemmSparseAReference(sp, b, c_oracle);
 
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c(Shape({m, n}), 7.0f); // beta = 0 must clear stale values
-        gemmSparseA(sp, b, c);
-        for (std::int64_t j = 0; j < n; ++j) {
-            EXPECT_EQ(c.at(3, j), 0.0f);
-            EXPECT_EQ(c.at(39, j), 0.0f);
+        for (Isa isa : availableIsas()) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            // beta = 0 must clear stale values, NaN included.
+            Tensor c(Shape({m, n}), std::numeric_limits<float>::quiet_NaN());
+            gemmSparseA(sp, b, c);
+            for (std::int64_t j = 0; j < n; ++j) {
+                EXPECT_EQ(c.at(3, j), 0.0f);
+                EXPECT_EQ(c.at(39, j), 0.0f);
+            }
+            expectClose(c_oracle, c, simd::isaName(isa));
         }
     }
 }
@@ -228,14 +242,17 @@ TEST(SparseGemm, ThreadCountDeterministicPerIsa)
     // Shapes straddle the driver's partition: several row blocks; one row
     // block with n split over many panels and two N strips; a 1-row
     // second block; two K blocks with one strip whose last panel has one
-    // column; and a single output column.
+    // column; and a single output column. n = 31, 33, 63 and 196 leave
+    // the last 32-column panel ragged (196 is stage3's batch-1 n, two
+    // strips at k = 2304).
     struct Case
     {
         std::int64_t m, k, n;
     };
     const Case cases[] = {
-        {96, 320, 80}, {64, 320, 1500}, {65, 320, 80},
-        {512, 4608, 49}, {16, 4608, 1},
+        {96, 320, 80},  {64, 320, 1500}, {65, 320, 80},
+        {512, 4608, 49}, {16, 4608, 1},  {64, 576, 31},
+        {96, 1152, 33}, {130, 320, 63},  {128, 2304, 196},
     };
     for (const Case &cs : cases) {
         const std::int64_t m = cs.m, k = cs.k, n = cs.n;

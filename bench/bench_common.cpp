@@ -75,7 +75,7 @@ benchJsonPath(int argc, char **argv)
         if (std::strcmp(argv[i], "--json") == 0)
             return argv[i + 1];
     }
-    return env::str("MVQ_BENCH_JSON", "");
+    return "";
 }
 
 void

@@ -49,9 +49,8 @@ std::string f2(double v);
 std::string f1(double v);
 
 /**
- * Resolve the benchmark JSON output path: `--json <path>` on the command
- * line wins, then the MVQ_BENCH_JSON environment variable. Empty string
- * means JSON output is disabled.
+ * The benchmark JSON output path: the argument after `--json` on the
+ * command line. Empty string means JSON output is disabled.
  */
 std::string benchJsonPath(int argc, char **argv);
 

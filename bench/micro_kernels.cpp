@@ -4,8 +4,8 @@
  * speedup report: the seed's scalar kernels (gemmReference and a branchy
  * assignment sweep kept here verbatim) are timed against the parallel
  * blocked/branchless kernels, reporting GFLOP/s and assignments/s. With
- * `--json <path>` (or MVQ_BENCH_JSON) the measurements append to a
- * JSON-lines file so future PRs can track the perf trajectory. A second
+ * `--json <path>` the measurements append to a JSON-lines file so
+ * future PRs can track the perf trajectory. A second
  * report forces each available SIMD dispatch path (scalar/avx2/neon)
  * through the same workloads and records per-ISA throughput plus
  * vector-vs-scalar speedups.

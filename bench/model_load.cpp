@@ -16,7 +16,7 @@
  *
  * Both paths must produce byte-identical packed operands — the read pass
  * is that check, and the bench exits nonzero on any divergence. Emits
- * JSON-lines records via --json / MVQ_BENCH_JSON. With
+ * JSON-lines records via --json. With
  * MVQ_BENCH_GATE_MAX_LOAD_READ_RATIO set it exits nonzero when mvqi_ms
  * exceeds that many read passes on either model (CI regression gate):
  * the MVQI open promises map plus O(bytes) validation, so a load that

@@ -5,19 +5,19 @@
  * N client threads each submit one image, block on the future, and
  * immediately submit the next — classic closed-loop offered load. The
  * server coalesces admissions into batched forwards over a shared
- * CompressedNet (deadline + max-batch policy from the MVQ_SERVE_* knobs)
- * and the bench reports per-request p50/p99 latency and sustained
- * images/s at 1, 8, and 64 concurrent clients.
+ * CompressedNet (the default max_batch of 8, a 200 us deadline) and the
+ * bench reports per-request p50/p99 latency and sustained images/s at
+ * 1, 8, and 64 concurrent clients.
  *
  * At the highest client count the sweep also runs a no-coalescing
  * baseline (max_batch = 1, same model, same clients) so the batching
  * win is measured, not assumed, plus a *bounded* overload policy
- * (small MVQ_SERVE_MAX_QUEUE + a per-request deadline): clients race a
- * queue that sheds, latencies are recorded for completed requests only,
- * and the row reports shed/expired counts and goodput — requests that
+ * (max_queue 16 + a per-request deadline): clients race a queue that
+ * sheds, latencies are recorded for completed requests only, and the
+ * row reports shed/expired counts and goodput — requests that
  * completed within their deadline per second — demonstrating that
  * shedding keeps p99 bounded instead of letting the backlog grow.
- * Emits JSON-lines records via --json / MVQ_BENCH_JSON; with
+ * Emits JSON-lines records via --json; with
  * MVQ_BENCH_GATE_MIN_IMAGES_PER_SEC set, exits nonzero when batched
  * throughput at the highest client count falls below the floor (CI
  * regression gate).
@@ -228,10 +228,10 @@ main(int argc, char **argv)
         images.push_back(std::move(img));
     }
 
-    // max_batch resolves from MVQ_SERVE_MAX_BATCH (CI pins it to vary the
-    // policy). The deadline is pinned low: a closed-loop generator drains
-    // to a sub-max_batch tail at the end of every run, and a long hold
-    // there measures the deadline knob, not batching.
+    // max_batch stays at its default (8). The deadline is set low: a
+    // closed-loop generator drains to a sub-max_batch tail at the end of
+    // every run, and a long hold there measures the deadline, not
+    // batching.
     serve::ServeOptions batched;
     batched.deadline_us = 200;
     serve::ServeOptions unbatched;

@@ -22,15 +22,15 @@ compiler nor clang-tidy sees them):
      rand/srand (outside src/common/random.*), printf in src/ (use
      common/logging; bench mains and examples may print).
 
-Run from any working directory (ctest runs it as `mvq_lint`); use
---selftest to run the checks against tests/lint_fixtures/ and assert
-each known-bad snippet is flagged (ctest `lint_selftest`).
+Run from any working directory, in a git checkout or a source export
+(ctest runs it as `mvq_lint`); use --selftest to run the checks
+against tests/lint_fixtures/ and assert each known-bad snippet is
+flagged (ctest `lint_selftest`).
 """
 
 from __future__ import annotations
 
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -45,7 +45,7 @@ DISPATCH_TABLES = {
 }
 FIXTURE_DIR = "tests/lint_fixtures"
 CODE_SUFFIXES = (".cpp", ".hpp")
-CODE_DIRS = ("src/", "tests/", "bench/", "examples/")
+CODE_DIRS = ("src", "tests", "bench", "examples")
 
 INTRINSIC_RE = re.compile(
     r"immintrin\.h|arm_neon\.h|x86intrin\.h"
@@ -68,15 +68,6 @@ def repo_root() -> Path:
     # ctest runs it from the build tree, which may live outside the
     # checkout.
     return Path(__file__).resolve().parent.parent
-
-
-def tracked_files(root: Path) -> list[str]:
-    # --others --exclude-standard also lints files not yet committed.
-    out = subprocess.run(
-        ["git", "ls-files", "--cached", "--others", "--exclude-standard"],
-        check=True, capture_output=True, text=True, cwd=root,
-    )
-    return [line for line in out.stdout.splitlines() if line]
 
 
 def strip_comments(text: str) -> str:
@@ -211,11 +202,13 @@ def check_banned(path: str, text: str) -> list[str]:
 
 # --------------------------------------------------------- repo driver
 
-def code_files(files: list[str]) -> list[str]:
-    return [f for f in files
-            if f.endswith(CODE_SUFFIXES)
-            and f.startswith(CODE_DIRS)
-            and not f.startswith(FIXTURE_DIR)]
+def code_files(root: Path) -> list[str]:
+    # A directory walk, not `git ls-files`, so the lint also runs in a
+    # source export without .git. Nothing under CODE_DIRS is git-ignored.
+    rels = (p.relative_to(root).as_posix()
+            for d in CODE_DIRS for p in (root / d).rglob("*")
+            if p.suffix in CODE_SUFFIXES and p.is_file())
+    return sorted(r for r in rels if not r.startswith(FIXTURE_DIR))
 
 
 def read_rel(root: Path, rel: str) -> str:
@@ -234,7 +227,6 @@ def dispatch_slots(root: Path) -> list[str]:
 
 
 def lint_repo(root: Path) -> list[str]:
-    files = tracked_files(root)
     errors: list[str] = []
 
     registered = registered_knobs(root)
@@ -248,7 +240,7 @@ def lint_repo(root: Path) -> list[str]:
         errors.append(f"README.md: registered env knob '{knob}' has no "
                       "row in the environment-variable table")
 
-    for rel in code_files(files):
+    for rel in code_files(root):
         text = strip_comments(read_rel(root, rel))
         errors.extend(check_intrinsics(rel, text))
         errors.extend(check_knob_literals(rel, text, registered))
@@ -333,8 +325,7 @@ def main() -> int:
         print("\n".join(errors))
         print(f"\nmvq-lint: {len(errors)} violation(s)")
         return 1
-    files = code_files(tracked_files(root))
-    print(f"mvq-lint: ok ({len(files)} files, "
+    print(f"mvq-lint: ok ({len(code_files(root))} files, "
           f"{len(registered_knobs(root))} knobs, "
           f"{len(dispatch_slots(root))} dispatch slots)")
     return 0

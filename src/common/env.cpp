@@ -27,21 +27,6 @@ const Knob kKnobs[] = {
     {"MVQ_SIMD", "string", "auto-detect",
      "force a SIMD kernel path: scalar|avx2|neon (unavailable requests "
      "warn and fall back)"},
-    {"MVQ_SERVE_MAX_BATCH", "int", "8",
-     "serving batcher launches a batched forward once this many images "
-     "are queued (1 disables coalescing)"},
-    {"MVQ_SERVE_DEADLINE_US", "int", "2000",
-     "serving batcher launches a partial batch once the oldest queued "
-     "image has waited this many microseconds (0 = never hold a request)"},
-    {"MVQ_SERVE_MAX_QUEUE", "int", "1024",
-     "serving admission-queue depth cap; over-limit submits are shed "
-     "fast with a typed QueueFull rejection"},
-    {"MVQ_SERVE_REQUEST_TIMEOUT_US", "int", "0 (no deadline)",
-     "default per-request deadline in microseconds; expired requests "
-     "are dropped before the forward with a DeadlineExpired error"},
-    {"MVQ_SERVE_FAIL_THRESHOLD", "int", "8",
-     "consecutive failed batches before serving health goes Failed and "
-     "the server stops admitting"},
     {"MVQ_FAULT_PLAN", "string", "(none)",
      "deterministic fault-injection plan, e.g. 'serve.forward:nth=2;"
      "artifact.open:every=3:mode=error' (see common/fault.hpp)"},
@@ -49,8 +34,6 @@ const Knob kKnobs[] = {
      "print this knob table to stderr on the first environment read"},
     {"MVQ_BENCH_FAST", "flag", "off",
      "shrink bench sweeps for smoke runs"},
-    {"MVQ_BENCH_JSON", "string", "(none)",
-     "append JSON-lines perf records to this path (also --json)"},
     {"MVQ_BENCH_GATE_MIN_SPEEDUP", "real", "0 (gate off)",
      "micro_kernels exits nonzero below this fused sparse-vs-dense avx2 "
      "speedup floor"},

@@ -1,11 +1,12 @@
 /**
  * @file
- * Injectable time source for the serving runtime. The batcher's two
- * decisions — "has the oldest queued request's latency deadline passed?"
- * and "how long may I keep waiting for more requests?" — go through this
+ * Injectable time source for the serving runtime. Every time-based
+ * decision of the batcher — "has the oldest queued request's batching
+ * deadline passed?", "has a request's own deadline passed?" and "how
+ * long may I keep waiting for more requests?" — goes through this
  * interface, so tests drive them with a ManualClock whose time only
- * moves when the test says so: batch composition becomes a pure function
- * of (admissions, advances), never of scheduler timing.
+ * moves when the test says so: batch composition and expiry become a
+ * pure function of (admissions, advances), never of scheduler timing.
  *
  * The contract couples waiting and waking: waitUntil() blocks until the
  * predicate holds or the clock reaches the deadline, and MUST re-evaluate
@@ -29,7 +30,10 @@
 
 namespace mvq::serve {
 
-/** Deadline value meaning "wait for the predicate alone". */
+/** Deadline value meaning "never": waitUntil() waits for the predicate
+ *  alone and a request carrying it never expires. As a ServeOptions
+ *  span it also means never; the server saturates admit time + span at
+ *  this value instead of overflowing. */
 constexpr std::int64_t kNoDeadline = std::numeric_limits<std::int64_t>::max();
 
 /** Monotonic microsecond time source + the batcher's wait primitive. */

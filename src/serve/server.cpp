@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 
@@ -43,21 +42,46 @@ healthName(Health h)
     return "unknown";
 }
 
-ServeOptions
-ServeOptions::fromEnv()
+namespace {
+
+/** `t + us` for a non-negative span `us`, saturated at kNoDeadline, so a
+ *  policy of "never" stays never instead of overflowing. */
+std::int64_t
+deadlineAfter(std::int64_t t, std::int64_t us)
 {
-    ServeOptions opts;
-    opts.max_batch = env::int_("MVQ_SERVE_MAX_BATCH", 8);
-    opts.deadline_us = env::int_("MVQ_SERVE_DEADLINE_US", 2000);
-    opts.max_queue = env::int_("MVQ_SERVE_MAX_QUEUE", 1024);
-    opts.request_timeout_us = env::int_("MVQ_SERVE_REQUEST_TIMEOUT_US", 0);
-    opts.fail_threshold = env::int_("MVQ_SERVE_FAIL_THRESHOLD", 8);
+    return t > 0 && us > kNoDeadline - t ? kNoDeadline : t + us;
+}
+
+/** `opts` with its clock filled in, after checking every policy field;
+ *  each message names the ServeOptions field at fault. */
+ServeOptions
+validated(ServeOptions opts)
+{
+    fatalIf(opts.max_batch < 1,
+            "serve::Server: ServeOptions::max_batch must be >= 1, got ",
+            opts.max_batch);
+    fatalIf(opts.deadline_us < 0,
+            "serve::Server: ServeOptions::deadline_us must be >= 0 "
+            "microseconds, got ", opts.deadline_us);
+    fatalIf(opts.max_queue < 1,
+            "serve::Server: ServeOptions::max_queue must be >= 1, got ",
+            opts.max_queue);
+    fatalIf(opts.request_timeout_us < 0,
+            "serve::Server: ServeOptions::request_timeout_us must be >= 0 "
+            "microseconds, got ", opts.request_timeout_us);
+    fatalIf(opts.fail_threshold < 1,
+            "serve::Server: ServeOptions::fail_threshold must be >= 1, "
+            "got ", opts.fail_threshold);
+    if (!opts.clock)
+        opts.clock = std::make_shared<SteadyClock>();
     return opts;
 }
 
-Server::Server(Shape input_chw, BatchForward forward,
-               const ServeOptions &opts)
-    : input_chw_(input_chw), forward_(std::move(forward))
+} // namespace
+
+Server::Server(Shape input_chw, BatchForward forward, ServeOptions opts)
+    : input_chw_(input_chw), forward_(std::move(forward)),
+      opts_(validated(std::move(opts)))
 {
     fatalIf(input_chw_.rank() != 3,
             "serve::Server: input shape must be [C, H, W], got ",
@@ -65,35 +89,6 @@ Server::Server(Shape input_chw, BatchForward forward,
     fatalIf(input_chw_.numel() <= 0,
             "serve::Server: zero-size input shape ", input_chw_.str());
     fatalIf(!forward_, "serve::Server: null batch-forward callable");
-
-    // Resolve unset policy fields from the env knobs, then validate: a
-    // caller-supplied value and a knob value fail with the same message.
-    const ServeOptions defaults = ServeOptions::fromEnv();
-    max_batch_ = opts.max_batch != 0 ? opts.max_batch : defaults.max_batch;
-    deadline_us_ =
-        opts.deadline_us >= 0 ? opts.deadline_us : defaults.deadline_us;
-    max_queue_ = opts.max_queue != 0 ? opts.max_queue : defaults.max_queue;
-    request_timeout_us_ = opts.request_timeout_us >= 0
-        ? opts.request_timeout_us
-        : defaults.request_timeout_us;
-    fail_threshold_ = opts.fail_threshold != 0 ? opts.fail_threshold
-                                               : defaults.fail_threshold;
-    fatalIf(max_batch_ < 1,
-            "serve::Server: max batch (MVQ_SERVE_MAX_BATCH) must be >= 1, "
-            "got ", max_batch_);
-    fatalIf(deadline_us_ < 0,
-            "serve::Server: batching deadline (MVQ_SERVE_DEADLINE_US) must "
-            "be >= 0 microseconds, got ", deadline_us_);
-    fatalIf(max_queue_ < 1,
-            "serve::Server: queue cap (MVQ_SERVE_MAX_QUEUE) must be >= 1, "
-            "got ", max_queue_);
-    fatalIf(request_timeout_us_ < 0,
-            "serve::Server: request timeout (MVQ_SERVE_REQUEST_TIMEOUT_US) "
-            "must be >= 0 microseconds, got ", request_timeout_us_);
-    fatalIf(fail_threshold_ < 1,
-            "serve::Server: failure threshold (MVQ_SERVE_FAIL_THRESHOLD) "
-            "must be >= 1, got ", fail_threshold_);
-    clock_ = opts.clock ? opts.clock : std::make_shared<SteadyClock>();
 
     batcher_ = std::thread([this] { batcherLoop(); });
 }
@@ -108,9 +103,9 @@ Server::submit(Tensor image)
 {
     // Stamp admission time before taking mu_: the lock-order contract
     // (clock.hpp) forbids clock calls under the queue mutex.
-    const std::int64_t admit_us = clock_->nowMicros();
-    const std::int64_t deadline_us = request_timeout_us_ > 0
-        ? admit_us + request_timeout_us_
+    const std::int64_t admit_us = opts_.clock->nowMicros();
+    const std::int64_t deadline_us = opts_.request_timeout_us > 0
+        ? deadlineAfter(admit_us, opts_.request_timeout_us)
         : kNoDeadline;
     return submitAt(std::move(image), admit_us, deadline_us);
 }
@@ -118,7 +113,7 @@ Server::submit(Tensor image)
 std::future<Tensor>
 Server::submitWithDeadline(Tensor image, std::int64_t deadline_us)
 {
-    const std::int64_t admit_us = clock_->nowMicros();
+    const std::int64_t admit_us = opts_.clock->nowMicros();
     return submitAt(std::move(image), admit_us, deadline_us);
 }
 
@@ -162,18 +157,19 @@ Server::submitAt(Tensor image, std::int64_t admit_us,
                 detail::concat(
                     "serve::Server: rejecting submission: serving health "
                     "is failed (", consecutive_failures_,
-                    " consecutive batch failures, threshold ",
-                    fail_threshold_, "; MVQ_SERVE_FAIL_THRESHOLD)"));
+                    " consecutive batch failures, "
+                    "ServeOptions::fail_threshold ", opts_.fail_threshold,
+                    ")"));
         }
-        if (static_cast<std::int64_t>(queue_.size()) >= max_queue_) {
+        if (static_cast<std::int64_t>(queue_.size()) >= opts_.max_queue) {
             ++stats_.rejected;
             ++stats_.shed;
             throw RejectedError(
                 RejectReason::QueueFull,
                 detail::concat(
                     "serve::Server: shedding submission: admission queue "
-                    "full (", max_queue_,
-                    " queued; MVQ_SERVE_MAX_QUEUE)"));
+                    "full (", opts_.max_queue,
+                    " queued; ServeOptions::max_queue)"));
         }
         Pending p;
         p.image = std::move(image);
@@ -183,7 +179,7 @@ Server::submitAt(Tensor image, std::int64_t admit_us,
         queue_.push_back(std::move(p));
         ++stats_.admitted;
     }
-    clock_->notify();
+    opts_.clock->notify();
     return fut;
 }
 
@@ -195,7 +191,7 @@ Server::shutdown()
         std::lock_guard<std::mutex> lk(mu_);
         stopping_ = true;
     }
-    clock_->notify();
+    opts_.clock->notify();
     if (batcher_.joinable())
         batcher_.join();
 }
@@ -219,7 +215,7 @@ Server::batcherLoop()
 {
     for (;;) {
         // Phase 1: sleep until there is work or a shutdown request.
-        clock_->waitUntil(kNoDeadline, [this] {
+        opts_.clock->waitUntil(kNoDeadline, [this] {
             std::lock_guard<std::mutex> lk(mu_);
             return !queue_.empty() || stopping_;
         });
@@ -239,15 +235,16 @@ Server::batcherLoop()
                 continue; // spurious wake; nothing to batch yet
             }
             drain = stopping_;
-            wake_us = queue_.front().admit_us + deadline_us_;
+            wake_us = deadlineAfter(queue_.front().admit_us,
+                                    opts_.deadline_us);
             for (const Pending &p : queue_)
                 wake_us = std::min(wake_us, p.deadline_us);
         }
         if (!drain)
-            clock_->waitUntil(wake_us, [this] {
+            opts_.clock->waitUntil(wake_us, [this] {
                 std::lock_guard<std::mutex> lk(mu_);
                 return static_cast<std::int64_t>(queue_.size())
-                        >= max_batch_
+                        >= opts_.max_batch
                     || stopping_;
             });
 
@@ -261,7 +258,7 @@ Server::batcherLoop()
         // mu_ (lock-order contract), and expired requests leave the
         // queue before the batch is chosen — an expired request can
         // never reach the forward.
-        const std::int64_t now = clock_->nowMicros();
+        const std::int64_t now = opts_.clock->nowMicros();
         std::deque<Pending> batch;
         std::vector<Pending> expired;
         {
@@ -277,12 +274,14 @@ Server::batcherLoop()
             }
             drain = stopping_;
             const bool full =
-                static_cast<std::int64_t>(queue_.size()) >= max_batch_;
+                static_cast<std::int64_t>(queue_.size()) >= opts_.max_batch;
             const bool flush = !queue_.empty()
-                && now >= queue_.front().admit_us + deadline_us_;
+                && now >= deadlineAfter(queue_.front().admit_us,
+                                        opts_.deadline_us);
             if (drain || full || flush) {
                 const std::int64_t take = std::min(
-                    max_batch_, static_cast<std::int64_t>(queue_.size()));
+                    opts_.max_batch,
+                    static_cast<std::int64_t>(queue_.size()));
                 for (std::int64_t i = 0; i < take; ++i) {
                     batch.push_back(std::move(queue_.front()));
                     queue_.pop_front();
@@ -291,7 +290,7 @@ Server::batcherLoop()
                     ++stats_.batches;
                     stats_.max_batch_served =
                         std::max(stats_.max_batch_served, take);
-                    if (take < max_batch_)
+                    if (take < opts_.max_batch)
                         ++stats_.deadline_flushes;
                 }
             }
@@ -302,8 +301,7 @@ Server::batcherLoop()
                 detail::concat(
                     "serve::Server: request deadline expired before its "
                     "batch launched (deadline ", p.deadline_us,
-                    " us, now ", now,
-                    " us; MVQ_SERVE_REQUEST_TIMEOUT_US)"))));
+                    " us, now ", now, " us)"))));
         if (!batch.empty())
             runBatch(std::move(batch));
     }
@@ -340,7 +338,7 @@ Server::runBatch(std::deque<Pending> &&batch)
             ++stats_.failed_batches;
             ++consecutive_failures_;
             if (health_ != Health::Failed)
-                health_ = consecutive_failures_ >= fail_threshold_
+                health_ = consecutive_failures_ >= opts_.fail_threshold
                     ? Health::Failed
                     : Health::Degraded;
         }

@@ -4,21 +4,21 @@
  * single-image requests from any number of client threads and returns a
  * std::future per request; one internal batcher thread coalesces queued
  * images into batched NCHW forwards — a batch launches as soon as
- * MVQ_SERVE_MAX_BATCH images are queued, or when the *oldest* queued
- * image has waited MVQ_SERVE_DEADLINE_US microseconds, whichever comes
- * first. The forward itself runs on the calling batcher thread and
+ * ServeOptions::max_batch images are queued, or when the *oldest* queued
+ * image has waited ServeOptions::deadline_us microseconds, whichever
+ * comes first. The forward itself runs on the calling batcher thread and
  * parallelizes through the shared src/common/parallel pool (the conv
  * kernels fan (batch, group) pairs and gemm panels across it), so
  * orchestration stays out of the kernels — the batcher never touches
  * pool internals and the kernels never see the queue.
  *
  * Overload safety (docs/SERVING.md "Overload & failure semantics"):
- *  - Bounded admission: at most MVQ_SERVE_MAX_QUEUE requests may be
+ *  - Bounded admission: at most ServeOptions::max_queue requests may be
  *    queued; over-limit submits fail fast with RejectedError carrying
  *    RejectReason::QueueFull (counted in stats().shed) instead of
  *    growing an unbounded backlog.
  *  - Per-request deadlines: every request carries an absolute deadline
- *    (admit time + MVQ_SERVE_REQUEST_TIMEOUT_US by default, or an
+ *    (admit time + ServeOptions::request_timeout_us by default, or an
  *    explicit one via submitWithDeadline; 0 timeout = none). The
  *    batcher drops expired requests *before* launching the forward and
  *    completes their futures with RejectReason::DeadlineExpired —
@@ -27,7 +27,7 @@
  *  - Batch isolation + health: a throwing forward fails only its own
  *    batch (each member future carries the exception) and the server
  *    keeps serving. health() reports Healthy / Degraded (at least one
- *    consecutive failure) / Failed (MVQ_SERVE_FAIL_THRESHOLD
+ *    consecutive failure) / Failed (ServeOptions::fail_threshold
  *    consecutive failures — sticky, stops admitting; queued requests
  *    still drain). Health is updated *before* the failing batch's
  *    futures complete, so a client that observed the threshold-th
@@ -73,7 +73,7 @@ namespace mvq::serve {
 enum class RejectReason
 {
     InvalidRequest,  //!< wrong shape / zero-size image
-    QueueFull,       //!< admission queue at MVQ_SERVE_MAX_QUEUE
+    QueueFull,       //!< admission queue at ServeOptions::max_queue
     DeadlineExpired, //!< dropped by the batcher after its deadline
     Shutdown,        //!< submitted after shutdown()
     Unhealthy,       //!< serving health is Failed
@@ -114,36 +114,32 @@ enum class Health
 /** Stable lowercase name for logs and diagnostics. */
 const char *healthName(Health h);
 
-/** Batching policy + time source. Default-constructed fields mean "use
- *  the registered env knobs / the real clock". */
+/** Batching and overload policy + time source: a plain value that the
+ *  Server validates once at construction. Nothing else sets it. */
 struct ServeOptions
 {
     /** Launch a batch once this many images are queued (>= 1). */
-    std::int64_t max_batch = 0; //!< 0 -> MVQ_SERVE_MAX_BATCH (default 8)
+    std::int64_t max_batch = 8;
 
     /** Launch a partial batch once the oldest queued image has waited
-     *  this long, in microseconds (0 = never hold an image back). */
-    std::int64_t deadline_us = -1; //!< <0 -> MVQ_SERVE_DEADLINE_US (2000)
+     *  this long, in microseconds (>= 0; 0 = never hold an image back,
+     *  kNoDeadline = wait for a full batch). */
+    std::int64_t deadline_us = 2000;
 
     /** Admission-queue depth cap (>= 1); submits beyond it shed with
      *  QueueFull. */
-    std::int64_t max_queue = 0; //!< 0 -> MVQ_SERVE_MAX_QUEUE (1024)
+    std::int64_t max_queue = 1024;
 
     /** Default per-request deadline, microseconds after admission
-     *  (0 = requests never expire). */
-    std::int64_t request_timeout_us = -1;
-    //!< <0 -> MVQ_SERVE_REQUEST_TIMEOUT_US (0)
+     *  (>= 0; 0 or kNoDeadline = requests never expire). */
+    std::int64_t request_timeout_us = 0;
 
     /** Consecutive failed batches before health goes Failed (>= 1). */
-    std::int64_t fail_threshold = 0;
-    //!< 0 -> MVQ_SERVE_FAIL_THRESHOLD (8)
+    std::int64_t fail_threshold = 8;
 
     /** Time source; null -> a SteadyClock owned by the server. Tests
      *  inject a ManualClock to make batching deterministic. */
     std::shared_ptr<Clock> clock;
-
-    /** Resolve unset fields from the env-knob registry. */
-    static ServeOptions fromEnv();
 };
 
 /** Monotonic serving counters (a consistent snapshot under one lock). */
@@ -176,10 +172,9 @@ class Server
      * @param input_chw Expected per-request image shape [C, H, W];
      *        submissions with any other shape are rejected.
      * @param forward   The batched model forward (see class contract).
-     * @param opts      Batching policy; defaults to the env knobs.
+     * @param opts      Batching and overload policy (see ServeOptions).
      */
-    Server(Shape input_chw, BatchForward forward,
-           const ServeOptions &opts = ServeOptions::fromEnv());
+    Server(Shape input_chw, BatchForward forward, ServeOptions opts = {});
 
     /** Drains and joins (shutdown()). */
     ~Server();
@@ -221,13 +216,6 @@ class Server
     /** Current serving health (see the transition rules above). */
     Health health() const;
 
-    /** The batching policy in effect (post env resolution). */
-    std::int64_t maxBatch() const { return max_batch_; }
-    std::int64_t deadlineMicros() const { return deadline_us_; }
-    std::int64_t maxQueue() const { return max_queue_; }
-    std::int64_t requestTimeoutMicros() const { return request_timeout_us_; }
-    std::int64_t failThreshold() const { return fail_threshold_; }
-
   private:
     struct Pending
     {
@@ -244,12 +232,7 @@ class Server
 
     Shape input_chw_;
     BatchForward forward_;
-    std::int64_t max_batch_;
-    std::int64_t deadline_us_;
-    std::int64_t max_queue_;
-    std::int64_t request_timeout_us_;
-    std::int64_t fail_threshold_;
-    std::shared_ptr<Clock> clock_;
+    const ServeOptions opts_; //!< validated; opts_.clock is never null
 
     mutable std::mutex mu_;
     std::deque<Pending> queue_;

@@ -2,7 +2,7 @@
  * @file
  * Overload and failure-path tests for the serving runtime, driven by a
  * ManualClock and the deterministic fault registry (src/common/fault):
- * queue-full shedding at the exact MVQ_SERVE_MAX_QUEUE boundary,
+ * queue-full shedding at the exact ServeOptions::max_queue boundary,
  * request expiry at deadline-1 vs deadline, batch isolation (a faulted
  * forward fails only its own batch), Healthy/Degraded/Failed health
  * transitions, fault-plan determinism (same plan, same traffic -> same
@@ -90,8 +90,7 @@ class ServeRobustnessTest : public ::testing::Test
     void TearDown() override { fault::resetAll(); }
 };
 
-/** ManualClock server with every robustness knob pinned explicitly, so
- *  the hostile-knob CI matrix cannot change what these tests observe. */
+/** ManualClock server with every policy field spelled out per test. */
 struct RigidServer
 {
     std::shared_ptr<ManualClock> clock = std::make_shared<ManualClock>();
@@ -163,14 +162,30 @@ TEST_F(ServeRobustnessTest, ShedsExactlyAtQueueBoundary)
 
 TEST_F(ServeRobustnessTest, RejectsInvalidRobustnessPolicy)
 {
-    ServeOptions bad_queue;
-    bad_queue.max_queue = -1;
-    EXPECT_THROW(Server(Shape({2, 3, 3}), &affineEcho, bad_queue),
-                 FatalError);
-    ServeOptions bad_threshold;
-    bad_threshold.fail_threshold = -3;
-    EXPECT_THROW(Server(Shape({2, 3, 3}), &affineEcho, bad_threshold),
-                 FatalError);
+    // 0 and -1 are out of range like any other bad value, and the
+    // rejection names the field at fault.
+    struct Case
+    {
+        const char *field;
+        std::int64_t ServeOptions::*member;
+        std::int64_t value;
+    };
+    for (const Case &c :
+         {Case{"max_queue", &ServeOptions::max_queue, -1},
+          Case{"max_queue", &ServeOptions::max_queue, 0},
+          Case{"request_timeout_us", &ServeOptions::request_timeout_us, -1},
+          Case{"fail_threshold", &ServeOptions::fail_threshold, -3},
+          Case{"fail_threshold", &ServeOptions::fail_threshold, 0}}) {
+        ServeOptions opts;
+        opts.*c.member = c.value;
+        try {
+            Server s(Shape({2, 3, 3}), &affineEcho, opts);
+            ADD_FAILURE() << c.field << " = " << c.value << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // -------------------------------------------------------------- expiry
@@ -498,7 +513,6 @@ TEST_F(ServeRobustnessTest, ConcurrentOverloadKeepsCountersConsistent)
     opts.max_batch = 4;
     opts.deadline_us = 200;
     opts.max_queue = 8;
-    opts.request_timeout_us = 0;
     opts.fail_threshold = 1000000; // every=7 can't fail consecutively
                                    // anyway, but stay explicit
     auto server =
@@ -586,7 +600,6 @@ TEST_F(ServeRobustnessTest, EnvPlanTrafficAlwaysCompletes)
     opts.max_batch = 2;
     opts.deadline_us = 500;
     opts.max_queue = 64;
-    opts.request_timeout_us = 0;
     opts.fail_threshold = 1000000; // plans may fail every batch; keep
                                    // admitting so traffic still flows
     auto server =

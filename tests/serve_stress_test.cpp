@@ -95,8 +95,6 @@ TEST_F(ServeStressTest, ConcurrentClientsGetBitIdenticalResults)
     ServeOptions opts;
     opts.max_batch = 4;
     opts.deadline_us = 200; // tight: exercises both flush reasons
-    opts.max_queue = 4096;       // pinned: the hostile-knob CI matrix
-    opts.request_timeout_us = 0; // must not shed or expire this traffic
     Server server(chw_,
                   [this](const Tensor &x) { return net_->forward(x); },
                   opts);
@@ -133,8 +131,6 @@ TEST_F(ServeStressTest, ShutdownRacesInFlightSubmissions)
     ServeOptions opts;
     opts.max_batch = 8;
     opts.deadline_us = 500;
-    opts.max_queue = 4096;
-    opts.request_timeout_us = 0;
     auto server = std::make_unique<Server>(
         chw_, [this](const Tensor &x) { return net_->forward(x); }, opts);
 
@@ -183,8 +179,6 @@ TEST_F(ServeStressTest, ManyServersShareOneArtifactOperandSet)
     ServeOptions opts;
     opts.max_batch = 4;
     opts.deadline_us = 200;
-    opts.max_queue = 4096;
-    opts.request_timeout_us = 0;
     Server s1(chw_, [this](const Tensor &x) { return net_->forward(x); },
               opts);
     Server s2(chw_, [&net2](const Tensor &x) { return net2.forward(x); },

@@ -3,12 +3,13 @@
  * Deterministic tests for the batched serving runtime (src/serve). A
  * ManualClock drives every batching decision, so batch composition is a
  * pure function of (submissions, clock advances): coalescing honors the
- * latency deadline and MVQ_SERVE_MAX_BATCH, futures complete in
- * admission order, shutdown drains the queue, and malformed requests are
- * rejected with diagnostics. The model-level test proves the serving
- * contract that makes batching safe at all: a batched forward through
- * CompressedNet is memcmp-identical to sequential single-image forwards
- * (riding the MVQ_SIMD ctest matrix, so the proof holds per ISA).
+ * latency deadline and max_batch (a "never" deadline included), futures
+ * complete in admission order, shutdown drains the queue, and malformed
+ * requests and policies are rejected with diagnostics. The model-level
+ * test proves the serving contract that makes batching safe at all: a
+ * batched forward through CompressedNet is memcmp-identical to
+ * sequential single-image forwards (riding the MVQ_SIMD ctest matrix, so
+ * the proof holds per ISA).
  *
  * "Not ready" assertions use future::wait_for with a real-time grace
  * period; they are still deterministic in outcome because the fake
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/random.hpp"
 #include "core/io/model_artifact.hpp"
@@ -83,38 +83,71 @@ struct FakeClockServer
         ServeOptions opts;
         opts.max_batch = max_batch;
         opts.deadline_us = deadline_us;
-        // Pin the overload policy: CI's hostile-knob matrix runs this
-        // suite under MVQ_SERVE_MAX_QUEUE=1 / MVQ_SERVE_REQUEST_TIMEOUT_US=1
-        // and must not change what these batching tests observe (the
-        // overload paths have their own suite, serve_robustness_test).
-        opts.max_queue = 1024;
-        opts.request_timeout_us = 0;
         opts.clock = clock;
         server = std::make_unique<Server>(chw, std::move(fn), opts);
     }
 };
 
-TEST(ServeOptionsTest, ResolvesUnsetFieldsFromEnvRegistry)
+TEST(ServeOptionsTest, DefaultPolicyBatchesEightOrFlushesAt2000Us)
 {
-    // The registry values themselves depend on the environment the suite
-    // runs under (CI's serve step pins MVQ_SERVE_MAX_BATCH), so compare
-    // against the registry rather than hard-coded defaults.
-    Server s(Shape({2, 3, 3}), &affineEcho);
-    EXPECT_EQ(s.maxBatch(), env::int_("MVQ_SERVE_MAX_BATCH", 8));
-    EXPECT_EQ(s.deadlineMicros(), env::int_("MVQ_SERVE_DEADLINE_US", 2000));
-    EXPECT_EQ(s.maxQueue(), env::int_("MVQ_SERVE_MAX_QUEUE", 1024));
-    EXPECT_EQ(s.requestTimeoutMicros(),
-              env::int_("MVQ_SERVE_REQUEST_TIMEOUT_US", 0));
-    EXPECT_EQ(s.failThreshold(), env::int_("MVQ_SERVE_FAIL_THRESHOLD", 8));
-    s.shutdown();
+    auto clock = std::make_shared<ManualClock>();
+    ServeOptions opts;
+    opts.clock = clock;
+    const Shape chw{2, 3, 3};
+    Server server(chw, &affineEcho, opts);
+
+    // Seven images: one short of the default max_batch (8), so only the
+    // default 2000 us deadline can launch them.
+    std::vector<std::future<Tensor>> futs;
+    for (int i = 0; i < 7; ++i)
+        futs.push_back(
+            server.submit(taggedImage(chw, static_cast<float>(i))));
+    clock->advance(1999);
+    EXPECT_EQ(futs[0].wait_for(kGrace), std::future_status::timeout);
+    clock->advance(1);
+    for (int i = 0; i < 7; ++i)
+        EXPECT_FLOAT_EQ(futs[static_cast<std::size_t>(i)].get()[0],
+                        2.0f * static_cast<float>(i) + 1.0f);
+
+    // Eight images fill a batch and launch with the clock parked.
+    futs.clear();
+    for (int i = 0; i < 8; ++i)
+        futs.push_back(
+            server.submit(taggedImage(chw, static_cast<float>(i))));
+    for (int i = 0; i < 8; ++i)
+        EXPECT_FLOAT_EQ(futs[static_cast<std::size_t>(i)].get()[0],
+                        2.0f * static_cast<float>(i) + 1.0f);
+    const ServerStats st = server.stats();
+    EXPECT_EQ(st.batches, 2);
+    EXPECT_EQ(st.max_batch_served, 8);
+    EXPECT_EQ(st.deadline_flushes, 1);
+    EXPECT_EQ(st.expired, 0);
 }
 
 TEST(ServeOptionsTest, RejectsInvalidPolicy)
 {
-    ServeOptions bad_batch;
-    bad_batch.max_batch = -2;
-    EXPECT_THROW(Server(Shape({2, 3, 3}), &affineEcho, bad_batch),
-                 FatalError);
+    // 0 and -1 are out of range like any other bad value, and the
+    // rejection names the field at fault.
+    struct Case
+    {
+        const char *field;
+        std::int64_t ServeOptions::*member;
+        std::int64_t value;
+    };
+    for (const Case &c :
+         {Case{"max_batch", &ServeOptions::max_batch, -2},
+          Case{"max_batch", &ServeOptions::max_batch, 0},
+          Case{"deadline_us", &ServeOptions::deadline_us, -1}}) {
+        ServeOptions opts;
+        opts.*c.member = c.value;
+        try {
+            Server s(Shape({2, 3, 3}), &affineEcho, opts);
+            ADD_FAILURE() << c.field << " = " << c.value << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_THROW(Server(Shape({2, 3}), &affineEcho), FatalError);
     EXPECT_THROW(Server(Shape({2, 3, 3}), Server::BatchForward{}),
                  FatalError);
@@ -165,6 +198,43 @@ TEST(ServeBatchingTest, FullBatchLaunchesWithoutClockAdvance)
     EXPECT_EQ(st.batches, 2);
     EXPECT_EQ(st.max_batch_served, 4);
     EXPECT_EQ(st.deadline_flushes, 0);
+}
+
+TEST(ServeBatchingTest, NeverDeadlineHoldsImageForFullBatch)
+{
+    // deadline_us = kNoDeadline means "wait for a full batch": admit + the
+    // deadline saturates instead of wrapping negative and flushing the
+    // first image alone. The clock is off zero so the sum could overflow.
+    FakeClockServer f(/*max_batch=*/2, /*deadline_us=*/kNoDeadline);
+    f.clock->advance(1);
+    auto first = f.server->submit(taggedImage(f.chw, 0.0f));
+    EXPECT_EQ(first.wait_for(kGrace), std::future_status::timeout);
+    auto second = f.server->submit(taggedImage(f.chw, 1.0f));
+    EXPECT_FLOAT_EQ(first.get()[0], 1.0f);
+    EXPECT_FLOAT_EQ(second.get()[0], 3.0f);
+    const ServerStats st = f.server->stats();
+    EXPECT_EQ(st.batches, 1);
+    EXPECT_EQ(st.max_batch_served, 2);
+    EXPECT_EQ(st.deadline_flushes, 0);
+}
+
+TEST(ServeBatchingTest, NeverRequestTimeoutServesTheRequest)
+{
+    // request_timeout_us = kNoDeadline: the request's deadline saturates
+    // at "never" instead of wrapping into the past and expiring at once.
+    auto clock = std::make_shared<ManualClock>();
+    clock->advance(1);
+    ServeOptions opts;
+    opts.max_batch = 1;
+    opts.request_timeout_us = kNoDeadline;
+    opts.clock = clock;
+    const Shape chw{2, 3, 3};
+    Server server(chw, &affineEcho, opts);
+    auto fut = server.submit(taggedImage(chw, 2.0f));
+    EXPECT_FLOAT_EQ(fut.get()[0], 5.0f);
+    const ServerStats st = server.stats();
+    EXPECT_EQ(st.served, 1);
+    EXPECT_EQ(st.expired, 0);
 }
 
 TEST(ServeBatchingTest, OverfullQueueSplitsAtMaxBatch)
@@ -346,13 +416,21 @@ TEST_F(ServeNetTest, BatchedForwardBitIdenticalToSequentialForwards)
         refs.push_back(std::move(slab));
     }
 
-    // One full batch of 8 ...
+    // One full batch of 8, ragged batches of up to 3 that never wait,
+    // and no coalescing at all: composition must not matter.
+    struct Policy
     {
+        std::int64_t max_batch;
+        std::int64_t deadline_us;
+        std::int64_t batches; //!< 0: set by timing
+        const char *name;
+    };
+    for (const Policy &p : {Policy{kImages, 1000000, 1, "one full batch"},
+                            Policy{3, 0, 0, "ragged batches"},
+                            Policy{1, 0, kImages, "max_batch 1"}}) {
         ServeOptions opts;
-        opts.max_batch = kImages;
-        opts.deadline_us = 1000000;
-        opts.max_queue = 1024;       // pinned against the hostile-knob
-        opts.request_timeout_us = 0; // CI matrix (see FakeClockServer)
+        opts.max_batch = p.max_batch;
+        opts.deadline_us = p.deadline_us;
         Server server(Shape({net_->inChannels(), 6, 6}),
                       [this](const Tensor &x) { return net_->forward(x); },
                       opts);
@@ -363,27 +441,10 @@ TEST_F(ServeNetTest, BatchedForwardBitIdenticalToSequentialForwards)
             EXPECT_TRUE(tensorsBitIdentical(
                 futs[static_cast<std::size_t>(i)].get(),
                 refs[static_cast<std::size_t>(i)]))
-                << "image " << i << " differs in the full batch";
-        EXPECT_EQ(server.stats().batches, 1);
-    }
-    // ... and ragged 3/3/2 batches: composition must not matter either.
-    {
-        ServeOptions opts;
-        opts.max_batch = 3;
-        opts.deadline_us = 0; // flush whatever is queued immediately
-        opts.max_queue = 1024;
-        opts.request_timeout_us = 0;
-        Server server(Shape({net_->inChannels(), 6, 6}),
-                      [this](const Tensor &x) { return net_->forward(x); },
-                      opts);
-        std::vector<std::future<Tensor>> futs;
-        for (const Tensor &img : images)
-            futs.push_back(server.submit(img));
-        for (int i = 0; i < kImages; ++i)
-            EXPECT_TRUE(tensorsBitIdentical(
-                futs[static_cast<std::size_t>(i)].get(),
-                refs[static_cast<std::size_t>(i)]))
-                << "image " << i << " differs under ragged batching";
+                << "image " << i << " differs under " << p.name;
+        if (p.batches > 0) {
+            EXPECT_EQ(server.stats().batches, p.batches) << p.name;
+        }
     }
 }
 

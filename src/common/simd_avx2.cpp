@@ -55,20 +55,21 @@ gemmMicroAvx2(const float *ap, const float *bp, std::int64_t kc, float *acc)
 }
 
 /**
- * Sparse-A row x packed-B-panel kernel, 1x32. One compressed row has no
+ * Sparse-A row x input-tile kernel, 1x32. One compressed row has no
  * mr dimension to hide FMA latency behind, so the entries stripe 2-way
  * (even entries and an odd tail into stripe 0, odd entries into stripe
  * 1) over four 8-lane groups: 8 independent FMA chains, folded per lane
  * as stripe0 + stripe1 (the order the kernel contract in
- * simd_dispatch.hpp documents). Each kept A entry's index load and
- * broadcast feed four FMAs against one contiguous 128-byte packed B row,
- * and pruned positions cost nothing. Named accumulators, not an array,
- * so they stay in registers: 8 accumulators + 2 broadcasts fit in 16 ymm.
+ * simd_dispatch.hpp documents). Each kept A entry's two index loads and
+ * broadcast feed four FMAs against one contiguous 128-byte run of the
+ * padded input, and pruned positions cost nothing. Named accumulators,
+ * not an array, so they stay in registers: 8 accumulators + 2
+ * broadcasts fit in 16 ymm.
  */
 void
 gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
-                    std::int64_t nnz, std::int64_t k0, const float *bp,
-                    std::int64_t /*nr*/, float *acc)
+                    std::int64_t nnz, const std::int32_t *off,
+                    const float *base, std::int64_t /*nr*/, float *acc)
 {
     __m256 e0 = _mm256_loadu_ps(acc);
     __m256 e1 = _mm256_loadu_ps(acc + 8);
@@ -82,8 +83,8 @@ gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
     for (; q + 2 <= nnz; q += 2) {
         const __m256 ve = _mm256_broadcast_ss(vals + q);
         const __m256 vo = _mm256_broadcast_ss(vals + q + 1);
-        const float *be = bp + (kidx[q] - k0) * SNR;
-        const float *bo = bp + (kidx[q + 1] - k0) * SNR;
+        const float *be = base + off[kidx[q]];
+        const float *bo = base + off[kidx[q + 1]];
         e0 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be), e0);
         e1 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 8), e1);
         e2 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 16), e2);
@@ -95,7 +96,7 @@ gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
     }
     if (q < nnz) {
         const __m256 ve = _mm256_broadcast_ss(vals + q);
-        const float *be = bp + (kidx[q] - k0) * SNR;
+        const float *be = base + off[kidx[q]];
         e0 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be), e0);
         e1 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 8), e1);
         e2 = _mm256_fmadd_ps(ve, _mm256_loadu_ps(be + 16), e2);

@@ -51,8 +51,8 @@ gemmMicroScalar(const float *__restrict ap, const float *__restrict bp,
 }
 
 /**
- * Sparse-A row x packed-B-panel kernel. nr is a runtime parameter (the
- * scalar kernel can back tables with different tile widths). A single
+ * Sparse-A row x input-tile kernel. nr is a runtime parameter (the scalar
+ * kernel can back tables with different tile widths). A single
  * compressed row has no mr dimension to hide FP-add latency behind, so
  * accumulation is striped 2-way across entries (entry q feeds stripe
  * q % 2) and the stripes fold at the end, doubling the independent
@@ -61,8 +61,9 @@ gemmMicroScalar(const float *__restrict ap, const float *__restrict bp,
 void
 gemmSparseMicroScalar(const float *__restrict vals,
                       const std::int32_t *__restrict kidx, std::int64_t nnz,
-                      std::int64_t k0, const float *__restrict bp,
-                      std::int64_t nr, float *__restrict acc)
+                      const std::int32_t *__restrict off,
+                      const float *__restrict base, std::int64_t nr,
+                      float *__restrict acc)
 {
     float s0[kMaxSparseNr];
     float s1[kMaxSparseNr];
@@ -74,8 +75,8 @@ gemmSparseMicroScalar(const float *__restrict vals,
     for (; q + 2 <= nnz; q += 2) {
         const float v0 = vals[q];
         const float v1 = vals[q + 1];
-        const float *b0 = bp + (kidx[q] - k0) * nr;
-        const float *b1 = bp + (kidx[q + 1] - k0) * nr;
+        const float *b0 = base + off[kidx[q]];
+        const float *b1 = base + off[kidx[q + 1]];
         for (std::int64_t c = 0; c < nr; ++c) {
             s0[c] += v0 * b0[c];
             s1[c] += v1 * b1[c];
@@ -83,7 +84,7 @@ gemmSparseMicroScalar(const float *__restrict vals,
     }
     if (q < nnz) {
         const float v = vals[q];
-        const float *brow = bp + (kidx[q] - k0) * nr;
+        const float *brow = base + off[kidx[q]];
         for (std::int64_t c = 0; c < nr; ++c)
             s0[c] += v * brow[c];
     }
@@ -245,8 +246,7 @@ resolveActive()
     inform("simd: ", source, " kernel path '", table->name,
            "' (gemm micro-kernel ", table->mr, "x", table->nr,
            ", B panels ", kGemmKC, "x", table->nr, "; sparse kernel 1x",
-           table->sparse_nr, ", B panels ", kSparseKC, "x",
-           table->sparse_nr,
+           table->sparse_nr, " over the padded input in place",
            "; available:", isaAvailable(Isa::Avx2) ? " avx2" : "",
            isaAvailable(Isa::Neon) ? " neon" : "", " scalar)");
 }

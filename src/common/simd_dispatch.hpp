@@ -34,29 +34,28 @@ enum class Isa
 
 /** Upper bounds on the dense micro-kernel's register tile (mr x nr)
  *  across all ISAs; the dense gemm driver sizes its on-stack accumulator
- *  with these. The sparse kernel's panel width has its own bound. */
+ *  with these. The sparse kernel's tile width has its own bound. */
 constexpr std::int64_t kMaxGemmMr = 8;
 constexpr std::int64_t kMaxGemmNr = 16;
-/** Upper bound on any table's sparse panel width (sparse_nr); the sparse
+/** Upper bound on any table's sparse tile width (sparse_nr); the sparse
  *  driver and the scalar sparse kernel size their accumulators with it. */
 constexpr std::int64_t kMaxSparseNr = 32;
 
 /**
- * Cache-blocking parameters of the blocked gemm drivers in tensor/ops.cpp.
- * A dense driver iteration packs one KC x NC block of op(B) into
- * nr-column panels (nr from the active table, so a panel is kGemmKC x nr
- * floats at most) and one MC x KC block of op(A) into mr-row panels. The
- * sparse-A driver shares MC and the NC cap, packs sparse_nr-column panels
- * and blocks K more deeply, at kSparseKC (its compressed rows need no A
- * packing). Exposed here because B-panel *producers* — packB and the
- * fused packBFromIm2col in tensor/ops — and the tests/benches that pick
- * shapes straddling block boundaries all need the same constants the
- * drivers block with.
+ * Cache-blocking parameters of the dense gemm driver in tensor/ops.cpp.
+ * One driver iteration packs one KC x NC block of op(B) into nr-column
+ * panels (nr from the active table, so a panel is kGemmKC x nr floats at
+ * most) and one MC x KC block of op(A) into mr-row panels. The sparse-A
+ * driver packs nothing: it reads the padded input in place, in tiles of
+ * sparse_nr grid columns, with the whole reduction in one kernel call
+ * per (row, tile), and shares only MC, its row-block height. Exposed here
+ * because B-panel *producers* — packB and the fused packBFromIm2col in
+ * tensor/ops — and the tests/benches that pick shapes straddling block
+ * boundaries all need the same constants the drivers block with.
  */
 constexpr std::int64_t kGemmMC = 64;   //!< rows of C per packed A block
 constexpr std::int64_t kGemmKC = 256;  //!< depth of one packed K block
 constexpr std::int64_t kGemmNC = 2048; //!< columns of C per packed B block
-constexpr std::int64_t kSparseKC = 4096; //!< depth of one sparse K block
 
 /**
  * One ISA's kernel table. All function pointers are non-null; ISAs without
@@ -80,22 +79,23 @@ struct Kernels
                             std::int64_t kc, float *acc);
 
     // --- Sparse-A row micro-kernel -------------------------------------
-    /** Columns of the sparse kernel's packed B panel: the sparse driver
-     *  packs, sizes strips and scatters C at this width (<= kMaxSparseNr).
-     *  A row has no mr dimension, so the width is chosen for the kernel
-     *  alone: wider panels amortize each kept entry's index load and
-     *  broadcast over more FMAs (scalar 8, NEON 16, AVX2 32). */
+    /** Lanes of the sparse kernel: the sparse driver tiles its output
+     *  grid and scatters C at this width (<= kMaxSparseNr). A row has no
+     *  mr dimension, so the width is chosen for the kernel alone: wider
+     *  tiles amortize each kept entry's index loads and broadcast over
+     *  more FMAs (scalar 8, NEON 16, AVX2 32). */
     std::int64_t sparse_nr;
     /**
-     * Sparse-A kernel for the sparse gemm driver (tensor/ops.cpp): one
-     * compressed row of A meets one packed B panel. The row's nnz kept
-     * entries arrive as values vals[] with ascending absolute column
-     * indices kidx[] (all within [k0, k0 + kc) of the current K block);
-     * bp is the driver's packed panel (bp[kk*nr + c] = B(k0 + kk, jq + c),
-     * the layout packB produces, at nr = sparse_nr), and the kernel
-     * accumulates acc[c] += vals[q] * bp[(kidx[q] - k0)*nr + c] over the
-     * nnz entries for c in [0, nr). nr is passed explicitly so one scalar
-     * implementation can serve tables with different widths.
+     * Sparse-A kernel for the direct sparse driver (tensor/ops.cpp): one
+     * compressed row of A meets one tile of nr output grid positions. The
+     * row's nnz kept entries arrive as values vals[] with column indices
+     * kidx[]; entry q's nr inputs are the contiguous run
+     * base[off[kidx[q]] + c], c in [0, nr), where off is the driver's
+     * per-call offset table (one int32 per im2col row) and base the
+     * tile's start in the padded input. The kernel accumulates
+     * acc[c] += vals[q] * base[off[kidx[q]] + c] over the nnz entries. nr
+     * is passed explicitly so one scalar implementation can serve tables
+     * with different widths.
      *
      * Per-lane order: every kernel stripes the entries 2-way. Stripe 0
      * starts from acc[c] and takes the even entries q = 0, 2, 4, ...;
@@ -105,12 +105,12 @@ struct Kernels
      * fuses only where the compiler contracts it), and lane c returns
      * stripe0 + stripe1. The order depends on nothing but the row's
      * entries, so the result is the same whichever thread or task runs
-     * the (row, panel) pair; simd_dispatch_test pins the AVX2 order bit
+     * the (row, tile) pair; simd_dispatch_test pins the AVX2 order bit
      * for bit.
      */
     void (*gemmSparseMicroKernel)(const float *vals, const std::int32_t *kidx,
-                                  std::int64_t nnz, std::int64_t k0,
-                                  const float *bp, std::int64_t nr,
+                                  std::int64_t nnz, const std::int32_t *off,
+                                  const float *base, std::int64_t nr,
                                   float *acc);
 
     // --- Masked-assignment distance kernels (core/masked_kmeans) --------

@@ -57,17 +57,18 @@ gemmMicroNeon(const float *ap, const float *bp, std::int64_t kc, float *acc)
 }
 
 /**
- * Sparse-A row x packed-B-panel kernel: four q-reg accumulators cover the
- * 16-wide panel, striped 2-way across entries (entry q feeds stripe
+ * Sparse-A row x input-tile kernel: four q-reg accumulators cover the
+ * 16-wide tile, striped 2-way across entries (entry q feeds stripe
  * q % 2) so eight independent FMA chains hide the accumulate latency a
  * single compressed row cannot hide with an mr dimension; the stripes
  * fold at the end. Each kept A entry broadcasts once (vfmaq_n) against
- * its matching packed B row, so pruned positions cost nothing at all.
+ * its contiguous run of the padded input, so pruned positions cost
+ * nothing at all.
  */
 void
 gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
-                    std::int64_t nnz, std::int64_t k0, const float *bp,
-                    std::int64_t /*nr*/, float *acc)
+                    std::int64_t nnz, const std::int32_t *off,
+                    const float *base, std::int64_t /*nr*/, float *acc)
 {
     float32x4_t c0[4], c1[4];
     for (int v = 0; v < 4; ++v) {
@@ -78,8 +79,8 @@ gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
     for (; q + 2 <= nnz; q += 2) {
         const float a0 = vals[q];
         const float a1 = vals[q + 1];
-        const float *b0 = bp + (kidx[q] - k0) * NR;
-        const float *b1 = bp + (kidx[q + 1] - k0) * NR;
+        const float *b0 = base + off[kidx[q]];
+        const float *b1 = base + off[kidx[q + 1]];
         for (int v = 0; v < 4; ++v) {
             c0[v] = vfmaq_n_f32(c0[v], vld1q_f32(b0 + 4 * v), a0);
             c1[v] = vfmaq_n_f32(c1[v], vld1q_f32(b1 + 4 * v), a1);
@@ -87,7 +88,7 @@ gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
     }
     if (q < nnz) {
         const float av = vals[q];
-        const float *brow = bp + (kidx[q] - k0) * NR;
+        const float *brow = base + off[kidx[q]];
         for (int v = 0; v < 4; ++v)
             c0[v] = vfmaq_n_f32(c0[v], vld1q_f32(brow + 4 * v), av);
     }

@@ -101,11 +101,10 @@ CompressedConv2d::forward(const Tensor &x) const
     // pairs cannot fill the pool, run them serially so the inner gemm
     // gets all the threads.
     //
-    // gemmSparseAIm2col packs patches straight into the B panels the
-    // sparse micro-kernel reads, never materializing the cols tensor
-    // (bit-identical to im2col + gemmSparseARaw). Serially, each gemm
-    // spreads its row-block x panel-range tasks over the pool; nested, it
-    // runs them inline.
+    // gemmSparseAIm2col reads each pair's padded input in place, never
+    // materializing the cols tensor (bit-identical to im2col +
+    // gemmSparseARaw). Serially, each gemm spreads its row-block x
+    // tile-range tasks over the pool; nested, it runs them inline.
     const std::int64_t work = batch * groups_;
     auto run_pair = [&](std::int64_t w) {
         const std::int64_t n = w / groups_;
@@ -113,8 +112,7 @@ CompressedConv2d::forward(const Tensor &x) const
         float *po = out.data() + ((n * out_c + grp * kg) * oh * ow);
         const float *slab =
             x.data() + (n * cg * groups_ + grp * cg) * g.in_h * g.in_w;
-        gemmSparseAIm2col(groupOperand(grp), Im2colB{slab, g}, 1.0f, 0.0f,
-                          po, oh * ow);
+        gemmSparseAIm2col(groupOperand(grp), Im2colB{slab, g}, po, oh * ow);
     };
     if (work < numThreads()) {
         for (std::int64_t w = 0; w < work; ++w)

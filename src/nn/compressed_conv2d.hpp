@@ -3,12 +3,13 @@
  * Inference path that consumes a compressed layer directly: the stored
  * N:M mask codes are decoded ONCE at construction into a per-row
  * compressed-column gemm operand (core::CompressedLayer::packSparseRows),
- * and every forward pass runs a fused-packing sparse-A gemm over it
- * (gemmSparseAIm2col: convolution patches pack straight from the input
- * image into gemm B panels, no intermediate cols tensor) — pruned
- * positions are never multiplied, so the 4:16 MAC reduction the paper's
- * accelerator gets from its AND-gate weight loader is realized on the CPU
- * too. The operand is one CSR per conv group
+ * and every forward pass runs a direct sparse conv over it
+ * (gemmSparseAIm2col: each kept weight reads its contiguous run of the
+ * zero-padded input in place, nothing is packed) — pruned positions are
+ * never multiplied, so the 4:16 MAC reduction the paper's accelerator
+ * gets from its AND-gate weight loader is realized on the CPU too, with
+ * the kept weights stationary and the activations streaming past them.
+ * The operand is one CSR per conv group
  * (core::CompressedLayer::packGroupedRows), exactly what MVQI images
  * store, and the sparse gemm splits each conv over the whole pool even
  * at batch 1.
@@ -69,8 +70,8 @@ class CompressedConv2d
         std::int64_t stride = 1, std::int64_t pad = 0);
 
     /**
-     * NCHW forward through the fused im2col->panel sparse gemm (one gemm
-     * per (batch, group) pair, output slabs written in place).
+     * NCHW forward through the direct sparse conv (one gemm per (batch,
+     * group) pair, output slabs written in place).
      * Genuinely const (no hidden mutable state), so one instance can
      * serve concurrent forward calls. Output is bit-identical for any
      * `MVQ_NUM_THREADS` within an ISA.

@@ -19,7 +19,12 @@ SteadyClock::waitUntil(std::int64_t deadline_us,
                        const std::function<bool()> &pred)
 {
     std::unique_lock<std::mutex> lk(mu_);
-    if (deadline_us == kNoDeadline) {
+    // A deadline whose time_point would not fit the clock's nanosecond
+    // range (kNoDeadline, or any finite one past ~292 years) waits on the
+    // predicate alone: it would overflow into the past otherwise.
+    const auto room = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::time_point::max() - epoch_);
+    if (deadline_us >= room.count()) {
         cv_.wait(lk, pred);
         return true;
     }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -52,39 +53,17 @@ constexpr std::int64_t MC = simd::kGemmMC;
 constexpr std::int64_t KC = simd::kGemmKC;
 constexpr std::int64_t NC = simd::kGemmNC;
 
-// K block of the sparse driver. Dense-style KC keeps a B panel
-// L1-resident because every A row re-reads all of it; a compressed row
-// reads only its kept rows of the panel, so a shallow K block buys little
-// reuse while multiplying the per-(row, panel) fixed cost — accumulator
-// zero-fill, kernel entry, and the C scatter — by k / KC. A K block
-// covering the whole reduction pays that cost once per (row, panel); the
-// cap only bounds the packed strip (4096 * sparse_nr floats per panel)
-// for pathologically deep reductions. At KC = 256 the same driver ran
-// ResNet-18's batch-1 conv trunk ~20% slower, its stage4 convs ~1.6x
-// slower (4 threads, avx2).
-constexpr std::int64_t kSparseKC = simd::kSparseKC;
-
-// N-strip budget of the sparse driver, in packed floats (~1.5 MiB): every
-// row block re-reads the strip's packed panels once per K block, so the
-// strip must stay L2-resident or the B rows stream from L3 on every row
-// block. With the K block covering the reduction whole, the strip width
-// is what bounds the buffer: nc per strip is budget / kc (floored to a
-// panel multiple), e.g. 160 columns (five 32-column avx2 panels) at
-// k = 2304, so stage3's n = 196 at batch 1 runs as strips of 160 and 36
-// columns.
-constexpr std::int64_t kSparseNcBudget = 384 * 1024;
-
-// Tasks per available thread that each blocked driver splits one (strip,
-// K block) iteration into (see forEachStripTask). A sparse task has no
-// set-up of its own, so the sparse driver splits finely for load
-// balance. Each dense task packs its own row block of A, which a panel
-// split repeats, so the dense driver splits only as far as it takes to
-// occupy the pool — run inline, it does exactly the unsplit work.
+// Tasks per available thread that each driver splits its columns into
+// (see forEachTask). A sparse task has no set-up of its own, so the
+// sparse driver splits finely for load balance. Each dense task packs its
+// own row block of A, which a panel split repeats, so the dense driver
+// splits only as far as it takes to occupy the pool — run inline, it does
+// exactly the unsplit work.
 constexpr std::int64_t kSparseTasksPerThread = 8;
 constexpr std::int64_t kDenseTasksPerThread = 1;
 
 /**
- * B-panel producer the blocked drivers call once per panel range of each
+ * B-panel producer the dense driver calls once per panel range of each
  * (strip, K block) iteration: fill bp with the packed nr-column panels of
  * op(B)[k0:k0+kc, j0:j0+nc]. Bound to packB for a dense operand and to
  * packBFromIm2col for the fused conv path; invoked per range of panels,
@@ -147,21 +126,23 @@ packB(const float *pb, std::int64_t ldb, bool trans_b, std::int64_t k0,
 }
 
 /**
- * The compute partition both blocked drivers share. One (strip, K block)
- * iteration covers C[0:m, jc:jc+nc); it splits into tasks of one MC-row
- * block x one range of consecutive nr-column panels, so a layer with a
- * single row block (m <= MC: ResNet's stem and stage1) still spreads over
- * the pool. Ranges are sized to give about tasks_per_thread tasks per
- * thread the call can occupy (parallelWidth()). First pack(q0, q1) fills
- * panels [q0, q1) of the strip — one call per range, ranges in parallel
- * (the panels are disjoint) — then task(i0, q0, q1) runs every row-block
- * x range pair in parallel (tasks write disjoint C tiles). Neither split reaches the arithmetic: each
- * (row, panel) pair is one kernel call per K block whichever task holds
- * it, so C is bit-identical for any thread count and between pool and
- * nested (inline) execution, and every panel is packed exactly once.
+ * The compute partition both drivers share. C[0:m, ...) is cut into
+ * npanels column panels (the dense driver's packed B panels of one
+ * (strip, K block) iteration, the sparse driver's grid tiles) and split
+ * into tasks of one MC-row block x one range of consecutive panels, so a
+ * layer with a single row block (m <= MC: ResNet's stem and stage1) still
+ * spreads over the pool. Ranges are sized to give about tasks_per_thread
+ * tasks per thread the call can occupy (parallelWidth()). When pack is
+ * set, pack(q0, q1) first fills panels [q0, q1) — one call per range,
+ * ranges in parallel (the panels are disjoint). Then task(i0, q0, q1)
+ * runs every row-block x range pair in one parallel region (tasks write
+ * disjoint C tiles). Neither split reaches the arithmetic: each (row,
+ * panel) pair is one kernel call whichever task holds it, so C is
+ * bit-identical for any thread count and between pool and nested
+ * (inline) execution, and every panel is packed exactly once.
  */
 void
-forEachStripTask(
+forEachTask(
     std::int64_t m, std::int64_t npanels, std::int64_t tasks_per_thread,
     const std::function<void(std::int64_t, std::int64_t)> &pack,
     const std::function<void(std::int64_t, std::int64_t, std::int64_t)>
@@ -173,10 +154,12 @@ forEachStripTask(
         (tasks + mblocks - 1) / mblocks, 1, npanels);
     const std::int64_t span = (npanels + want - 1) / want;
     const std::int64_t nranges = (npanels + span - 1) / span;
-    parallelFor(0, nranges, 1, [&](std::int64_t rb, std::int64_t re) {
-        for (std::int64_t r = rb; r < re; ++r)
-            pack(r * span, std::min(npanels, (r + 1) * span));
-    });
+    if (pack) {
+        parallelFor(0, nranges, 1, [&](std::int64_t rb, std::int64_t re) {
+            for (std::int64_t r = rb; r < re; ++r)
+                pack(r * span, std::min(npanels, (r + 1) * span));
+        });
+    }
     parallelFor(0, mblocks * nranges, 1,
                 [&](std::int64_t tb, std::int64_t te) {
         for (std::int64_t t = tb; t < te; ++t) {
@@ -209,29 +192,6 @@ scaleCRows(float *pc, std::int64_t m, std::int64_t n, std::int64_t ldc,
     }
 }
 
-/**
- * Plain compressed-row scan (no packing, no blocking): each kept A entry
- * streams one B row into one C row. Serves as the oracle body and the
- * small-problem path; assumes beta has already been applied to C.
- */
-void
-sparseRowScanRaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
-                 std::int64_t n, float alpha, float *pc, std::int64_t ldc)
-{
-    for (std::int64_t i = 0; i < a.rows; ++i) {
-        float *crow = pc + i * ldc;
-        for (std::int64_t e = a.row_ptr[static_cast<std::size_t>(i)];
-             e < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
-            const float av =
-                alpha * a.values[static_cast<std::size_t>(e)];
-            const float *brow =
-                pb + a.col_idx[static_cast<std::size_t>(e)] * ldb;
-            for (std::int64_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-}
-
 void
 checkSparseGemmShapes(const SparseRowMatrix &a, const Tensor &b,
                       const Tensor &c, const char *what)
@@ -261,11 +221,10 @@ checkSparseOperand(const SparseRowMatrix &a)
         panicIf(a.row_ptr[static_cast<std::size_t>(i)]
                     > a.row_ptr[static_cast<std::size_t>(i + 1)],
                 "sparse operand row_ptr not monotone at row ", i);
-    // The blocked driver binary-searches each row's index range and the
-    // micro-kernels index packed B rows with kidx - k0, so the column
-    // invariants (ascending within a row, within [0, cols)) are memory
-    // safety, not just correctness — a malformed operand must panic here
-    // rather than read out of bounds. O(nnz); operands packed through
+    // The micro-kernels look each column up in an offset table of cols
+    // entries, so the column range is memory safety, not just
+    // correctness — a malformed operand must panic here rather than read
+    // out of bounds. O(nnz); operands packed through
     // validateSparseOperand pay this once at pack time, hand-built ones
     // per gemm call.
     for (std::int64_t i = 0; i < a.rows; ++i) {
@@ -383,7 +342,7 @@ gemmBlockedDriver(std::int64_t m, std::int64_t n, std::int64_t k,
         const std::int64_t nc = std::min(NC, n - jc);
         for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
             const std::int64_t kc = std::min(KC, k - k0);
-            forEachStripTask(
+            forEachTask(
                 m, (nc + nr - 1) / nr, kDenseTasksPerThread,
                 [&](std::int64_t q0, std::int64_t q1) {
                     pack_b(k0, jc + q0 * nr, kc,
@@ -479,163 +438,31 @@ sparsifyRows(const Tensor &a)
     return sp;
 }
 
-/**
- * The sparse-A macro-driver behind every sparse entry point (dense B via
- * packB, virtual B via packBFromIm2col). The A side needs no packing:
- * the compressed rows *are* the packed format, built once from the mask
- * codes. Blocking comes from the shape alone — K blocks of kSparseKC,
- * N strips of the kSparseNcBudget width — and each (strip, K block)
- * iteration packs B once, into panels of the active table's sparse_nr
- * columns, then runs the single-row micro-kernel over forEachStripTask's
- * row-block x panel-range tasks, panel-outer within a task so the packed
- * panel stays hot across its rows. Strips and K blocks run in a fixed
- * order, so each C element sums its K blocks in an order the thread
- * count cannot change. beta has already been applied to C and the
- * operand validated by the caller.
- */
 void
-gemmSparseDriver(const SparseRowMatrix &a, std::int64_t n, float alpha,
-                 const PackBFn &pack_b, float *pc, std::int64_t ldc)
-{
-    const std::int64_t m = a.rows;
-    const std::int64_t k = a.cols;
-
-    // The sparse kernel's panel width, not the dense register tile's.
-    const simd::Kernels &kn = simd::kernels();
-    const std::int64_t nr = kn.sparse_nr;
-
-    const std::int64_t kc_max = std::min(kSparseKC, k);
-    const std::int64_t nc_blk = std::min<std::int64_t>(
-        NC, std::max<std::int64_t>(nr, kSparseNcBudget / kc_max / nr * nr));
-    // Uninitialized on purpose: pack_b overwrites every panel byte the
-    // kernel reads, and the deep K block makes this buffer large enough
-    // (a megabyte-plus) that a vector's zero-fill shows up in profiles.
-    const std::int64_t nc_max = std::min(nc_blk, n);
-    std::unique_ptr<float[]> bpack(new float[static_cast<std::size_t>(
-        kc_max * ((nc_max + nr - 1) / nr) * nr)]);
-
-    // Each row's entry range per K block, sliced once per call: row r's
-    // entries in K block b are [split[b*m + r], split[(b+1)*m + r]). The
-    // column indices ascend within a row, so interior block boundaries
-    // are binary searches; the outer two are row_ptr itself.
-    const std::int64_t nkb = (k + kSparseKC - 1) / kSparseKC;
-    std::vector<std::int64_t> split(static_cast<std::size_t>((nkb + 1) * m));
-    const std::int32_t *idx = a.col_idx.data();
-    for (std::int64_t r = 0; r < m; ++r) {
-        const std::int64_t lo = a.row_ptr[static_cast<std::size_t>(r)];
-        const std::int64_t hi = a.row_ptr[static_cast<std::size_t>(r + 1)];
-        split[static_cast<std::size_t>(r)] = lo;
-        split[static_cast<std::size_t>(nkb * m + r)] = hi;
-        for (std::int64_t b = 1; b < nkb; ++b)
-            split[static_cast<std::size_t>(b * m + r)] =
-                std::lower_bound(idx + lo, idx + hi,
-                                 static_cast<std::int32_t>(b * kSparseKC))
-                - idx;
-    }
-
-    for (std::int64_t jc = 0; jc < n; jc += nc_blk) {
-        const std::int64_t nc = std::min(nc_blk, n - jc);
-        for (std::int64_t b = 0; b < nkb; ++b) {
-            const std::int64_t k0 = b * kSparseKC;
-            const std::int64_t kc = std::min(kSparseKC, k - k0);
-            const std::int64_t *ent0 = split.data() + b * m;
-            const std::int64_t *ent1 = ent0 + m;
-            forEachStripTask(
-                m, (nc + nr - 1) / nr, kSparseTasksPerThread,
-                [&](std::int64_t q0, std::int64_t q1) {
-                    pack_b(k0, jc + q0 * nr, kc,
-                           std::min(nc, q1 * nr) - q0 * nr, nr,
-                           bpack.get() + q0 * kc * nr);
-                },
-                [&](std::int64_t i0, std::int64_t q0, std::int64_t q1) {
-                    const std::int64_t i1 = std::min(m, i0 + MC);
-                    float acc[simd::kMaxSparseNr];
-                    for (std::int64_t q = q0; q < q1; ++q) {
-                        const float *bp = bpack.get() + q * kc * nr;
-                        const std::int64_t cols = std::min(nr, nc - q * nr);
-                        for (std::int64_t r = i0; r < i1; ++r) {
-                            if (ent1[r] == ent0[r])
-                                continue;
-                            std::fill(acc, acc + nr, 0.0f);
-                            kn.gemmSparseMicroKernel(
-                                a.values.data() + ent0[r], idx + ent0[r],
-                                ent1[r] - ent0[r], k0, bp, nr, acc);
-                            float *crow = pc + r * ldc + jc + q * nr;
-                            // x * 1.0f == x bitwise, so the branch is a
-                            // pure fast path (drops a multiply per element
-                            // in the overwhelmingly common alpha == 1
-                            // case).
-                            if (alpha == 1.0f) {
-                                for (std::int64_t cidx = 0; cidx < cols;
-                                     ++cidx)
-                                    crow[cidx] += acc[cidx];
-                            } else {
-                                for (std::int64_t cidx = 0; cidx < cols;
-                                     ++cidx)
-                                    crow[cidx] += alpha * acc[cidx];
-                            }
-                        }
-                    }
-                });
-        }
-    }
-}
-
-void
-gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
-               std::int64_t n, float alpha, float beta, float *pc,
-               std::int64_t ldc)
-{
-    if (!a.validated)
-        checkSparseOperand(a);
-    const std::int64_t m = a.rows;
-
-    scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.nnz() == 0)
-        return;
-
-    // Small problems: panel packing overhead dominates. The threshold is
-    // in *useful* multiply-adds, which for the sparse operand is nnz * n.
-    if (a.nnz() * n <= kGemmScalarFallbackMacs) {
-        sparseRowScanRaw(a, pb, ldb, n, alpha, pc, ldc);
-        return;
-    }
-
-    gemmSparseDriver(
-        a, n, alpha,
-        [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-            std::int64_t nc, std::int64_t nr, float *bp) {
-            packB(pb, ldb, false, k0, j0, kc, nc, nr, bp);
-        },
-        pc, ldc);
-}
-
-void
-gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
-            float alpha, float beta)
-{
-    checkSparseGemmShapes(a, b, c, "gemmSparseA");
-    gemmSparseARaw(a, b.data(), b.dim(1), b.dim(1), alpha, beta, c.data(),
-                   b.dim(1));
-}
-
-void
-gemmSparseAReference(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
-                     float alpha, float beta)
+gemmSparseAReference(const SparseRowMatrix &a, const Tensor &b, Tensor &c)
 {
     checkSparseGemmShapes(a, b, c, "gemmSparseAReference");
     if (!a.validated)
         checkSparseOperand(a);
+    // Plain compressed-row scan, no blocking: each kept A entry streams
+    // one B row into one C row. It sums in double, so at deep reductions
+    // (k = 4608 of unit-variance values) the oracle's own rounding stays
+    // far below the 1e-4 the fast paths are held to; a float sum there is
+    // already ~8e-5 off the exact one.
     const std::int64_t n = b.dim(1);
-    float *pc = c.data();
-    if (beta == 0.0f) {
-        for (std::int64_t i = 0; i < a.rows * n; ++i)
-            pc[i] = 0.0f;
-    } else if (beta != 1.0f) {
-        for (std::int64_t i = 0; i < a.rows * n; ++i)
-            pc[i] *= beta;
+    std::vector<double> acc(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < a.rows; ++i) {
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (std::int64_t e = a.row_ptr[static_cast<std::size_t>(i)];
+             e < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
+            const double av = a.values[static_cast<std::size_t>(e)];
+            const float *brow =
+                b.data() + a.col_idx[static_cast<std::size_t>(e)] * n;
+            for (std::int64_t j = 0; j < n; ++j)
+                acc[static_cast<std::size_t>(j)] += av * brow[j];
+        }
+        std::copy(acc.begin(), acc.end(), c.data() + i * n);
     }
-    sparseRowScanRaw(a, b.data(), n, n, alpha, pc, n);
 }
 
 Tensor
@@ -665,7 +492,7 @@ checkConvOutputDims(const ConvGeom &g, const char *what)
 /**
  * Materialize the virtual im2col matrix row-major into pc (row stride
  * outH*outW). Shared by the Tensor-returning im2col() and the fused
- * entry points' small-problem fallbacks, so fused and unfused paths
+ * dense conv's small-problem fallback, so fused and unfused paths
  * gather padding with the same code.
  */
 void
@@ -855,38 +682,154 @@ gemmIm2colRaw(std::int64_t m, float alpha, const float *pa,
 }
 
 void
-gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float alpha,
-                  float beta, float *pc, std::int64_t ldc)
+gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float *pc,
+                  std::int64_t ldc)
 {
     if (!a.validated)
         checkSparseOperand(a);
-    checkConvOutputDims(b.g, "gemmSparseAIm2col");
+    const ConvGeom &g = b.g;
+    checkConvOutputDims(g, "gemmSparseAIm2col");
     panicIf(a.cols != b.rows(), "gemmSparseAIm2col inner dims mismatch: ",
             a.cols, " vs ", b.rows());
+
+    // Output (oh, ow) at tap (c, kh, kw) reads padded pixel (oh*s + kh,
+    // ow*s + kw): pixel (oh + kh/s, ow + kw/s) of phase plane (c, kh%s,
+    // kw%s), the padded rows and columns congruent to (kh, kw) mod s. On
+    // the grid j = oh*wq + ow, im2col row col = (c*k_h + kh)*k_w + kw is
+    // therefore image[off[col] + j], and tile t's nr grid positions meet
+    // each kept weight as one contiguous run at image + t*nr + off[col].
+    // Only the phases some tap reads are built: one at stride 1, four
+    // for a 3x3/2, one for a 1x1/2.
+    const std::int64_t s = g.stride;
+    const std::int64_t oh = g.outH();
+    const std::int64_t ow = g.outW();
+    const std::int64_t py_n = std::min(s, g.k_h);
+    const std::int64_t px_n = std::min(s, g.k_w);
+    const std::int64_t hq = oh + (g.k_h - 1) / s;
+    const std::int64_t wq = ow + (g.k_w - 1) / s;
+    const std::int64_t planes = g.in_c * py_n * px_n;
+    const simd::Kernels &kn = simd::kernels();
+    const std::int64_t nr = kn.sparse_nr;
+    // The last tile reads up to nr - 1 floats past the last plane.
+    const std::int64_t image_floats = planes * hq * wq + nr;
+    panicIf(image_floats > std::numeric_limits<std::int32_t>::max(),
+            "gemmSparseAIm2col: ", planes, " phase planes of ", hq, "x", wq,
+            " overflow the int32 input offsets");
     const std::int64_t m = a.rows;
-    const std::int64_t k = b.rows();
-    const std::int64_t n = b.cols();
-
-    scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.nnz() == 0)
+    if (m == 0)
         return;
 
-    // Same crossover as gemmSparseARaw, same materialize fallback as the
-    // unfused composition — bit-identity holds on both sides.
-    if (a.nnz() * n <= kGemmScalarFallbackMacs) {
-        std::vector<float> cols(static_cast<std::size_t>(k * n));
-        im2colInto(b, cols.data());
-        sparseRowScanRaw(a, cols.data(), n, n, alpha, pc, ldc);
-        return;
+    // Uninitialized on purpose: the rows below write every plane float.
+    std::unique_ptr<float[]> image(
+        new float[static_cast<std::size_t>(image_floats)]);
+    std::fill(image.get() + planes * hq * wq, image.get() + image_floats,
+              0.0f);
+    auto ceilDiv = [s](std::int64_t v) {
+        return (std::max<std::int64_t>(v, 0) + s - 1) / s;
+    };
+    parallelFor(0, planes * hq, std::max<std::int64_t>(1, 4096 / wq),
+                [&](std::int64_t rb, std::int64_t re) {
+        for (std::int64_t row = rb; row < re; ++row) {
+            const std::int64_t p = row / hq;
+            const std::int64_t c = p / (py_n * px_n);
+            const std::int64_t px = p % px_n;
+            const std::int64_t ih = row % hq * s + p / px_n % py_n - g.pad;
+            // Columns x whose input column x*s + px - pad lies in the row.
+            std::int64_t lo = 0;
+            std::int64_t hi = 0;
+            if (ih >= 0 && ih < g.in_h) {
+                lo = std::min(wq, ceilDiv(g.pad - px));
+                hi = std::clamp(ceilDiv(g.in_w + g.pad - px), lo, wq);
+            }
+            float *dst = image.get() + row * wq;
+            std::fill(dst, dst + lo, 0.0f);
+            if (hi > lo) {
+                const float *src =
+                    b.slab + (c * g.in_h + ih) * g.in_w + lo * s + px - g.pad;
+                if (s == 1) {
+                    std::memcpy(dst + lo, src,
+                                static_cast<std::size_t>(hi - lo)
+                                    * sizeof(float));
+                } else {
+                    for (std::int64_t x = lo; x < hi; ++x, src += s)
+                        dst[x] = *src;
+                }
+            }
+            std::fill(dst + hi, dst + wq, 0.0f);
+        }
+    });
+
+    std::vector<std::int32_t> off(static_cast<std::size_t>(a.cols));
+    for (std::int64_t col = 0; col < a.cols; ++col) {
+        const std::int64_t kh = col / g.k_w % g.k_h;
+        const std::int64_t kw = col % g.k_w;
+        const std::int64_t p =
+            (col / (g.k_h * g.k_w) * py_n + kh % s) * px_n + kw % s;
+        off[static_cast<std::size_t>(col)] = static_cast<std::int32_t>(
+            p * hq * wq + kh / s * wq + kw / s);
     }
 
-    gemmSparseDriver(
-        a, n, alpha,
-        [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-            std::int64_t nc, std::int64_t nr, float *bp) {
-            packBFromIm2col(b, k0, j0, kc, nc, nr, bp);
-        },
-        pc, ldc);
+    // Row-block x tile-range tasks, tile-outer within a task so a tile's
+    // input runs stay hot across its rows. Each (row, tile) pair is one
+    // kernel call over the row's entries in order, so C does not depend
+    // on the partition. The grid's wq - ow slack columns per row compute
+    // lanes nobody stores; the rest go straight to C, which is
+    // overwritten.
+    const std::int64_t ngrid = (oh - 1) * wq + ow;
+    const std::int64_t *rp = a.row_ptr.data();
+    const float *vals = a.values.data();
+    const std::int32_t *idx = a.col_idx.data();
+    forEachTask(
+        m, (ngrid + nr - 1) / nr, kSparseTasksPerThread, nullptr,
+        [&](std::int64_t i0, std::int64_t t0, std::int64_t t1) {
+            struct Run
+            {
+                std::int64_t lane, len, dst;
+            };
+            Run runs[simd::kMaxSparseNr];
+            float acc[simd::kMaxSparseNr];
+            for (std::int64_t t = t0; t < t1; ++t) {
+                // The tile's lanes with ow < OW, one run per grid row.
+                std::int64_t nruns = 0;
+                const std::int64_t j1 = std::min(ngrid, (t + 1) * nr);
+                for (std::int64_t j = t * nr; j < j1; j += wq - j % wq) {
+                    const std::int64_t x = j % wq;
+                    if (x < ow)
+                        runs[nruns++] = {j - t * nr, std::min(ow - x, j1 - j),
+                                         j / wq * ow + x};
+                }
+                const float *base = image.get() + t * nr;
+                for (std::int64_t r = i0; r < std::min(m, i0 + MC); ++r) {
+                    std::fill(acc, acc + nr, 0.0f);
+                    kn.gemmSparseMicroKernel(vals + rp[r], idx + rp[r],
+                                             rp[r + 1] - rp[r], off.data(),
+                                             base, nr, acc);
+                    for (std::int64_t q = 0; q < nruns; ++q)
+                        std::memcpy(pc + r * ldc + runs[q].dst,
+                                    acc + runs[q].lane,
+                                    static_cast<std::size_t>(runs[q].len)
+                                        * sizeof(float));
+                }
+            }
+        });
+}
+
+void
+gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t n,
+               float *pc, std::int64_t ldc)
+{
+    // B is the im2col of itself viewed as an a.cols-channel 1 x n image
+    // under a 1x1 kernel, so the one sparse driver serves it unchanged.
+    if (n > 0)
+        gemmSparseAIm2col(a, Im2colB{pb, ConvGeom{a.cols, 1, n, 1, 1, 1, 0}},
+                          pc, ldc);
+}
+
+void
+gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c)
+{
+    checkSparseGemmShapes(a, b, c, "gemmSparseA");
+    gemmSparseARaw(a, b.data(), b.dim(1), c.data(), b.dim(1));
 }
 
 void

@@ -12,16 +12,18 @@
  *   into larger slabs — e.g. one (batch, group) block of an NCHW tensor —
  *   and have results written in place. The Tensor overloads are the
  *   `ld == cols` special case.
- * - **Accumulation.** `C = alpha * op(A) * op(B) + beta * C` semantics
- *   throughout; `beta == 0` means C's prior contents are ignored (and may
- *   be uninitialized), not multiplied by 0.
+ * - **Accumulation.** The dense gemms compute
+ *   `C = alpha * op(A) * op(B) + beta * C`; `beta == 0` means C's prior
+ *   contents are ignored (and may be uninitialized), not multiplied by 0.
+ *   The sparse-A gemms compute `C = A * B` and overwrite C.
  * - **Determinism.** Every kernel is bit-identical for any
  *   `MVQ_NUM_THREADS` within a given SIMD ISA: parallel chunk boundaries
- *   depend only on the iteration range, parallel chunks write disjoint
- *   outputs, and the blocked gemm drivers sequence their K blocks
- *   serially so each C element accumulates in a fixed order. Switching
- *   ISA (`MVQ_SIMD`) may change final ULPs — micro-kernels reorder lane
- *   sums — which tests pin at 1e-4 relative.
+ *   depend only on the iteration range, and parallel chunks write
+ *   disjoint outputs. The dense gemm driver sequences its K blocks
+ *   serially, so each C element accumulates in a fixed order; the sparse
+ *   driver has no K blocks, and each C element is one kernel call over
+ *   its row's entries. Switching ISA (`MVQ_SIMD`) may change final ULPs —
+ *   micro-kernels reorder lane sums — which tests pin at 1e-4 relative.
  * - **Errors.** Shape/geometry violations panic (throw `PanicError` via
  *   common/logging) rather than returning error codes; the fused conv
  *   entry points additionally panic on degenerate (non-positive) output
@@ -37,10 +39,11 @@
 namespace mvq {
 
 /**
- * Problems at or below this many multiply-adds (m*n*k) skip the packed
- * blocked path — packing overhead dominates — and run gemmReference
- * instead. Exposed so tests and benches can target either side of the
- * crossover deliberately.
+ * Dense problems at or below this many multiply-adds (m*n*k) skip the
+ * packed blocked path — packing overhead dominates — and run
+ * gemmReference instead. The sparse gemms pack nothing and have no such
+ * crossover. Exposed so tests and benches can target either side of it
+ * deliberately.
  */
 constexpr std::int64_t kGemmScalarFallbackMacs = 16 * 1024;
 
@@ -141,9 +144,8 @@ struct SparseRowMatrix
  * size/monotone/coverage, col_idx strictly ascending within each row and
  * in [0, cols)) and mark it validated, so the gemm entry points skip the
  * O(nnz) re-check on every call. Panics (PanicError) on violation. The
- * invariants are memory safety, not just correctness: the blocked driver
- * binary-searches each row's index range and the micro-kernels index
- * packed B rows with kidx - k0.
+ * invariants are memory safety, not just correctness: the micro-kernels
+ * look each column up in a per-call offset table of cols entries.
  */
 void validateSparseOperand(SparseRowMatrix &a);
 
@@ -155,7 +157,7 @@ SparseRowMatrix sparsifyRows(const Tensor &a);
  * stored, borrowed or served; the other members are always empty. They
  * remain because the serving benchmark (perfbench/) still reads them,
  * and the type collapses into SparseRowMatrix once it reads the CSR
- * instead (ROADMAP item 1).
+ * instead (ROADMAP item 8).
  */
 struct GroupedSparseMatrix
 {
@@ -178,30 +180,26 @@ struct GroupedSparseMatrix
 };
 
 /**
- * Sparse-A GEMM: C = alpha * A * B + beta * C with A in compressed-row
- * form and B/C dense. Runs a cache-blocked, B-panel-packed driver like
- * gemm()'s — with K blocks deep enough to cover typical conv reductions
- * whole and L2-sized N strips — but the A side consumes the compressed
- * rows directly: only kept entries are walked, their column indices
- * steering the per-ISA sparse micro-kernel
- * (simd::Kernels::gemmSparseMicroKernel) to the matching packed B rows.
- * Flops scale with nnz, so a 4:16 operand does ~1/4 the multiplies of
- * the dense path. Both drivers split C into row-block x panel-range
- * tasks, so a layer with one row block still uses the whole pool.
- * Deterministic across thread counts within an ISA, like gemm().
+ * Sparse-A GEMM: C = A * B with A in compressed-row form and B/C dense;
+ * C is overwritten. A thin wrapper over gemmSparseAIm2col's direct
+ * driver, with B viewed as an a.cols-channel 1 x n image under a 1x1
+ * kernel (its im2col is B itself). Only kept entries are walked, so
+ * flops scale with nnz: a 4:16 operand does ~1/4 the multiplies of the
+ * dense path. Deterministic across thread counts within an ISA, like
+ * gemm(). Kept because im2col + gemmSparseARaw is the memcmp oracle of
+ * the conv path (tests/fused_pack_test.cpp).
  */
-void gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
-                 float alpha = 1.0f, float beta = 0.0f);
+void gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c);
 
-/** Raw-pointer form of gemmSparseA: B is a.cols x n (row stride ldb), C
+/** Raw-pointer form of gemmSparseA: B is a.cols x n (row stride n), C
  *  is a.rows x n (row stride ldc). */
 void gemmSparseARaw(const SparseRowMatrix &a, const float *b,
-                    std::int64_t ldb, std::int64_t n, float alpha,
-                    float beta, float *c, std::int64_t ldc);
+                    std::int64_t n, float *c, std::int64_t ldc);
 
-/** Single-threaded unblocked sparse-A GEMM: the correctness oracle. */
+/** Single-threaded unblocked sparse-A GEMM C = A * B, summed in double:
+ *  the correctness oracle. */
 void gemmSparseAReference(const SparseRowMatrix &a, const Tensor &b,
-                          Tensor &c, float alpha = 1.0f, float beta = 0.0f);
+                          Tensor &c);
 
 /** Convolution geometry used by im2col and the conv layer. */
 struct ConvGeom
@@ -241,7 +239,7 @@ struct ConvGeom
  *
  * This is the *materializing* form: the conv forward paths skip it
  * entirely (gemmIm2colRaw / gemmSparseAIm2col), but it remains the oracle
- * for the fused tests and the backward/col2im companion.
+ * for the fused and direct tests and the backward/col2im companion.
  */
 Tensor im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
               std::int64_t c0 = 0);
@@ -278,19 +276,19 @@ struct Im2colB
 };
 
 /**
- * Fused im2col -> B-panel packing: write block [k0, k0 + kc) x
- * [j0, j0 + nc) of the virtual im2col matrix straight into the packed
- * nr-column panel layout the blocked gemm drivers consume (panel q at
- * bp + q*kc*nr holds bp[kk*nr + c] = B(k0 + kk, j0 + q*nr + c),
- * zero-padded past nc) — the same layout packB produces from a dense
+ * Fused im2col -> B-panel packing for the dense conv: write block
+ * [k0, k0 + kc) x [j0, j0 + nc) of the virtual im2col matrix straight
+ * into the packed nr-column panel layout the dense gemm driver consumes
+ * (panel q at bp + q*kc*nr holds bp[kk*nr + c] = B(k0 + kk, j0 + q*nr +
+ * c), zero-padded past nc) — the same layout packB produces from a dense
  * matrix, so the per-ISA micro-kernels cannot tell the difference. This
  * is what eliminates the cols tensor: patches are gathered from the
  * input image exactly once, directly into the pack buffer, instead of
- * being written to a [k, n] intermediate and re-read by packB.
+ * being written to a [k, n] intermediate and re-read by packB. The
+ * sparse conv does not pack (see gemmSparseAIm2col).
  *
- * ISA-agnostic (plain C++, nr is a runtime parameter: the table's nr for
- * the dense driver, its sparse_nr for the sparse one) and serial: the
- * blocked drivers call it once per range of panels, ranges in parallel
+ * ISA-agnostic (plain C++, nr is a runtime parameter) and serial: the
+ * dense driver calls it once per range of panels, ranges in parallel
  * (panels write disjoint bp regions, so the split never affects the
  * packed bytes). Panics on non-positive output dims, like im2col.
  */
@@ -315,17 +313,27 @@ void gemmIm2colRaw(std::int64_t m, float alpha, const float *a,
                    std::int64_t ldc);
 
 /**
- * Sparse-A conv forward gemm with the B operand produced on the fly:
- * C = alpha * A * im2col(b) + beta * C with A in compressed-row form
- * (a.cols must equal b.rows()). Same blocked sparse driver as
- * gemmSparseARaw with packB replaced by packBFromIm2col — bit-identical
- * to the unfused im2col + gemmSparseARaw composition for any ISA and
- * thread count. This is the payoff path: PR3 measured gemmSparseA's gap
- * to the ideal N/M flop cut to be B-side memory traffic, and the fusion
- * removes the cols tensor's write+read round trip entirely.
+ * Direct sparse conv, the one sparse driver: C = A * im2col(b) with A in
+ * compressed-row form (a.cols must equal b.rows()) and C, a.rows x
+ * b.cols() with row stride ldc, overwritten. Nothing is packed. The
+ * slab is laid out once as its zero-padded input — split into stride x
+ * stride phase planes when strided, building only the phases some tap
+ * reads — and the output is computed on the grid j = oh*Wq + ow (Wq the
+ * phase-plane width). Every im2col row then is the input at a fixed
+ * offset from the grid, so the nr grid positions of a tile meet each
+ * kept weight as one contiguous run of the padded input, which the
+ * per-ISA kernel reads in place through a per-call table of a.cols int32
+ * offsets. One parallel region runs row-block x tile-range tasks; each
+ * stores its lanes with ow < outW straight into C. The offset table
+ * covers the padded input with int32, so a slab whose phase planes
+ * exceed that panics before allocating. This is the method of Park et
+ * al., "Faster CNNs with Direct Sparse Convolutions and Guided Pruning"
+ * (ICLR 2017), on MVQ's N:M operands. Bit-identical to the im2col +
+ * gemmSparseARaw composition for any ISA and thread count; panics on
+ * non-positive output dims.
  */
 void gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b,
-                       float alpha, float beta, float *c, std::int64_t ldc);
+                       float *c, std::int64_t ldc);
 
 /**
  * Scatter-add a column matrix back into an image gradient (inverse of

@@ -1,19 +1,20 @@
 /**
- * @file
- * Fused im2col->B-panel packing coverage: gemmIm2colRaw and
- * gemmSparseAIm2col against the materializing im2col + gemm composition
- * they replace — bit-identity (dense) and 1e-4 oracle parity (sparse)
- * for every ISA this host can execute, on both sides of the
- * small-problem crossover, over padded/strided/panel-straddling
- * geometries; 1-vs-4-thread memcmp; degenerate 0-output-dim panics; and
- * the Conv2d / CompressedConv2d forwards (grouped, strided, padded)
- * against the im2col + gemm composition per (batch, group).
+ * Conv-path coverage: the fused dense conv (gemmIm2colRaw, im2col
+ * straight into packed B panels) and the direct sparse conv
+ * (gemmSparseAIm2col, the padded input read in place) against the
+ * materializing im2col + gemm composition they replace — bit-identity
+ * for every ISA this host can execute, plus 1e-4 oracle parity (sparse),
+ * over padded/strided/phase-split/grid-tail geometries; 1-to-4-thread
+ * and nested memcmp; degenerate-geometry and offset-overflow panics; and
+ * the Conv2d / CompressedConv2d forwards (grouped, depthwise, strided,
+ * padded) against the im2col + gemm composition per (batch, group).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -105,6 +106,28 @@ denseFused(const Tensor &a, const Tensor &x, const ConvGeom &g,
     return c;
 }
 
+/** Unfused sparse oracle: materialize cols, run the CSR gemm. */
+Tensor
+sparseUnfused(const SparseRowMatrix &sp, const Tensor &x, const ConvGeom &g)
+{
+    const Tensor cols = im2col(x, 0, g);
+    Tensor c(Shape({sp.rows, cols.dim(1)}));
+    gemmSparseARaw(sp, cols.data(), cols.dim(1), c.data(), cols.dim(1));
+    return c;
+}
+
+/** The direct sparse conv into a NaN-filled C: it must store every
+ *  output. */
+Tensor
+sparseDirect(const SparseRowMatrix &sp, const Tensor &x, const ConvGeom &g)
+{
+    const Im2colB b{x.data(), g};
+    Tensor c(Shape({sp.rows, b.cols()}),
+             std::numeric_limits<float>::quiet_NaN());
+    gemmSparseAIm2col(sp, b, c.data(), b.cols());
+    return c;
+}
+
 void
 expectBitIdentical(const Tensor &ref, const Tensor &got, const char *what)
 {
@@ -113,6 +136,29 @@ expectBitIdentical(const Tensor &ref, const Tensor &got, const char *what)
                              static_cast<std::size_t>(ref.numel())
                                  * sizeof(float)))
         << what;
+}
+
+/**
+ * Geometry sweep shared by the dense and sparse conv paths: heavy
+ * padding (pad >= kernel reach so whole panel rows are padding), stride
+ * 2 and 3 (the strided-copy pack path, and 4 and 9 phase planes), a
+ * non-square input, a 1x1 kernel, an n big enough to straddle several
+ * panels with a ragged final one, a stem-like 7x7/2 whose padding cuts
+ * into both ends of an output row, and a 7-wide strided output whose
+ * rows are shorter than a panel.
+ */
+std::vector<ConvGeom>
+stridedPaddedGeometries()
+{
+    return {
+        {4, 9, 13, 3, 3, 2, 1},  // strided, non-square
+        {3, 8, 8, 3, 3, 1, 3},   // pad wider than the kernel reach
+        {6, 17, 17, 5, 5, 3, 2}, // large kernel, stride 3
+        {8, 12, 12, 1, 1, 1, 0}, // 1x1: im2col is a pure copy
+        {2, 21, 21, 3, 3, 1, 1}, // n = 441: ragged last nr-panel
+        {3, 23, 23, 7, 7, 2, 3}, // stem-like: padding at both run ends
+        {8, 14, 14, 3, 3, 2, 1}, // 7-wide output rows
+    };
 }
 
 TEST(FusedPack, DenseBitIdenticalToIm2colAllIsas)
@@ -157,21 +203,7 @@ TEST(FusedPack, DenseBitIdenticalOnSmallProblemFallback)
 TEST(FusedPack, DenseStridedPaddedGeometries)
 {
     IsaGuard guard;
-    // Geometry sweep: heavy padding (pad >= kernel reach so whole panel
-    // rows are padding), stride 2 and 3 (the strided-copy pack path),
-    // non-square input, 1x1 kernel, an n big enough to straddle several
-    // nr-panels with a ragged final panel, a stem-like 7x7/2 whose
-    // padding cuts into both ends of an output row, and a 7-wide strided
-    // output whose rows are shorter than a panel.
-    const std::vector<ConvGeom> geoms = {
-        {4, 9, 13, 3, 3, 2, 1},  // strided, non-square
-        {3, 8, 8, 3, 3, 1, 3},   // pad wider than the kernel reach
-        {6, 17, 17, 5, 5, 3, 2}, // large kernel, stride 3
-        {8, 12, 12, 1, 1, 1, 0}, // 1x1: im2col is a pure copy
-        {2, 21, 21, 3, 3, 1, 1}, // n = 441: ragged last nr-panel
-        {3, 23, 23, 7, 7, 2, 3}, // stem-like: padding at both run ends
-        {8, 14, 14, 3, 3, 2, 1}, // 7-wide output rows
-    };
+    const std::vector<ConvGeom> geoms = stridedPaddedGeometries();
     for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
         const ConvGeom &g = geoms[gi];
         const Tensor x = randomInput(10 + gi, g);
@@ -225,15 +257,13 @@ TEST(FusedPack, DeepKernelStraddlesKcBlocks)
 TEST(FusedPack, SparseMatchesUnfusedAndOracleAllIsas)
 {
     IsaGuard guard;
-    // C=16, 3x3 on 14x14 pad 1 -> k=144, n=196; 4:16 rows give
-    // nnz*n = 32*36*196 well past the crossover (blocked path).
+    // C=16, 3x3 on 14x14 pad 1 -> k=144, n=196.
     const ConvGeom g{16, 14, 14, 3, 3, 1, 1};
     const Tensor x = randomInput(51, g);
     const std::int64_t k = g.in_c * g.k_h * g.k_w;
     const std::int64_t n = g.outH() * g.outW();
     Tensor a = masked416Matrix(52, 32, k);
     const SparseRowMatrix sp = sparsifyRows(a);
-    ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs);
 
     // Oracle: unblocked reference scan over the materialized cols.
     const Tensor cols = im2col(x, 0, g);
@@ -242,38 +272,27 @@ TEST(FusedPack, SparseMatchesUnfusedAndOracleAllIsas)
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c_unfused(Shape({32, n}));
-        gemmSparseARaw(sp, cols.data(), n, n, 1.0f, 0.0f, c_unfused.data(),
-                       n);
-        Tensor c_fused(Shape({32, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f,
-                          c_fused.data(), n);
-        expectBitIdentical(c_unfused, c_fused, simd::isaName(isa));
-        expectClose(c_oracle, c_fused, simd::isaName(isa));
+        const Tensor c_direct = sparseDirect(sp, x, g);
+        expectBitIdentical(sparseUnfused(sp, x, g), c_direct,
+                           simd::isaName(isa));
+        expectClose(c_oracle, c_direct, simd::isaName(isa));
     }
 }
 
-TEST(FusedPack, SparseSmallProblemFallbackBitIdentical)
+TEST(FusedPack, SparseSmallShapeBitIdentical)
 {
     IsaGuard guard;
+    // 4 rows x 25 outputs: the size a dense conv hands to its scalar
+    // fallback. The sparse driver has none, so one ragged tile runs the
+    // same kernels as a large conv.
     const ConvGeom g{16, 7, 7, 3, 3, 1, 0};
     const Tensor x = randomInput(61, g);
     const std::int64_t k = g.in_c * g.k_h * g.k_w; // 144: multiple of M=16
-    const std::int64_t n = g.outH() * g.outW();
-    Tensor a = masked416Matrix(62, 4, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    ASSERT_LE(sp.nnz() * n, kGemmScalarFallbackMacs);
-
-    const Tensor cols = im2col(x, 0, g);
+    const SparseRowMatrix sp = sparsifyRows(masked416Matrix(62, 4, k));
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c_unfused(Shape({4, n}));
-        gemmSparseARaw(sp, cols.data(), n, n, 1.0f, 0.0f, c_unfused.data(),
-                       n);
-        Tensor c_fused(Shape({4, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f,
-                          c_fused.data(), n);
-        expectBitIdentical(c_unfused, c_fused, simd::isaName(isa));
+        expectBitIdentical(sparseUnfused(sp, x, g), sparseDirect(sp, x, g),
+                           simd::isaName(isa));
     }
 }
 
@@ -297,13 +316,13 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
     IsaGuard guard;
     ThreadGuard tguard;
     // Geometries straddle both drivers' partitions: several row blocks;
-    // one row block with n split over many panels and two N strips; a
-    // 1-row second block; two sparse K blocks with one strip whose last
-    // panel has one column; and a single output pixel. n = 31, 33, 63
-    // and 196 leave the last 32-column sparse panel ragged (196 is
-    // stage3's batch-1 n, two strips at k = 2304). The dense driver
-    // splits panels only while row blocks are fewer than threads, so the
-    // 8-block case runs sparse only (it is the slow one under TSan).
+    // one row block with n split over many panels (dense) or tiles
+    // (sparse); a 1-row second block; stage4's k = 4608 on a 7x7 input;
+    // and a single output pixel. n = 31, 33, 63 and 196 leave the last
+    // dense panel or sparse grid tile ragged (196 is stage3's batch-1 n).
+    // The dense driver splits panels only while row blocks are fewer
+    // than threads, so the 8-block case runs sparse only (it is the slow
+    // one under TSan).
     struct Case
     {
         std::int64_t m;
@@ -334,13 +353,11 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
         a.fillNormal(rng, 0.0f, 1.0f);
         Tensor am = masked416Matrix(73 + m, m, k);
         const SparseRowMatrix sp = sparsifyRows(am);
-        ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // blocked path
         const Tensor cols = im2col(x, 0, g);
         Tensor s_oracle(Shape({m, n}));
         gemmSparseAReference(sp, cols, s_oracle);
         auto sparse = [&](Tensor &s) {
-            gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f,
-                              s.data(), n);
+            gemmSparseAIm2col(sp, Im2colB{x.data(), g}, s.data(), n);
         };
 
         for (Isa isa : availableIsas()) {
@@ -372,6 +389,71 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
     }
 }
 
+TEST(FusedPack, SparseDirectGeometriesMatchUnfused)
+{
+    IsaGuard guard;
+    ThreadGuard tguard;
+    // The dense sweep, then what only the direct path has: phase planes
+    // of a stem 7x7/2 pad 3 and a 3x3/2 pad 1 on even and odd inputs
+    // (an odd padded width leaves the odd-column plane one column
+    // short), a 1x1/2 downsample that builds one phase of four, and grid
+    // tails: oh * Wq = 5 * 13 = 65 and 5 * 19 = 95, 1 and 31 (mod 32),
+    // so the last tile runs into the slack past the last plane.
+    std::vector<ConvGeom> geoms = stridedPaddedGeometries();
+    geoms.insert(geoms.end(), {
+                                  {3, 30, 30, 7, 7, 2, 3},
+                                  {3, 31, 31, 7, 7, 2, 3},
+                                  {8, 16, 16, 3, 3, 2, 1},
+                                  {8, 17, 17, 3, 3, 2, 1},
+                                  {16, 14, 14, 1, 1, 2, 0},
+                                  {8, 5, 11, 3, 3, 1, 1},
+                                  {8, 5, 17, 3, 3, 1, 1},
+                              });
+    for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
+        const ConvGeom &g = geoms[gi];
+        const std::int64_t k = g.in_c * g.k_h * g.k_w;
+        SCOPED_TRACE(testing::Message() << "geometry " << gi << ": k=" << k
+                                        << " out " << g.outH() << "x"
+                                        << g.outW());
+        const Tensor x = randomInput(110 + gi, g);
+        // 32 rows x k as 4:16 groups of the flattened matrix, since k
+        // need not be a multiple of 16.
+        const SparseRowMatrix sp = sparsifyRows(
+            masked416Matrix(130 + gi, 2 * k, 16).reshaped(Shape({32, k})));
+        for (Isa isa : availableIsas()) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            const Tensor want = sparseUnfused(sp, x, g);
+            for (int threads : {1, 2, 3, 4}) {
+                setNumThreads(threads);
+                expectBitIdentical(want, sparseDirect(sp, x, g),
+                                   simd::isaName(isa));
+            }
+            Tensor nested;
+            runNested([&] { nested = sparseDirect(sp, x, g); });
+            expectBitIdentical(want, nested, simd::isaName(isa));
+        }
+    }
+}
+
+TEST(FusedPack, SparsePhaseImageOverflowPanics)
+{
+    // 70000 channels of 200x200 at pad 1 make a padded input of 2.9e9
+    // floats, past what the int32 offset table addresses. The driver
+    // must panic before it allocates the ~11 GB image (or reads the
+    // one-float slab).
+    const ConvGeom g{70000, 200, 200, 3, 3, 1, 1};
+    SparseRowMatrix sp;
+    sp.rows = 1;
+    sp.cols = g.in_c * g.k_h * g.k_w;
+    sp.row_ptr = {0, 1};
+    sp.col_idx = {0};
+    sp.values = {1.0f};
+    float slab = 1.0f;
+    std::vector<float> c(4, 0.0f);
+    EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{&slab, g}, c.data(), 1),
+                 PanicError);
+}
+
 TEST(FusedPack, DegenerateGeometryPanics)
 {
     // Kernel larger than the padded input: outH() clamps to 0 and every
@@ -395,8 +477,7 @@ TEST(FusedPack, DegenerateGeometryPanics)
     sp.row_ptr = {0, 1};
     sp.col_idx = {0};
     sp.values = {1.0f};
-    EXPECT_THROW(gemmSparseAIm2col(sp, b, 1.0f, 0.0f, buf.data(), 4),
-                 PanicError);
+    EXPECT_THROW(gemmSparseAIm2col(sp, b, buf.data(), 4), PanicError);
 }
 
 TEST(FusedPack, SparseInnerDimMismatchPanics)
@@ -411,8 +492,7 @@ TEST(FusedPack, SparseInnerDimMismatchPanics)
     sp.col_idx = {0};
     sp.values = {1.0f};
     std::vector<float> c(64, 0.0f);
-    EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{slab.data(), g}, 1.0f, 0.0f,
-                                   c.data(), 36),
+    EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{slab.data(), g}, c.data(), 36),
                  PanicError);
 }
 
@@ -517,8 +597,7 @@ compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
     for (std::int64_t n = 0; n < x.dim(0); ++n) {
         for (std::int64_t grp = 0; grp < groups; ++grp) {
             const Tensor cols = im2col(x, n, g, grp * cg);
-            gemmSparseARaw(conv.groupOperand(grp), cols.data(), ohw, ohw,
-                           1.0f, 0.0f,
+            gemmSparseARaw(conv.groupOperand(grp), cols.data(), ohw,
                            out.data() + (n * ws.dim(0) + grp * kg) * ohw,
                            ohw);
         }
@@ -529,7 +608,9 @@ compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
 TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
 {
     IsaGuard iguard;
-    // Grouped (groups=2) and strided (stride 2, pad 1) compressed convs.
+    // Grouped (groups=2), strided (stride 2, pad 1) and depthwise
+    // (groups = C = 32, one output row of 9 taps per group) compressed
+    // convs.
     CompressedFixture grouped(Shape({16, 2, 3, 3}), 91);
     const nn::CompressedConv2d conv_g(grouped.layer, grouped.cb, 1, 1, 2);
     Rng rng(92);
@@ -541,6 +622,12 @@ TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
     Tensor xs(Shape({2, 8, 12, 12}));
     xs.fillNormal(rng, 0.0f, 1.0f);
 
+    CompressedFixture depthwise(Shape({32, 1, 3, 3}), 95);
+    const nn::CompressedConv2d conv_d(depthwise.layer, depthwise.cb, 1, 1,
+                                      32);
+    Tensor xd(Shape({2, 32, 9, 9}));
+    xd.fillNormal(rng, 0.0f, 1.0f);
+
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
         expectBitIdentical(compressedUnfused(conv_g, grouped.shape, 2, 1, 1,
@@ -549,6 +636,9 @@ TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
         expectBitIdentical(compressedUnfused(conv_s, strided.shape, 1, 2, 1,
                                              xs),
                            conv_s.forward(xs), "strided");
+        expectBitIdentical(compressedUnfused(conv_d, depthwise.shape, 32, 1,
+                                             1, xd),
+                           conv_d.forward(xd), "depthwise");
     }
 }
 

@@ -19,12 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -87,6 +89,28 @@ struct FakeClockServer
         server = std::make_unique<Server>(chw, std::move(fn), opts);
     }
 };
+
+TEST(SteadyClockTest, FarFiniteDeadlineWaitsForThePredicate)
+{
+    // 1e16 us (~317 years) is finite, and ServeOptions accepts it as a
+    // deadline, but epoch + 1e16 us does not fit a nanosecond
+    // steady_clock time_point. The wait must still block until another
+    // thread sets the flag, not overflow into the past and return at
+    // once.
+    SteadyClock clock;
+    std::atomic<bool> flag{false};
+    std::thread setter([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        flag = true;
+        clock.notify();
+    });
+    const bool met = clock.waitUntil(10'000'000'000'000'000,
+                                     [&] { return flag.load(); });
+    const bool set_at_return = flag.load();
+    setter.join();
+    EXPECT_TRUE(met);
+    EXPECT_TRUE(set_at_return);
+}
 
 TEST(ServeOptionsTest, DefaultPolicyBatchesEightOrFlushesAt2000Us)
 {

@@ -130,26 +130,33 @@ TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
     const simd::Kernels &kn = simd::kernels();
     ASSERT_EQ(kn.sparse_nr, 32);
     const std::int64_t nr = kn.sparse_nr;
-    const std::int64_t kc = 96;
-    const std::int64_t k0 = 4096; // kidx are absolute, panel rows k0-based
+    const std::int64_t k = 96;
 
     Rng rng(5);
     auto spread = [&rng] {
         return std::ldexp(rng.normal(0.0f, 1.0f),
                           static_cast<int>(rng.intIn(-6, 6)));
     };
-    std::vector<float> bp(static_cast<std::size_t>(kc * nr));
-    for (float &x : bp)
+    // Column col's nr inputs are base[off[col] + c]: runs at scattered,
+    // overlapping, unaligned places of one buffer, as the direct conv's
+    // offset table gives them.
+    std::vector<float> input(static_cast<std::size_t>(3 + 7 * k + nr));
+    for (float &x : input)
         x = spread();
+    const float *base = input.data() + 3;
+    std::vector<std::int32_t> off(static_cast<std::size_t>(k));
+    for (std::int64_t col = 0; col < k; ++col)
+        off[static_cast<std::size_t>(col)] =
+            static_cast<std::int32_t>(col * 41 % (7 * k));
 
     bool order_matters = false;
     for (const std::int64_t nnz : {0, 1, 2, 3, 8, 33, 96}) {
         SCOPED_TRACE(testing::Message() << "nnz=" << nnz);
-        // nnz ascending panel rows spread over [0, kc).
+        // nnz ascending columns spread over [0, k).
         std::vector<std::int32_t> kidx;
         std::vector<float> vals;
         for (std::int64_t q = 0; q < nnz; ++q) {
-            kidx.push_back(static_cast<std::int32_t>(k0 + q * kc / nnz));
+            kidx.push_back(static_cast<std::int32_t>(q * k / nnz));
             vals.push_back(spread());
         }
         std::vector<float> acc0(static_cast<std::size_t>(nr));
@@ -157,14 +164,15 @@ TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
             x = spread();
 
         std::vector<float> got = acc0;
-        kn.gemmSparseMicroKernel(vals.data(), kidx.data(), nnz, k0,
-                                 bp.data(), nr, got.data());
+        kn.gemmSparseMicroKernel(vals.data(), kidx.data(), nnz, off.data(),
+                                 base, nr, got.data());
 
         std::vector<float> want(static_cast<std::size_t>(nr));
         for (std::int64_t c = 0; c < nr; ++c) {
             auto b = [&](std::int64_t q) {
-                return bp[static_cast<std::size_t>(
-                    (kidx[static_cast<std::size_t>(q)] - k0) * nr + c)];
+                return base[off[static_cast<std::size_t>(
+                                kidx[static_cast<std::size_t>(q)])]
+                            + c];
             };
             float s0 = acc0[static_cast<std::size_t>(c)];
             float s1 = 0.0f;

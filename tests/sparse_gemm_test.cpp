@@ -97,7 +97,6 @@ TEST(SparseGemm, MatchesDenseGemmAllIsas)
     const std::int64_t m = 64, k = 288, n = 100;
     Tensor a = masked416Matrix(7, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
-    ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // packed path runs
     Rng rng(8);
     Tensor b(Shape({k, n}));
     b.fillNormal(rng, 0.0f, 1.0f);
@@ -116,65 +115,43 @@ TEST(SparseGemm, MatchesDenseGemmAllIsas)
     }
 }
 
-TEST(SparseGemm, AlphaBetaMatchReference)
+TEST(SparseGemm, SmallShapeMatchesReference)
 {
     IsaGuard guard;
-    const std::int64_t m = 48, k = 160, n = 64;
-    Tensor a = masked416Matrix(21, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    Rng rng(22);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-    Tensor c0(Shape({m, n}));
-    c0.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c_ref = c0;
-        gemmSparseAReference(sp, b, c_ref, 0.5f, 1.0f);
-        Tensor c_got = c0;
-        gemmSparseA(sp, b, c_got, 0.5f, 1.0f);
-        expectClose(c_ref, c_got, simd::isaName(isa));
-    }
-}
-
-TEST(SparseGemm, SmallProblemRowScanPath)
-{
-    IsaGuard guard;
+    // nnz * n = 128 * 16: the size a dense gemm hands to its scalar
+    // fallback. The sparse driver has none, so a one-tile problem runs
+    // the same kernels as a large one.
     const std::int64_t m = 8, k = 64, n = 16;
     Tensor a = masked416Matrix(31, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
-    ASSERT_LE(sp.nnz() * n, kGemmScalarFallbackMacs); // row-scan path
     Rng rng(32);
     Tensor b(Shape({k, n}));
     b.fillNormal(rng, 0.0f, 1.0f);
 
     Tensor c_ref(Shape({m, n}));
     gemmSparseAReference(sp, b, c_ref);
-    Tensor c_got(Shape({m, n}));
-    gemmSparseA(sp, b, c_got);
-    EXPECT_EQ(0, std::memcmp(c_ref.data(), c_got.data(),
-                             static_cast<std::size_t>(m * n)
-                                 * sizeof(float)));
+    for (Isa isa : availableIsas()) {
+        ASSERT_TRUE(simd::setIsa(isa));
+        Tensor c_got(Shape({m, n}));
+        gemmSparseA(sp, b, c_got);
+        expectClose(c_ref, c_got, simd::isaName(isa));
+    }
 }
 
 TEST(SparseGemm, EmptyRowsProduceZeroRows)
 {
     IsaGuard guard;
-    // k = 256 is one K block. At k = 4608 the driver runs two K blocks
-    // and skips a row's empty range in each: row 5 has entries only in
-    // the second block, row 7 only in the first.
+    // C starts as NaN and the driver overwrites it, so the store-scatter
+    // must write the rows whose CSR range is empty too. k = 4608 is
+    // ResNet-18's stage4 reduction, one kernel call per (row, tile).
     for (const std::int64_t k : {std::int64_t{256}, std::int64_t{4608}}) {
         SCOPED_TRACE(testing::Message() << "k=" << k);
         const std::int64_t m = 40, n = 48;
-        const bool two_blocks = k > simd::kSparseKC;
         Tensor a = masked416Matrix(41, m, k);
         // Zero out some full rows: their CSR ranges become empty.
         for (std::int64_t j = 0; j < k; ++j) {
             a.at(3, j) = 0.0f;
             a.at(39, j) = 0.0f;
-            if (two_blocks)
-                a.at(j < simd::kSparseKC ? 5 : 7, j) = 0.0f;
         }
         const SparseRowMatrix sp = sparsifyRows(a);
         Rng rng(42);
@@ -185,7 +162,6 @@ TEST(SparseGemm, EmptyRowsProduceZeroRows)
 
         for (Isa isa : availableIsas()) {
             ASSERT_TRUE(simd::setIsa(isa));
-            // beta = 0 must clear stale values, NaN included.
             Tensor c(Shape({m, n}), std::numeric_limits<float>::quiet_NaN());
             gemmSparseA(sp, b, c);
             for (std::int64_t j = 0; j < n; ++j) {
@@ -199,9 +175,9 @@ TEST(SparseGemm, EmptyRowsProduceZeroRows)
 
 TEST(SparseGemm, MalformedOperandPanics)
 {
-    // The driver binary-searches col_idx and the micro-kernels index
-    // packed B rows with it, so a malformed operand must panic up front
-    // instead of reading out of bounds.
+    // The micro-kernels look col_idx up in an offset table of cols
+    // entries, so a malformed operand must panic up front instead of
+    // reading out of bounds.
     SparseRowMatrix sp;
     sp.rows = 2;
     sp.cols = 8;
@@ -240,11 +216,10 @@ TEST(SparseGemm, ThreadCountDeterministicPerIsa)
     IsaGuard guard;
     ThreadGuard tguard;
     // Shapes straddle the driver's partition: several row blocks; one row
-    // block with n split over many panels and two N strips; a 1-row
-    // second block; two K blocks with one strip whose last panel has one
-    // column; and a single output column. n = 31, 33, 63 and 196 leave
-    // the last 32-column panel ragged (196 is stage3's batch-1 n, two
-    // strips at k = 2304).
+    // block with n split over many tiles; a 1-row second block; stage4's
+    // k = 4608 at its batch-1 n = 49 and at n = 1, one single-column
+    // tile. n = 31, 33, 63 and 196 leave the last 32-column tile ragged
+    // (196 is stage3's batch-1 n).
     struct Case
     {
         std::int64_t m, k, n;
@@ -260,7 +235,6 @@ TEST(SparseGemm, ThreadCountDeterministicPerIsa)
                                         << " n=" << n);
         Tensor a = masked416Matrix(51 + m, m, k);
         const SparseRowMatrix sp = sparsifyRows(a);
-        ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // blocked path
         Rng rng(52 + m);
         Tensor b(Shape({k, n}));
         b.fillNormal(rng, 0.0f, 1.0f);

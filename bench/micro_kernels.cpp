@@ -208,8 +208,9 @@ BENCHMARK(BM_GemmSparse)->Arg(64)->Arg(128)->Arg(256);
 void
 BM_GemmIm2col(benchmark::State &state)
 {
-    // Fused im2col->panel conv gemm on a conv-like slab (C channels,
-    // n x n image, 3x3, pad 1); BM_Gemm is the matching dense-B driver.
+    // Direct dense conv on a conv-like slab (C channels, n x n image,
+    // 3x3, pad 1), reading the padded input in place; BM_Gemm is the
+    // matching dense-B driver.
     const std::int64_t C = 64;
     const std::int64_t hw = state.range(0);
     const ConvGeom g{C, hw, hw, 3, 3, 1, 1};
@@ -223,7 +224,7 @@ BM_GemmIm2col(benchmark::State &state)
     const Im2colB b{x.data(), g};
     Tensor c(Shape({m, b.cols()}));
     for (auto _ : state) {
-        gemmIm2colRaw(m, 1.0f, a.data(), k, b, 0.0f, c.data(), b.cols());
+        gemmIm2colRaw(m, a.data(), k, b, c.data(), b.cols());
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * 2 * m * k * b.cols());
@@ -496,16 +497,16 @@ sparseReport(const std::string &json)
 /**
  * The conv paths vs the materializing im2col + gemm path on the 4:16
  * conv layer (C=256, 28x28, 3x3, stride 1, pad 1 -> m=256, k=2304,
- * n=784), single core per ISA: the dense side fused (im2col straight
- * into packed B panels), the sparse side direct (each kept weight reads
- * the padded input in place). The unfused side times the whole conv
- * forward step (im2col + gemm) since that is what each conv path
- * replaces; the conv side is one call. Also re-derives the sparse
- * fraction of the ideal 4x flop cut at the conv level, direct sparse vs
- * fused dense (PERF.md, "Direct sparse conv"). With
- * MVQ_BENCH_GATE_MIN_SPEEDUP set, returns false — loudly — when the avx2
- * direct-sparse-vs-fused-dense speedup on that layer (random 4:16 masks,
- * the one sparse path) falls below the floor: the CI perf gate.
+ * n=784), single core per ISA: both sides direct (the dense kernel reads
+ * each im2col row, the sparse kernel each kept weight's run, from the
+ * padded input in place). The unfused side times the whole conv forward
+ * step (im2col + gemm) since that is what each conv path replaces; the
+ * conv side is one call. Also re-derives the sparse fraction of the ideal
+ * 4x flop cut at the conv level, direct sparse vs direct dense (PERF.md,
+ * "Direct dense conv"). With MVQ_BENCH_GATE_MIN_SPEEDUP set, returns
+ * false — loudly — when the avx2 direct-sparse-vs-direct-dense speedup
+ * on that layer (random 4:16 masks, the one sparse path) falls below the
+ * floor: the CI perf gate.
  */
 bool
 convReport(const std::string &json)
@@ -536,7 +537,7 @@ convReport(const std::string &json)
 
     const int prev_threads = numThreads();
     setNumThreads(1);
-    std::cout << "--- conv paths vs im2col+gemm: dense fused, sparse "
+    std::cout << "--- conv paths vs im2col+gemm: dense direct, sparse "
                  "direct (4:16 layer m="
               << m << " k=" << k << " n=" << n
               << ", single core, sparse ideal " << f2(ideal) << "x) ---\n";
@@ -559,11 +560,8 @@ convReport(const std::string &json)
                         false, 0.0f, c.data(), n);
             },
             reps);
-        const double t_dense_fused = secondsOf(
-            [&] {
-                gemmIm2colRaw(m, 1.0f, a.data(), k, b, 0.0f, c.data(), n);
-            },
-            reps);
+        const double t_dense_direct = secondsOf(
+            [&] { gemmIm2colRaw(m, a.data(), k, b, c.data(), n); }, reps);
         const double t_sparse_unfused = secondsOf(
             [&] {
                 const Tensor cols = im2col(x, 0, g);
@@ -573,37 +571,38 @@ convReport(const std::string &json)
         const double t_sparse_direct = secondsOf(
             [&] { gemmSparseAIm2col(sp, b, c.data(), n); }, reps);
 
-        const double dense_speedup = t_dense_unfused / t_dense_fused;
+        const double dense_speedup = t_dense_unfused / t_dense_direct;
         const double sparse_speedup = t_sparse_unfused / t_sparse_direct;
-        const double sparse_vs_dense = t_dense_fused / t_sparse_direct;
+        const double sparse_vs_dense = t_dense_direct / t_sparse_direct;
         const double fraction = sparse_vs_dense / ideal;
         std::cout << tag << ": dense " << f2(t_dense_unfused * 1e3)
-                  << " -> " << f2(t_dense_fused * 1e3) << " ms ("
+                  << " -> " << f2(t_dense_direct * 1e3) << " ms ("
                   << f2(dense_speedup) << "x), sparse "
                   << f2(t_sparse_unfused * 1e3) << " -> "
                   << f2(t_sparse_direct * 1e3) << " ms ("
-                  << f2(sparse_speedup) << "x); direct sparse vs fused "
+                  << f2(sparse_speedup) << "x); direct sparse vs direct "
                      "dense "
                   << f2(sparse_vs_dense) << "x (" << f2(fraction * 100.0)
                   << "% of the " << f2(ideal) << "x flop cut)\n";
-        const std::string name = "conv_fused_416_" + tag;
+        const std::string name = "conv_direct_416_" + tag;
         appendBenchRecord(json, name, "dense_unfused_seconds",
                           t_dense_unfused);
-        appendBenchRecord(json, name, "dense_fused_seconds", t_dense_fused);
-        appendBenchRecord(json, name, "dense_fused_speedup", dense_speedup);
+        appendBenchRecord(json, name, "dense_direct_seconds",
+                          t_dense_direct);
+        appendBenchRecord(json, name, "dense_direct_speedup", dense_speedup);
         appendBenchRecord(json, name, "sparse_unfused_seconds",
                           t_sparse_unfused);
         appendBenchRecord(json, name, "sparse_direct_seconds",
                           t_sparse_direct);
         appendBenchRecord(json, name, "sparse_direct_speedup",
                           sparse_speedup);
-        appendBenchRecord(json, name, "sparse_direct_vs_dense_fused",
+        appendBenchRecord(json, name, "sparse_direct_vs_dense_direct",
                           sparse_vs_dense);
         appendBenchRecord(json, name, "flop_cut_fraction", fraction);
 
         if (gate > 0.0 && isa == Isa::Avx2 && sparse_vs_dense < gate) {
-            std::cerr << "\nFAIL: direct sparse vs fused dense speedup on "
-                         "avx2 is "
+            std::cerr << "\nFAIL: direct sparse vs direct dense speedup "
+                         "on avx2 is "
                       << f2(sparse_vs_dense) << "x, below the " << f2(gate)
                       << "x floor (MVQ_BENCH_GATE_MIN_SPEEDUP). The sparse "
                          "gemm path has regressed.\n\n";

@@ -35,8 +35,8 @@ const Knob kKnobs[] = {
     {"MVQ_BENCH_FAST", "flag", "off",
      "shrink bench sweeps for smoke runs"},
     {"MVQ_BENCH_GATE_MIN_SPEEDUP", "real", "0 (gate off)",
-     "micro_kernels exits nonzero below this fused sparse-vs-dense avx2 "
-     "speedup floor"},
+     "micro_kernels exits nonzero below this avx2 speedup floor of the "
+     "direct sparse conv over the direct dense conv"},
     {"MVQ_BENCH_GATE_MAX_LOAD_READ_RATIO", "real", "0 (gate off)",
      "model_load exits nonzero when an MVQI cold load takes more than "
      "this many memcmp passes over its operands"},

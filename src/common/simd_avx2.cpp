@@ -27,31 +27,47 @@ static_assert(MR <= kMaxGemmMr && NR <= kMaxGemmNr && SNR <= kMaxSparseNr);
 
 /**
  * 6x16 register tile: 12 accumulator ymm + 2 B vectors + 1 A broadcast
- * stays within the 16 architectural registers. Packed layouts match the
- * scalar kernel (ap[kk*6 + r], bp[kk*16 + c]).
+ * stays within the 16 architectural registers. The accumulators are
+ * named, not an array: gcc 12 kept a __m256 c[6][2] on the stack and
+ * stored all 12 of them on every kk step. B row kk is the 16 floats at
+ * base + off[kk] (a tile of the padded input, or a packed panel).
  */
 void
-gemmMicroAvx2(const float *ap, const float *bp, std::int64_t kc, float *acc)
+gemmMicroAvx2(const float *ap, const float *base, const std::int32_t *off,
+              std::int64_t kc, float *acc)
 {
-    __m256 c[MR][2];
-    for (std::int64_t r = 0; r < MR; ++r) {
-        c[r][0] = _mm256_loadu_ps(acc + r * NR);
-        c[r][1] = _mm256_loadu_ps(acc + r * NR + 8);
-    }
+    __m256 c00 = _mm256_setzero_ps(), c01 = c00, c10 = c00, c11 = c00;
+    __m256 c20 = c00, c21 = c00, c30 = c00, c31 = c00;
+    __m256 c40 = c00, c41 = c00, c50 = c00, c51 = c00;
     for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m256 b0 = _mm256_loadu_ps(bp + kk * NR);
-        const __m256 b1 = _mm256_loadu_ps(bp + kk * NR + 8);
-        const float *arow = ap + kk * MR;
-        for (std::int64_t r = 0; r < MR; ++r) {
-            const __m256 a = _mm256_broadcast_ss(arow + r);
-            c[r][0] = _mm256_fmadd_ps(a, b0, c[r][0]);
-            c[r][1] = _mm256_fmadd_ps(a, b1, c[r][1]);
-        }
+        const float *brow = base + off[kk];
+        const __m256 b0 = _mm256_loadu_ps(brow);
+        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+        // Tile row r: one A broadcast feeds its two accumulators.
+        auto row = [&](std::int64_t r, __m256 &lo, __m256 &hi) {
+            const __m256 a = _mm256_broadcast_ss(ap + kk * MR + r);
+            lo = _mm256_fmadd_ps(a, b0, lo);
+            hi = _mm256_fmadd_ps(a, b1, hi);
+        };
+        row(0, c00, c01);
+        row(1, c10, c11);
+        row(2, c20, c21);
+        row(3, c30, c31);
+        row(4, c40, c41);
+        row(5, c50, c51);
     }
-    for (std::int64_t r = 0; r < MR; ++r) {
-        _mm256_storeu_ps(acc + r * NR, c[r][0]);
-        _mm256_storeu_ps(acc + r * NR + 8, c[r][1]);
-    }
+    _mm256_storeu_ps(acc + 0 * NR, c00);
+    _mm256_storeu_ps(acc + 0 * NR + 8, c01);
+    _mm256_storeu_ps(acc + 1 * NR, c10);
+    _mm256_storeu_ps(acc + 1 * NR + 8, c11);
+    _mm256_storeu_ps(acc + 2 * NR, c20);
+    _mm256_storeu_ps(acc + 2 * NR + 8, c21);
+    _mm256_storeu_ps(acc + 3 * NR, c30);
+    _mm256_storeu_ps(acc + 3 * NR + 8, c31);
+    _mm256_storeu_ps(acc + 4 * NR, c40);
+    _mm256_storeu_ps(acc + 4 * NR + 8, c41);
+    _mm256_storeu_ps(acc + 5 * NR, c50);
+    _mm256_storeu_ps(acc + 5 * NR + 8, c51);
 }
 
 /**

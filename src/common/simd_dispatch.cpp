@@ -27,19 +27,22 @@ namespace {
 // paths produce bit-identical distances.
 
 void
-gemmMicroScalar(const float *__restrict ap, const float *__restrict bp,
-                std::int64_t kc, float *__restrict acc)
+gemmMicroScalar(const float *__restrict ap, const float *__restrict base,
+                const std::int32_t *__restrict off, std::int64_t kc,
+                float *__restrict acc)
 {
     constexpr std::int64_t MR = 4;
     constexpr std::int64_t NR = 8;
     // Accumulate in a local tile so the compiler can keep it in registers
     // and auto-vectorize (through the dispatch function pointer it no
-    // longer sees that acc is a private stack buffer).
-    float c[MR * NR];
-    std::memcpy(c, acc, sizeof(c));
+    // longer sees that acc is a private stack buffer). B row kk is copied
+    // to a local row too: read through base + off[kk], gcc 12 vectorizes
+    // the kk loop (gathering four B rows) instead of the lanes.
+    float c[MR * NR] = {};
     for (std::int64_t kk = 0; kk < kc; ++kk) {
         const float *arow = ap + kk * MR;
-        const float *brow = bp + kk * NR;
+        float brow[NR];
+        std::memcpy(brow, base + off[kk], sizeof(brow));
         for (std::int64_t r = 0; r < MR; ++r) {
             const float av = arow[r];
             float *crow = c + r * NR;
@@ -244,9 +247,9 @@ resolveActive()
     panicIf(table == nullptr, "no kernel table for available ISA");
     g_active.store(table, std::memory_order_release);
     inform("simd: ", source, " kernel path '", table->name,
-           "' (gemm micro-kernel ", table->mr, "x", table->nr,
-           ", B panels ", kGemmKC, "x", table->nr, "; sparse kernel 1x",
-           table->sparse_nr, " over the padded input in place",
+           "' (dense kernel ", table->mr, "x", table->nr,
+           ", sparse kernel 1x", table->sparse_nr,
+           "; convs read the padded input in place",
            "; available:", isaAvailable(Isa::Avx2) ? " avx2" : "",
            isaAvailable(Isa::Neon) ? " neon" : "", " scalar)");
 }

@@ -33,7 +33,7 @@ enum class Isa
 };
 
 /** Upper bounds on the dense micro-kernel's register tile (mr x nr)
- *  across all ISAs; the dense gemm driver sizes its on-stack accumulator
+ *  across all ISAs; the dense drivers size their on-stack accumulators
  *  with these. The sparse kernel's tile width has its own bound. */
 constexpr std::int64_t kMaxGemmMr = 8;
 constexpr std::int64_t kMaxGemmNr = 16;
@@ -42,16 +42,15 @@ constexpr std::int64_t kMaxGemmNr = 16;
 constexpr std::int64_t kMaxSparseNr = 32;
 
 /**
- * Cache-blocking parameters of the dense gemm driver in tensor/ops.cpp.
- * One driver iteration packs one KC x NC block of op(B) into nr-column
- * panels (nr from the active table, so a panel is kGemmKC x nr floats at
- * most) and one MC x KC block of op(A) into mr-row panels. The sparse-A
- * driver packs nothing: it reads the padded input in place, in tiles of
- * sparse_nr grid columns, with the whole reduction in one kernel call
- * per (row, tile), and shares only MC, its row-block height. Exposed here
- * because B-panel *producers* — packB and the fused packBFromIm2col in
- * tensor/ops — and the tests/benches that pick shapes straddling block
- * boundaries all need the same constants the drivers block with.
+ * Cache-blocking parameters of the dense drivers in tensor/ops.cpp. Each
+ * packs one MC x KC block of op(A) into mr-row panels. The matrix gemm
+ * also packs one KC x NC block of op(B) into nr-column panels (a panel is
+ * kGemmKC x nr floats at most); the dense conv packs no B and reads the
+ * padded input in place, walking its K blocks inside each task. The
+ * sparse-A driver packs nothing, runs the whole reduction in one kernel
+ * call per (row, tile), and shares only MC, its row-block height.
+ * Exposed here because the tests and benches that pick shapes
+ * straddling block boundaries need the constants the drivers block with.
  */
 constexpr std::int64_t kGemmMC = 64;   //!< rows of C per packed A block
 constexpr std::int64_t kGemmKC = 256;  //!< depth of one packed K block
@@ -68,15 +67,24 @@ struct Kernels
 
     // --- GEMM register-tile micro-kernel --------------------------------
     std::int64_t mr; //!< rows of the dense register tile
-    std::int64_t nr; //!< columns of the dense register tile and B panel
+    std::int64_t nr; //!< columns of the dense register tile (lanes)
     /**
-     * acc[mr x nr, row stride nr] += Ap panel * Bp panel over kc steps,
-     * with the packed layouts ap[kk*mr + r], bp[kk*nr + c] produced by the
-     * driver in tensor/ops.cpp (alpha pre-applied to Ap, zero padding past
-     * the tile edges).
+     * acc[mr x nr, row stride nr] = Ap panel * B over kc steps, the tile
+     * overwritten. The driver packs A as ap[kk*mr + r] (alpha
+     * pre-applied, zero rows past the tile edge); B row kk is the nr
+     * floats at base + off[kk]. The dense conv passes the tile's start in
+     * the padded input and its per-call table of int32 offsets (one per
+     * im2col row, from the K block's first); the matrix gemm passes a
+     * packed B panel with off[kk] = kk*nr. Per-lane order: acc[r*nr + c]
+     * starts from 0 and takes kk = 0, 1, ..., kc - 1 in ascending order,
+     * one multiply-add each (fused in the AVX2 and NEON kernels; the
+     * scalar kernel's c += a * b fuses only where the compiler contracts
+     * it), so a lane's result depends on nothing but its own column of B;
+     * simd_dispatch_test pins the AVX2 order bit for bit.
      */
-    void (*gemmMicroKernel)(const float *ap, const float *bp,
-                            std::int64_t kc, float *acc);
+    void (*gemmMicroKernel)(const float *ap, const float *base,
+                            const std::int32_t *off, std::int64_t kc,
+                            float *acc);
 
     // --- Sparse-A row micro-kernel -------------------------------------
     /** Lanes of the sparse kernel: the sparse driver tiles its output

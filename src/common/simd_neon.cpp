@@ -25,35 +25,51 @@ static_assert(MR <= kMaxGemmMr && NR <= kMaxGemmNr);
 /**
  * 4x16 register tile: 16 accumulator q-regs + 1 B vector + 1 A vector.
  * vfmaq_laneq broadcasts one packed A lane per row, so the whole A column
- * loads once per kk step. Packed layouts match the scalar kernel.
+ * loads once per kk step. The accumulators are named, not arrays, for
+ * the reason the AVX2 kernel gives. B row kk is the 16 floats at
+ * base + off[kk].
  */
 void
-gemmMicroNeon(const float *ap, const float *bp, std::int64_t kc, float *acc)
+gemmMicroNeon(const float *ap, const float *base, const std::int32_t *off,
+              std::int64_t kc, float *acc)
 {
-    float32x4_t c0[4], c1[4], c2[4], c3[4];
-    for (int v = 0; v < 4; ++v) {
-        c0[v] = vld1q_f32(acc + 0 * NR + 4 * v);
-        c1[v] = vld1q_f32(acc + 1 * NR + 4 * v);
-        c2[v] = vld1q_f32(acc + 2 * NR + 4 * v);
-        c3[v] = vld1q_f32(acc + 3 * NR + 4 * v);
-    }
+    float32x4_t c00 = vdupq_n_f32(0.0f), c01 = c00, c02 = c00, c03 = c00;
+    float32x4_t c10 = c00, c11 = c00, c12 = c00, c13 = c00;
+    float32x4_t c20 = c00, c21 = c00, c22 = c00, c23 = c00;
+    float32x4_t c30 = c00, c31 = c00, c32 = c00, c33 = c00;
     for (std::int64_t kk = 0; kk < kc; ++kk) {
         const float32x4_t a = vld1q_f32(ap + kk * MR);
-        const float *brow = bp + kk * NR;
-        for (int v = 0; v < 4; ++v) {
+        const float *brow = base + off[kk];
+        // Tile columns [4v, 4v + 4): one B vector feeds all four rows.
+        auto col = [&](std::int64_t v, float32x4_t &r0, float32x4_t &r1,
+                       float32x4_t &r2, float32x4_t &r3) {
             const float32x4_t b = vld1q_f32(brow + 4 * v);
-            c0[v] = vfmaq_laneq_f32(c0[v], b, a, 0);
-            c1[v] = vfmaq_laneq_f32(c1[v], b, a, 1);
-            c2[v] = vfmaq_laneq_f32(c2[v], b, a, 2);
-            c3[v] = vfmaq_laneq_f32(c3[v], b, a, 3);
-        }
+            r0 = vfmaq_laneq_f32(r0, b, a, 0);
+            r1 = vfmaq_laneq_f32(r1, b, a, 1);
+            r2 = vfmaq_laneq_f32(r2, b, a, 2);
+            r3 = vfmaq_laneq_f32(r3, b, a, 3);
+        };
+        col(0, c00, c10, c20, c30);
+        col(1, c01, c11, c21, c31);
+        col(2, c02, c12, c22, c32);
+        col(3, c03, c13, c23, c33);
     }
-    for (int v = 0; v < 4; ++v) {
-        vst1q_f32(acc + 0 * NR + 4 * v, c0[v]);
-        vst1q_f32(acc + 1 * NR + 4 * v, c1[v]);
-        vst1q_f32(acc + 2 * NR + 4 * v, c2[v]);
-        vst1q_f32(acc + 3 * NR + 4 * v, c3[v]);
-    }
+    vst1q_f32(acc + 0 * NR + 0, c00);
+    vst1q_f32(acc + 0 * NR + 4, c01);
+    vst1q_f32(acc + 0 * NR + 8, c02);
+    vst1q_f32(acc + 0 * NR + 12, c03);
+    vst1q_f32(acc + 1 * NR + 0, c10);
+    vst1q_f32(acc + 1 * NR + 4, c11);
+    vst1q_f32(acc + 1 * NR + 8, c12);
+    vst1q_f32(acc + 1 * NR + 12, c13);
+    vst1q_f32(acc + 2 * NR + 0, c20);
+    vst1q_f32(acc + 2 * NR + 4, c21);
+    vst1q_f32(acc + 2 * NR + 8, c22);
+    vst1q_f32(acc + 2 * NR + 12, c23);
+    vst1q_f32(acc + 3 * NR + 0, c30);
+    vst1q_f32(acc + 3 * NR + 4, c31);
+    vst1q_f32(acc + 3 * NR + 8, c32);
+    vst1q_f32(acc + 3 * NR + 12, c33);
 }
 
 /**

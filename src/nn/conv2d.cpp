@@ -65,20 +65,20 @@ Conv2d::forward(const Tensor &x, bool train)
     // either way each pair's result is bit-identical.
     //
     // The gemm takes the (batch, group) input slab as a geometry-described
-    // B operand, so patches pack straight into B panels and the cols
+    // B operand and reads its zero-padded input in place, so the cols
     // tensor is never materialized (bit-identical to im2col + gemmRaw,
     // see gemmIm2colRaw).
     const std::int64_t work = batch * cfg_.groups;
     auto run_pair = [&](std::int64_t w) {
         const std::int64_t n = w / cfg_.groups;
         const std::int64_t grp = w % cfg_.groups;
-        // out slab = W_grp * cols, written in place (beta = 0).
+        // out slab = W_grp * cols, written in place.
         float *po = out.data()
             + ((n * cfg_.out_channels + grp * kg) * oh * ow);
         const float *slab = x.data()
             + (n * cfg_.in_channels + grp * cg) * g.in_h * g.in_w;
-        gemmIm2colRaw(kg, 1.0f, pw + grp * kg * wcols, wcols,
-                      Im2colB{slab, g}, 0.0f, po, oh * ow);
+        gemmIm2colRaw(kg, pw + grp * kg * wcols, wcols, Im2colB{slab, g},
+                      po, oh * ow);
     };
     if (work < numThreads()) {
         for (std::int64_t w = 0; w < work; ++w)

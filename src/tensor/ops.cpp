@@ -43,12 +43,12 @@ checkGemmShapes(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
 
 // Cache-blocking parameters. The active ISA's micro-kernel (see
 // common/simd_dispatch.hpp) computes an mr x nr tile of C in registers —
-// the tile shape is per-ISA (scalar 4x8, AVX2 6x16, NEON 4x16); panels of
-// op(A) (MC x KC) and op(B) (KC x NC) are packed into contiguous,
-// zero-padded buffers so the macro-kernel is branchless and
-// layout-independent (all four transpose cases pack to one format). The
-// constants live in simd_dispatch.hpp so B-panel producers and tests can
-// block with the same values.
+// the tile shape is per-ISA (scalar 4x8, AVX2 6x16, NEON 4x16). Both dense
+// drivers pack op(A) (MC x KC) into contiguous, zero-padded mr-row panels.
+// The matrix gemm also packs op(B) (KC x NC) into nr-column panels, so its
+// macro-kernel is branchless and all four transpose cases pack to one
+// format; the dense conv reads B in place (see DirectB). The constants
+// live in simd_dispatch.hpp so tests can block with the same values.
 constexpr std::int64_t MC = simd::kGemmMC;
 constexpr std::int64_t KC = simd::kGemmKC;
 constexpr std::int64_t NC = simd::kGemmNC;
@@ -56,22 +56,11 @@ constexpr std::int64_t NC = simd::kGemmNC;
 // Tasks per available thread that each driver splits its columns into
 // (see forEachTask). A sparse task has no set-up of its own, so the
 // sparse driver splits finely for load balance. Each dense task packs its
-// own row block of A, which a panel split repeats, so the dense driver
-// splits only as far as it takes to occupy the pool — run inline, it does
+// own row block of A, which a panel split repeats, so the dense drivers
+// split only as far as it takes to occupy the pool — run inline, they do
 // exactly the unsplit work.
 constexpr std::int64_t kSparseTasksPerThread = 8;
 constexpr std::int64_t kDenseTasksPerThread = 1;
-
-/**
- * B-panel producer the dense driver calls once per panel range of each
- * (strip, K block) iteration: fill bp with the packed nr-column panels of
- * op(B)[k0:k0+kc, j0:j0+nc]. Bound to packB for a dense operand and to
- * packBFromIm2col for the fused conv path; invoked per range of panels,
- * so the std::function indirection costs nothing measurable.
- */
-using PackBFn = std::function<void(std::int64_t k0, std::int64_t j0,
-                                   std::int64_t kc, std::int64_t nc,
-                                   std::int64_t nr, float *bp)>;
 
 /**
  * Pack op(A)[i0:i0+mc, k0:k0+kc] (alpha pre-applied) into mr-row panels:
@@ -126,9 +115,9 @@ packB(const float *pb, std::int64_t ldb, bool trans_b, std::int64_t k0,
 }
 
 /**
- * The compute partition both drivers share. C[0:m, ...) is cut into
- * npanels column panels (the dense driver's packed B panels of one
- * (strip, K block) iteration, the sparse driver's grid tiles) and split
+ * The compute partition every driver shares. C[0:m, ...) is cut into
+ * npanels column panels (the matrix gemm's packed B panels of one
+ * (strip, K block) iteration, the conv drivers' grid tiles) and split
  * into tasks of one MC-row block x one range of consecutive panels, so a
  * layer with a single row block (m <= MC: ResNet's stem and stage1) still
  * spreads over the pool. Ranges are sized to give about tasks_per_thread
@@ -312,75 +301,6 @@ gemmReference(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
                      b.dim(1), trans_b, beta, c.data(), n);
 }
 
-/**
- * The blocked dense macro-driver shared by gemmRaw (dense B, packB) and
- * gemmIm2colRaw (virtual B, packBFromIm2col). beta has already been
- * applied to C by the caller.
- */
-void
-gemmBlockedDriver(std::int64_t m, std::int64_t n, std::int64_t k,
-                  float alpha, const float *pa, std::int64_t lda,
-                  bool trans_a, const PackBFn &pack_b, float *pc,
-                  std::int64_t ldc)
-{
-    // Register-tile shape comes from the active ISA's micro-kernel.
-    const simd::Kernels &kn = simd::kernels();
-    const std::int64_t mr = kn.mr;
-    const std::int64_t nr = kn.nr;
-
-    const std::int64_t kc_max = std::min(KC, k);
-    const std::int64_t nc_max = std::min(NC, n);
-    std::vector<float> bpack(static_cast<std::size_t>(
-        kc_max * ((nc_max + nr - 1) / nr) * nr));
-
-    // jc/kc loops are sequential (each C element accumulates its KC blocks
-    // in a fixed order); inside, row-block x panel-range tasks run in
-    // parallel over disjoint C tiles, each packing its own row block of A,
-    // so results are identical for any thread count (within a given ISA —
-    // different micro-kernels reorder the lane sums).
-    for (std::int64_t jc = 0; jc < n; jc += NC) {
-        const std::int64_t nc = std::min(NC, n - jc);
-        for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-            const std::int64_t kc = std::min(KC, k - k0);
-            forEachTask(
-                m, (nc + nr - 1) / nr, kDenseTasksPerThread,
-                [&](std::int64_t q0, std::int64_t q1) {
-                    pack_b(k0, jc + q0 * nr, kc,
-                           std::min(nc, q1 * nr) - q0 * nr, nr,
-                           bpack.data() + q0 * kc * nr);
-                },
-                [&](std::int64_t i0, std::int64_t q0, std::int64_t q1) {
-                    const std::int64_t mc = std::min(MC, m - i0);
-                    std::vector<float> apack(static_cast<std::size_t>(
-                        kc * ((mc + mr - 1) / mr) * mr));
-                    packA(pa, lda, trans_a, i0, k0, mc, kc, alpha, mr,
-                          apack.data());
-                    float acc[simd::kMaxGemmMr * simd::kMaxGemmNr];
-                    const std::int64_t mpanels = (mc + mr - 1) / mr;
-                    for (std::int64_t q = q0; q < q1; ++q) {
-                        const float *bp = bpack.data() + q * kc * nr;
-                        const std::int64_t cols = std::min(nr, nc - q * nr);
-                        for (std::int64_t p = 0; p < mpanels; ++p) {
-                            const float *ap = apack.data() + p * kc * mr;
-                            std::fill(acc, acc + mr * nr, 0.0f);
-                            kn.gemmMicroKernel(ap, bp, kc, acc);
-                            const std::int64_t rows =
-                                std::min(mr, mc - p * mr);
-                            for (std::int64_t r = 0; r < rows; ++r) {
-                                float *crow = pc + (i0 + p * mr + r) * ldc
-                                    + jc + q * nr;
-                                const float *arow = acc + r * nr;
-                                for (std::int64_t cidx = 0; cidx < cols;
-                                     ++cidx)
-                                    crow[cidx] += arow[cidx];
-                            }
-                        }
-                    }
-                });
-        }
-    }
-}
-
 void
 gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         const float *pa, std::int64_t lda, bool trans_a, const float *pb,
@@ -396,12 +316,66 @@ gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
     }
 
     scaleCRows(pc, m, n, ldc, beta);
-    gemmBlockedDriver(m, n, k, alpha, pa, lda, trans_a,
-                      [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-                          std::int64_t nc, std::int64_t nr, float *bp) {
-                          packB(pb, ldb, trans_b, k0, j0, kc, nc, nr, bp);
-                      },
-                      pc, ldc);
+    // Register-tile shape comes from the active ISA's micro-kernel.
+    const simd::Kernels &kn = simd::kernels();
+    const std::int64_t mr = kn.mr;
+    const std::int64_t nr = kn.nr;
+
+    const std::int64_t kc_max = std::min(KC, k);
+    const std::int64_t nc_max = std::min(NC, n);
+    std::vector<float> bpack(static_cast<std::size_t>(
+        kc_max * ((nc_max + nr - 1) / nr) * nr));
+    // A packed panel holds B row kk at kk*nr.
+    std::vector<std::int32_t> off(static_cast<std::size_t>(kc_max));
+    for (std::int64_t kk = 0; kk < kc_max; ++kk)
+        off[static_cast<std::size_t>(kk)] =
+            static_cast<std::int32_t>(kk * nr);
+
+    // jc/kc loops are sequential (each C element accumulates its KC blocks
+    // in a fixed order); inside, row-block x panel-range tasks run in
+    // parallel over disjoint C tiles, each packing its own row block of A,
+    // so results are identical for any thread count (within a given ISA —
+    // different micro-kernels reorder the lane sums).
+    for (std::int64_t jc = 0; jc < n; jc += NC) {
+        const std::int64_t nc = std::min(NC, n - jc);
+        for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
+            const std::int64_t kc = std::min(KC, k - k0);
+            forEachTask(
+                m, (nc + nr - 1) / nr, kDenseTasksPerThread,
+                [&](std::int64_t q0, std::int64_t q1) {
+                    packB(pb, ldb, trans_b, k0, jc + q0 * nr, kc,
+                          std::min(nc, q1 * nr) - q0 * nr, nr,
+                          bpack.data() + q0 * kc * nr);
+                },
+                [&](std::int64_t i0, std::int64_t q0, std::int64_t q1) {
+                    const std::int64_t mc = std::min(MC, m - i0);
+                    std::vector<float> apack(static_cast<std::size_t>(
+                        kc * ((mc + mr - 1) / mr) * mr));
+                    packA(pa, lda, trans_a, i0, k0, mc, kc, alpha, mr,
+                          apack.data());
+                    float acc[simd::kMaxGemmMr * simd::kMaxGemmNr];
+                    const std::int64_t mpanels = (mc + mr - 1) / mr;
+                    for (std::int64_t q = q0; q < q1; ++q) {
+                        const float *bp = bpack.data() + q * kc * nr;
+                        const std::int64_t cols = std::min(nr, nc - q * nr);
+                        for (std::int64_t p = 0; p < mpanels; ++p) {
+                            const float *ap = apack.data() + p * kc * mr;
+                            kn.gemmMicroKernel(ap, bp, off.data(), kc, acc);
+                            const std::int64_t rows =
+                                std::min(mr, mc - p * mr);
+                            for (std::int64_t r = 0; r < rows; ++r) {
+                                float *crow = pc + (i0 + p * mr + r) * ldc
+                                    + jc + q * nr;
+                                const float *arow = acc + r * nr;
+                                for (std::int64_t cidx = 0; cidx < cols;
+                                     ++cidx)
+                                    crow[cidx] += arow[cidx];
+                            }
+                        }
+                    }
+                });
+        }
+    }
 }
 
 void
@@ -491,8 +465,8 @@ checkConvOutputDims(const ConvGeom &g, const char *what)
 
 /**
  * Materialize the virtual im2col matrix row-major into pc (row stride
- * outH*outW). Shared by the Tensor-returning im2col() and the fused
- * dense conv's small-problem fallback, so fused and unfused paths
+ * outH*outW). Shared by the Tensor-returning im2col() and the dense
+ * conv's small-problem fallback, so that fallback and the unfused path
  * gather padding with the same code.
  */
 void
@@ -533,6 +507,142 @@ im2colInto(const Im2colB &b, float *pc)
     });
 }
 
+/**
+ * The B operand of both direct conv drivers: one (batch, group) slab laid
+ * out once as its zero-padded input and read in place through a table of
+ * one int32 offset per im2col row.
+ *
+ * Output (oh, ow) at tap (c, kh, kw) reads padded pixel (oh*s + kh,
+ * ow*s + kw): pixel (oh + kh/s, ow + kw/s) of phase plane (c, kh%s,
+ * kw%s), the padded rows and columns congruent to (kh, kw) mod s. On the
+ * grid j = oh*wq + ow, im2col row col = (c*k_h + kh)*k_w + kw is
+ * therefore image[off[col] + j], and tile t's nr grid positions meet
+ * every im2col row as one contiguous run at tile(t) + off[col]. Only the
+ * phases some tap reads are built: one at stride 1, four for a 3x3/2,
+ * one for a 1x1/2. The grid's wq - ow slack columns per row compute
+ * lanes no output takes (see runs()).
+ */
+struct DirectB
+{
+    std::int64_t nr = 0;    //!< lanes per tile (the kernel's width)
+    std::int64_t ow = 0;    //!< outputs per grid row
+    std::int64_t wq = 0;    //!< grid row width (phase-plane width)
+    std::int64_t ngrid = 0; //!< grid positions through the last output
+    std::unique_ptr<float[]> image;
+    std::vector<std::int32_t> off; //!< per im2col row
+
+    std::int64_t
+    tiles() const
+    {
+        return (ngrid + nr - 1) / nr;
+    }
+
+    const float *
+    tile(std::int64_t t) const
+    {
+        return image.get() + t * nr;
+    }
+
+    /** Lanes [lane, lane + len) of a tile are C columns [dst, dst + len). */
+    struct Run
+    {
+        std::int64_t lane, len, dst;
+    };
+
+    /** Tile t's lanes with ow < outW as runs of output columns, one per
+     *  grid row the tile touches; returns the count (at most nr). */
+    std::int64_t
+    runs(std::int64_t t, Run *out) const
+    {
+        std::int64_t nruns = 0;
+        const std::int64_t j1 = std::min(ngrid, (t + 1) * nr);
+        for (std::int64_t j = t * nr; j < j1; j += wq - j % wq) {
+            const std::int64_t x = j % wq;
+            if (x < ow)
+                out[nruns++] = {j - t * nr, std::min(ow - x, j1 - j),
+                                j / wq * ow + x};
+        }
+        return nruns;
+    }
+};
+
+/**
+ * Lay out b's slab for a kernel nr lanes wide. The image ends in nr zero
+ * floats, since the last tile reads up to nr - 1 past the last plane. A
+ * slab whose planes the int32 offsets cannot address panics (naming
+ * `what`) before anything is allocated.
+ */
+DirectB
+directB(const Im2colB &b, std::int64_t nr, const char *what)
+{
+    const ConvGeom &g = b.g;
+    const std::int64_t s = g.stride;
+    const std::int64_t oh = g.outH();
+    DirectB db;
+    db.nr = nr;
+    db.ow = g.outW();
+    const std::int64_t py_n = std::min(s, g.k_h);
+    const std::int64_t px_n = std::min(s, g.k_w);
+    const std::int64_t hq = oh + (g.k_h - 1) / s;
+    const std::int64_t wq = db.wq = db.ow + (g.k_w - 1) / s;
+    db.ngrid = (oh - 1) * wq + db.ow;
+    const std::int64_t planes = g.in_c * py_n * px_n;
+    const std::int64_t image_floats = planes * hq * wq + nr;
+    panicIf(image_floats > std::numeric_limits<std::int32_t>::max(), what,
+            ": ", planes, " phase planes of ", hq, "x", wq,
+            " overflow the int32 input offsets");
+
+    // Uninitialized on purpose: the rows below write every plane float.
+    db.image.reset(new float[static_cast<std::size_t>(image_floats)]);
+    float *image = db.image.get();
+    std::fill(image + planes * hq * wq, image + image_floats, 0.0f);
+    auto ceilDiv = [s](std::int64_t v) {
+        return (std::max<std::int64_t>(v, 0) + s - 1) / s;
+    };
+    parallelFor(0, planes * hq, std::max<std::int64_t>(1, 4096 / wq),
+                [&](std::int64_t rb, std::int64_t re) {
+        for (std::int64_t row = rb; row < re; ++row) {
+            const std::int64_t p = row / hq;
+            const std::int64_t c = p / (py_n * px_n);
+            const std::int64_t px = p % px_n;
+            const std::int64_t ih = row % hq * s + p / px_n % py_n - g.pad;
+            // Columns x whose input column x*s + px - pad lies in the row.
+            std::int64_t lo = 0;
+            std::int64_t hi = 0;
+            if (ih >= 0 && ih < g.in_h) {
+                lo = std::min(wq, ceilDiv(g.pad - px));
+                hi = std::clamp(ceilDiv(g.in_w + g.pad - px), lo, wq);
+            }
+            float *dst = image + row * wq;
+            std::fill(dst, dst + lo, 0.0f);
+            if (hi > lo) {
+                const float *src =
+                    b.slab + (c * g.in_h + ih) * g.in_w + lo * s + px - g.pad;
+                if (s == 1) {
+                    std::memcpy(dst + lo, src,
+                                static_cast<std::size_t>(hi - lo)
+                                    * sizeof(float));
+                } else {
+                    for (std::int64_t x = lo; x < hi; ++x, src += s)
+                        dst[x] = *src;
+                }
+            }
+            std::fill(dst + hi, dst + wq, 0.0f);
+        }
+    });
+
+    db.off.resize(static_cast<std::size_t>(b.rows()));
+    for (std::int64_t col = 0; col < b.rows(); ++col) {
+        const std::int64_t kh = col / g.k_w % g.k_h;
+        const std::int64_t kw = col % g.k_w;
+        const std::int64_t p =
+            (col / (g.k_h * g.k_w) * py_n + kh % s) * px_n + kw % s;
+        db.off[static_cast<std::size_t>(col)] = static_cast<std::int32_t>(
+            p * hq * wq + kh / s * wq + kw / s);
+    }
+    return db;
+}
+
 } // namespace
 
 Tensor
@@ -553,132 +663,72 @@ im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
 }
 
 void
-packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
-                std::int64_t kc, std::int64_t nc, std::int64_t nr,
-                float *bp)
-{
-    const ConvGeom &g = b.g;
-    checkConvOutputDims(g, "packBFromIm2col");
-    const std::int64_t ow = g.outW();
-    const float *pin = b.slab;
-
-    // Within a panel the kk loop walks the virtual rows (c, kh, kw); the
-    // cidx loop walks output positions of one im2col row, split into runs
-    // that stay on one output row y (ih fixed), so the padding tests hoist
-    // out of the per-element loop. Output column x reads input column
-    // iw = x * stride - pad + kw, which lies inside the row exactly for x
-    // in [xlo[kw], xhi[kw]); with those bounds tabled once per call, each
-    // run splits into left padding / interior / right padding without a
-    // division, and its interior is one memcpy at stride 1 and a plain
-    // strided copy otherwise.
-    const std::int64_t s = g.stride;
-    auto ceilDiv = [s](std::int64_t v) {
-        return (std::max<std::int64_t>(v, 0) + s - 1) / s;
-    };
-    std::vector<std::int64_t> xlo(static_cast<std::size_t>(g.k_w));
-    std::vector<std::int64_t> xhi(static_cast<std::size_t>(g.k_w));
-    for (std::int64_t kw = 0; kw < g.k_w; ++kw) {
-        xlo[static_cast<std::size_t>(kw)] = ceilDiv(g.pad - kw);
-        xhi[static_cast<std::size_t>(kw)] = ceilDiv(g.in_w + g.pad - kw);
-    }
-
-    const std::int64_t npanels = (nc + nr - 1) / nr;
-    for (std::int64_t q = 0; q < npanels; ++q) {
-        float *dst = bp + q * kc * nr;
-        const std::int64_t cols = std::min(nr, nc - q * nr);
-        // The panel's first output position; every later run starts a
-        // new output row at x = 0.
-        const std::int64_t ybase = (j0 + q * nr) / ow;
-        const std::int64_t xbase = (j0 + q * nr) % ow;
-        // Walk the (c, kh, kw) decomposition of the virtual row
-        // incrementally: kw carries into kh carries into c, so the kk
-        // loop does no divisions.
-        std::int64_t c = k0 / (g.k_h * g.k_w);
-        std::int64_t kh = (k0 / g.k_w) % g.k_h;
-        std::int64_t kw = k0 % g.k_w;
-        const float *src = pin + c * g.in_h * g.in_w;
-        for (std::int64_t kk = 0; kk < kc; ++kk) {
-            float *drow = dst + kk * nr;
-            std::int64_t y = ybase;
-            std::int64_t x0 = xbase;
-            for (std::int64_t cidx = 0; cidx < cols; ++y, x0 = 0) {
-                const std::int64_t run =
-                    std::min(cols - cidx, ow - x0);
-                const std::int64_t ih = y * s - g.pad + kh;
-                if (ih < 0 || ih >= g.in_h) {
-                    std::memset(drow + cidx, 0,
-                                static_cast<std::size_t>(run)
-                                    * sizeof(float));
-                } else {
-                    const std::int64_t lo = std::clamp<std::int64_t>(
-                        xlo[static_cast<std::size_t>(kw)] - x0, 0, run);
-                    const std::int64_t hi = std::clamp<std::int64_t>(
-                        xhi[static_cast<std::size_t>(kw)] - x0, lo, run);
-                    float *d = drow + cidx;
-                    if (lo > 0)
-                        std::memset(d, 0,
-                                    static_cast<std::size_t>(lo)
-                                        * sizeof(float));
-                    if (hi > lo) {
-                        const float *in = src + ih * g.in_w
-                            + (x0 + lo) * s - g.pad + kw;
-                        if (s == 1) {
-                            std::memcpy(d + lo, in,
-                                        static_cast<std::size_t>(hi - lo)
-                                            * sizeof(float));
-                        } else {
-                            for (std::int64_t t = lo; t < hi; ++t, in += s)
-                                d[t] = *in;
-                        }
-                    }
-                    if (run > hi)
-                        std::memset(d + hi, 0,
-                                    static_cast<std::size_t>(run - hi)
-                                        * sizeof(float));
-                }
-                cidx += run;
-            }
-            for (std::int64_t t = cols; t < nr; ++t)
-                drow[t] = 0.0f;
-            if (++kw == g.k_w) {
-                kw = 0;
-                if (++kh == g.k_h) {
-                    kh = 0;
-                    ++c;
-                    src += g.in_h * g.in_w;
-                }
-            }
-        }
-    }
-}
-
-void
-gemmIm2colRaw(std::int64_t m, float alpha, const float *pa,
-              std::int64_t lda, const Im2colB &b, float beta, float *pc,
-              std::int64_t ldc)
+gemmIm2colRaw(std::int64_t m, const float *pa, std::int64_t lda,
+              const Im2colB &b, float *pc, std::int64_t ldc)
 {
     checkConvOutputDims(b.g, "gemmIm2colRaw");
     const std::int64_t k = b.rows();
     const std::int64_t n = b.cols();
 
     // Small problems take the same materialize + scalar-reference route
-    // the unfused path does (im2col + gemmRaw), keeping fused and unfused
-    // bit-identical on both sides of the crossover.
+    // the unfused path does (im2col + gemmRaw), keeping the two
+    // bit-identical on both sides of the crossover; it also keeps m = 0
+    // (no row block) away from forEachTask.
     if (m * n * k <= kGemmScalarFallbackMacs) {
         std::vector<float> cols(static_cast<std::size_t>(k * n));
         im2colInto(b, cols.data());
-        gemmReferenceRaw(m, n, k, alpha, pa, lda, false, cols.data(), n,
-                         false, beta, pc, ldc);
+        gemmReferenceRaw(m, n, k, 1.0f, pa, lda, false, cols.data(), n,
+                         false, 0.0f, pc, ldc);
         return;
     }
 
-    scaleCRows(pc, m, n, ldc, beta);
-    gemmBlockedDriver(m, n, k, alpha, pa, lda, false,
-                      [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-                          std::int64_t nc, std::int64_t nr, float *bp) {
-                          packBFromIm2col(b, k0, j0, kc, nc, nr, bp);
-                      },
-                      pc, ldc);
+    const simd::Kernels &kn = simd::kernels();
+    const std::int64_t mr = kn.mr;
+    const std::int64_t nr = kn.nr;
+    const DirectB db = directB(b, nr, "gemmIm2colRaw");
+
+    // One parallel region of row-block x tile-range tasks. Each task walks
+    // the K blocks in order, packing its A block once per block, and runs
+    // the kernel on every (tile, A panel) pair, tile-outer so a tile's
+    // input runs stay hot across its panels. The first block stores
+    // 0.0f + acc, the bits gemmRaw's zeroed C plus its first block leaves
+    // (-0.0f included), and later blocks add, so every C element sums its
+    // blocks in gemmRaw's order whichever task holds it.
+    forEachTask(
+        m, db.tiles(), kDenseTasksPerThread, nullptr,
+        [&](std::int64_t i0, std::int64_t t0, std::int64_t t1) {
+            const std::int64_t mc = std::min(MC, m - i0);
+            const std::int64_t mpanels = (mc + mr - 1) / mr;
+            std::vector<float> apack(
+                static_cast<std::size_t>(std::min(KC, k) * mpanels * mr));
+            float acc[simd::kMaxGemmMr * simd::kMaxGemmNr];
+            DirectB::Run runs[simd::kMaxGemmNr];
+            for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
+                const std::int64_t kc = std::min(KC, k - k0);
+                packA(pa, lda, false, i0, k0, mc, kc, 1.0f, mr,
+                      apack.data());
+                for (std::int64_t t = t0; t < t1; ++t) {
+                    const std::int64_t nruns = db.runs(t, runs);
+                    for (std::int64_t p = 0; p < mpanels; ++p) {
+                        kn.gemmMicroKernel(apack.data() + p * kc * mr,
+                                           db.tile(t), db.off.data() + k0,
+                                           kc, acc);
+                        const std::int64_t rows = std::min(mr, mc - p * mr);
+                        for (std::int64_t r = 0; r < rows; ++r) {
+                            float *crow = pc + (i0 + p * mr + r) * ldc;
+                            for (std::int64_t q = 0; q < nruns; ++q) {
+                                float *dst = crow + runs[q].dst;
+                                const float *src =
+                                    acc + r * nr + runs[q].lane;
+                                for (std::int64_t c = 0; c < runs[q].len; ++c)
+                                    dst[c] =
+                                        (k0 == 0 ? 0.0f : dst[c]) + src[c];
+                            }
+                        }
+                    }
+                }
+            }
+        });
 }
 
 void
@@ -687,123 +737,37 @@ gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float *pc,
 {
     if (!a.validated)
         checkSparseOperand(a);
-    const ConvGeom &g = b.g;
-    checkConvOutputDims(g, "gemmSparseAIm2col");
+    checkConvOutputDims(b.g, "gemmSparseAIm2col");
     panicIf(a.cols != b.rows(), "gemmSparseAIm2col inner dims mismatch: ",
             a.cols, " vs ", b.rows());
-
-    // Output (oh, ow) at tap (c, kh, kw) reads padded pixel (oh*s + kh,
-    // ow*s + kw): pixel (oh + kh/s, ow + kw/s) of phase plane (c, kh%s,
-    // kw%s), the padded rows and columns congruent to (kh, kw) mod s. On
-    // the grid j = oh*wq + ow, im2col row col = (c*k_h + kh)*k_w + kw is
-    // therefore image[off[col] + j], and tile t's nr grid positions meet
-    // each kept weight as one contiguous run at image + t*nr + off[col].
-    // Only the phases some tap reads are built: one at stride 1, four
-    // for a 3x3/2, one for a 1x1/2.
-    const std::int64_t s = g.stride;
-    const std::int64_t oh = g.outH();
-    const std::int64_t ow = g.outW();
-    const std::int64_t py_n = std::min(s, g.k_h);
-    const std::int64_t px_n = std::min(s, g.k_w);
-    const std::int64_t hq = oh + (g.k_h - 1) / s;
-    const std::int64_t wq = ow + (g.k_w - 1) / s;
-    const std::int64_t planes = g.in_c * py_n * px_n;
-    const simd::Kernels &kn = simd::kernels();
-    const std::int64_t nr = kn.sparse_nr;
-    // The last tile reads up to nr - 1 floats past the last plane.
-    const std::int64_t image_floats = planes * hq * wq + nr;
-    panicIf(image_floats > std::numeric_limits<std::int32_t>::max(),
-            "gemmSparseAIm2col: ", planes, " phase planes of ", hq, "x", wq,
-            " overflow the int32 input offsets");
     const std::int64_t m = a.rows;
     if (m == 0)
         return;
-
-    // Uninitialized on purpose: the rows below write every plane float.
-    std::unique_ptr<float[]> image(
-        new float[static_cast<std::size_t>(image_floats)]);
-    std::fill(image.get() + planes * hq * wq, image.get() + image_floats,
-              0.0f);
-    auto ceilDiv = [s](std::int64_t v) {
-        return (std::max<std::int64_t>(v, 0) + s - 1) / s;
-    };
-    parallelFor(0, planes * hq, std::max<std::int64_t>(1, 4096 / wq),
-                [&](std::int64_t rb, std::int64_t re) {
-        for (std::int64_t row = rb; row < re; ++row) {
-            const std::int64_t p = row / hq;
-            const std::int64_t c = p / (py_n * px_n);
-            const std::int64_t px = p % px_n;
-            const std::int64_t ih = row % hq * s + p / px_n % py_n - g.pad;
-            // Columns x whose input column x*s + px - pad lies in the row.
-            std::int64_t lo = 0;
-            std::int64_t hi = 0;
-            if (ih >= 0 && ih < g.in_h) {
-                lo = std::min(wq, ceilDiv(g.pad - px));
-                hi = std::clamp(ceilDiv(g.in_w + g.pad - px), lo, wq);
-            }
-            float *dst = image.get() + row * wq;
-            std::fill(dst, dst + lo, 0.0f);
-            if (hi > lo) {
-                const float *src =
-                    b.slab + (c * g.in_h + ih) * g.in_w + lo * s + px - g.pad;
-                if (s == 1) {
-                    std::memcpy(dst + lo, src,
-                                static_cast<std::size_t>(hi - lo)
-                                    * sizeof(float));
-                } else {
-                    for (std::int64_t x = lo; x < hi; ++x, src += s)
-                        dst[x] = *src;
-                }
-            }
-            std::fill(dst + hi, dst + wq, 0.0f);
-        }
-    });
-
-    std::vector<std::int32_t> off(static_cast<std::size_t>(a.cols));
-    for (std::int64_t col = 0; col < a.cols; ++col) {
-        const std::int64_t kh = col / g.k_w % g.k_h;
-        const std::int64_t kw = col % g.k_w;
-        const std::int64_t p =
-            (col / (g.k_h * g.k_w) * py_n + kh % s) * px_n + kw % s;
-        off[static_cast<std::size_t>(col)] = static_cast<std::int32_t>(
-            p * hq * wq + kh / s * wq + kw / s);
-    }
+    const simd::Kernels &kn = simd::kernels();
+    const std::int64_t nr = kn.sparse_nr;
+    const DirectB db = directB(b, nr, "gemmSparseAIm2col");
 
     // Row-block x tile-range tasks, tile-outer within a task so a tile's
     // input runs stay hot across its rows. Each (row, tile) pair is one
     // kernel call over the row's entries in order, so C does not depend
-    // on the partition. The grid's wq - ow slack columns per row compute
-    // lanes nobody stores; the rest go straight to C, which is
+    // on the partition; its output lanes go straight to C, which is
     // overwritten.
-    const std::int64_t ngrid = (oh - 1) * wq + ow;
     const std::int64_t *rp = a.row_ptr.data();
     const float *vals = a.values.data();
     const std::int32_t *idx = a.col_idx.data();
     forEachTask(
-        m, (ngrid + nr - 1) / nr, kSparseTasksPerThread, nullptr,
+        m, db.tiles(), kSparseTasksPerThread, nullptr,
         [&](std::int64_t i0, std::int64_t t0, std::int64_t t1) {
-            struct Run
-            {
-                std::int64_t lane, len, dst;
-            };
-            Run runs[simd::kMaxSparseNr];
+            DirectB::Run runs[simd::kMaxSparseNr];
             float acc[simd::kMaxSparseNr];
             for (std::int64_t t = t0; t < t1; ++t) {
-                // The tile's lanes with ow < OW, one run per grid row.
-                std::int64_t nruns = 0;
-                const std::int64_t j1 = std::min(ngrid, (t + 1) * nr);
-                for (std::int64_t j = t * nr; j < j1; j += wq - j % wq) {
-                    const std::int64_t x = j % wq;
-                    if (x < ow)
-                        runs[nruns++] = {j - t * nr, std::min(ow - x, j1 - j),
-                                         j / wq * ow + x};
-                }
-                const float *base = image.get() + t * nr;
+                const std::int64_t nruns = db.runs(t, runs);
                 for (std::int64_t r = i0; r < std::min(m, i0 + MC); ++r) {
                     std::fill(acc, acc + nr, 0.0f);
                     kn.gemmSparseMicroKernel(vals + rp[r], idx + rp[r],
-                                             rp[r + 1] - rp[r], off.data(),
-                                             base, nr, acc);
+                                             rp[r + 1] - rp[r],
+                                             db.off.data(), db.tile(t), nr,
+                                             acc);
                     for (std::int64_t q = 0; q < nruns; ++q)
                         std::memcpy(pc + r * ldc + runs[q].dst,
                                     acc + runs[q].lane,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tensor kernels: GEMM (dense, sparse-A, and fused-im2col variants),
+ * Tensor kernels: GEMM (dense and sparse-A), the direct convolutions,
  * im2col/col2im, elementwise arithmetic, reductions. These back both the
  * NN layers and the compression algorithms.
  *
@@ -12,22 +12,24 @@
  *   into larger slabs — e.g. one (batch, group) block of an NCHW tensor —
  *   and have results written in place. The Tensor overloads are the
  *   `ld == cols` special case.
- * - **Accumulation.** The dense gemms compute
+ * - **Accumulation.** The matrix gemms compute
  *   `C = alpha * op(A) * op(B) + beta * C`; `beta == 0` means C's prior
  *   contents are ignored (and may be uninitialized), not multiplied by 0.
- *   The sparse-A gemms compute `C = A * B` and overwrite C.
+ *   The sparse-A gemms and both conv entry points compute `C = A * B` and
+ *   overwrite C.
  * - **Determinism.** Every kernel is bit-identical for any
  *   `MVQ_NUM_THREADS` within a given SIMD ISA: parallel chunk boundaries
  *   depend only on the iteration range, and parallel chunks write
- *   disjoint outputs. The dense gemm driver sequences its K blocks
- *   serially, so each C element accumulates in a fixed order; the sparse
- *   driver has no K blocks, and each C element is one kernel call over
- *   its row's entries. Switching ISA (`MVQ_SIMD`) may change final ULPs —
- *   micro-kernels reorder lane sums — which tests pin at 1e-4 relative.
+ *   disjoint outputs. Each dense C element sums its K blocks in ascending
+ *   order, whether the blocks run serially (matrix gemm) or inside one
+ *   task (conv); the sparse driver has no K blocks, and each C element is
+ *   one kernel call over its row's entries. Switching ISA (`MVQ_SIMD`)
+ *   may change final ULPs — micro-kernels reorder lane sums — which tests
+ *   pin at 1e-4 relative.
  * - **Errors.** Shape/geometry violations panic (throw `PanicError` via
- *   common/logging) rather than returning error codes; the fused conv
- *   entry points additionally panic on degenerate (non-positive) output
- *   dims, like im2col/col2im.
+ *   common/logging) rather than returning error codes; the conv entry
+ *   points additionally panic on degenerate (non-positive) output dims,
+ *   like im2col/col2im.
  */
 
 #ifndef MVQ_TENSOR_OPS_HPP
@@ -40,10 +42,10 @@ namespace mvq {
 
 /**
  * Dense problems at or below this many multiply-adds (m*n*k) skip the
- * packed blocked path — packing overhead dominates — and run
- * gemmReference instead. The sparse gemms pack nothing and have no such
- * crossover. Exposed so tests and benches can target either side of it
- * deliberately.
+ * blocked drivers — their set-up dominates — and run gemmReference
+ * instead (the dense conv on its materialized im2col). The sparse gemms
+ * have no such crossover. Exposed so tests and benches can target either
+ * side of it deliberately.
  */
 constexpr std::int64_t kGemmScalarFallbackMacs = 16 * 1024;
 
@@ -238,8 +240,9 @@ struct ConvGeom
  * grouped convolutions pass c0 to select their channel slice.
  *
  * This is the *materializing* form: the conv forward paths skip it
- * entirely (gemmIm2colRaw / gemmSparseAIm2col), but it remains the oracle
- * for the fused and direct tests and the backward/col2im companion.
+ * entirely (gemmIm2colRaw / gemmSparseAIm2col read the padded input in
+ * place), but it remains the oracle of the direct conv tests and the
+ * backward/col2im companion.
  */
 Tensor im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
               std::int64_t c0 = 0);
@@ -254,7 +257,9 @@ Tensor im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
  * (row, col) of the virtual matrix is input pixel (c, ih, iw) with
  * row = (c * k_h + kh) * k_w + kw, ih = (col / outW) * stride - pad + kh,
  * iw = (col % outW) * stride - pad + kw, and 0 where ih/iw fall in the
- * padding — exactly what im2col() would have materialized.
+ * padding — exactly what im2col() would have materialized. Both direct
+ * conv drivers lay the slab out once as its zero-padded input and read
+ * every row of this matrix from it in place.
  */
 struct Im2colB
 {
@@ -276,41 +281,24 @@ struct Im2colB
 };
 
 /**
- * Fused im2col -> B-panel packing for the dense conv: write block
- * [k0, k0 + kc) x [j0, j0 + nc) of the virtual im2col matrix straight
- * into the packed nr-column panel layout the dense gemm driver consumes
- * (panel q at bp + q*kc*nr holds bp[kk*nr + c] = B(k0 + kk, j0 + q*nr +
- * c), zero-padded past nc) — the same layout packB produces from a dense
- * matrix, so the per-ISA micro-kernels cannot tell the difference. This
- * is what eliminates the cols tensor: patches are gathered from the
- * input image exactly once, directly into the pack buffer, instead of
- * being written to a [k, n] intermediate and re-read by packB. The
- * sparse conv does not pack (see gemmSparseAIm2col).
- *
- * ISA-agnostic (plain C++, nr is a runtime parameter) and serial: the
- * dense driver calls it once per range of panels, ranges in parallel
- * (panels write disjoint bp regions, so the split never affects the
- * packed bytes). Panics on non-positive output dims, like im2col.
+ * Direct dense conv: C = A * im2col(b) where A is m x b.rows() (row stride
+ * lda, never transposed — conv weights are stored unrolled) and C, m x
+ * b.cols() with row stride ldc, is overwritten. It reads B the way
+ * gemmSparseAIm2col does — the slab's zero-padded input (phase planes
+ * when strided), computed on the same grid through the same int32 offset
+ * table — with the per-ISA mr x nr kernel, each tile nr grid positions
+ * wide. One parallel region runs row-block x tile-range tasks; each task
+ * walks the kGemmKC blocks of the reduction in order, so each C element
+ * sums the same blocks in the same order as gemmRaw and the result is
+ * BIT-IDENTICAL to `gemmRaw(m, n, k, 1, a, lda, false, im2col(...).data(),
+ * n, false, 0, c, ldc)` for any ISA and thread count. Problems at or
+ * below kGemmScalarFallbackMacs materialize and run gemmReferenceRaw,
+ * exactly as the unfused composition does. Panics on non-positive output
+ * dims, and before allocating when the padded input overflows the int32
+ * offsets.
  */
-void packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
-                     std::int64_t kc, std::int64_t nc, std::int64_t nr,
-                     float *bp);
-
-/**
- * Dense conv forward gemm with the B operand produced on the fly:
- * C = alpha * A * im2col(b) + beta * C where A is m x b.rows() (row
- * stride lda, never transposed — conv weights are stored unrolled) and C
- * is m x b.cols() with row stride ldc. Runs the same blocked driver and
- * per-ISA micro-kernels as gemmRaw with packB replaced by
- * packBFromIm2col, so the result is BIT-IDENTICAL to
- * `gemmRaw(m, n, k, alpha, a, lda, false, im2col(...).data(), n, false,
- * beta, c, ldc)` for any ISA and thread count (small problems fall back
- * to a materialize + gemmReferenceRaw path, again matching the unfused
- * fallback exactly). Panics on non-positive output dims.
- */
-void gemmIm2colRaw(std::int64_t m, float alpha, const float *a,
-                   std::int64_t lda, const Im2colB &b, float beta, float *c,
-                   std::int64_t ldc);
+void gemmIm2colRaw(std::int64_t m, const float *a, std::int64_t lda,
+                   const Im2colB &b, float *c, std::int64_t ldc);
 
 /**
  * Direct sparse conv, the one sparse driver: C = A * im2col(b) with A in
@@ -323,12 +311,12 @@ void gemmIm2colRaw(std::int64_t m, float alpha, const float *a,
  * offset from the grid, so the nr grid positions of a tile meet each
  * kept weight as one contiguous run of the padded input, which the
  * per-ISA kernel reads in place through a per-call table of a.cols int32
- * offsets. One parallel region runs row-block x tile-range tasks; each
- * stores its lanes with ow < outW straight into C. The offset table
- * covers the padded input with int32, so a slab whose phase planes
- * exceed that panics before allocating. This is the method of Park et
- * al., "Faster CNNs with Direct Sparse Convolutions and Guided Pruning"
- * (ICLR 2017), on MVQ's N:M operands. Bit-identical to the im2col +
+ * offsets (the layout gemmIm2colRaw reads too). One parallel region runs
+ * row-block x tile-range tasks; each stores its lanes with ow < outW
+ * straight into C. The offset table covers the padded input with int32,
+ * so a slab whose phase planes exceed that panics before allocating.
+ * This is the method of Park et al., "Faster CNNs with Direct Sparse
+ * Convolutions and Guided Pruning" (ICLR 2017), on MVQ's N:M operands. Bit-identical to the im2col +
  * gemmSparseARaw composition for any ISA and thread count; panics on
  * non-positive output dims.
  */

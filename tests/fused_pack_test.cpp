@@ -1,13 +1,13 @@
 /**
- * Conv-path coverage: the fused dense conv (gemmIm2colRaw, im2col
- * straight into packed B panels) and the direct sparse conv
- * (gemmSparseAIm2col, the padded input read in place) against the
- * materializing im2col + gemm composition they replace — bit-identity
- * for every ISA this host can execute, plus 1e-4 oracle parity (sparse),
- * over padded/strided/phase-split/grid-tail geometries; 1-to-4-thread
- * and nested memcmp; degenerate-geometry and offset-overflow panics; and
- * the Conv2d / CompressedConv2d forwards (grouped, depthwise, strided,
- * padded) against the im2col + gemm composition per (batch, group).
+ * Conv-path coverage: the direct dense conv (gemmIm2colRaw) and the
+ * direct sparse conv (gemmSparseAIm2col), both reading the padded input
+ * in place, against the materializing im2col + gemm composition they
+ * replace — bit-identity for every ISA this host can execute, plus 1e-4
+ * oracle parity (sparse), over padded/strided/phase-split/grid-tail
+ * geometries and K blocks; 1-to-4-thread and nested memcmp;
+ * degenerate-geometry and offset-overflow panics; and the Conv2d /
+ * CompressedConv2d forwards (grouped, depthwise, strided, padded) against
+ * the im2col + gemm composition per (batch, group).
  */
 
 #include <gtest/gtest.h>
@@ -84,25 +84,25 @@ randomInput(std::uint64_t seed, const ConvGeom &g)
 
 /** Unfused oracle: materialize cols, run the dense-B gemm. */
 Tensor
-denseUnfused(const Tensor &a, const Tensor &x, const ConvGeom &g,
-             float alpha = 1.0f, float beta = 0.0f, float cfill = 0.0f)
+denseUnfused(const Tensor &a, const Tensor &x, const ConvGeom &g)
 {
     const Tensor cols = im2col(x, 0, g);
-    Tensor c(Shape({a.dim(0), cols.dim(1)}), cfill);
-    gemmRaw(a.dim(0), cols.dim(1), a.dim(1), alpha, a.data(), a.dim(1),
-            false, cols.data(), cols.dim(1), false, beta, c.data(),
+    Tensor c(Shape({a.dim(0), cols.dim(1)}));
+    gemmRaw(a.dim(0), cols.dim(1), a.dim(1), 1.0f, a.data(), a.dim(1),
+            false, cols.data(), cols.dim(1), false, 0.0f, c.data(),
             cols.dim(1));
     return c;
 }
 
+/** The direct dense conv into a NaN-filled C: it must store every
+ *  output. */
 Tensor
-denseFused(const Tensor &a, const Tensor &x, const ConvGeom &g,
-           float alpha = 1.0f, float beta = 0.0f, float cfill = 0.0f)
+denseDirect(const Tensor &a, const Tensor &x, const ConvGeom &g)
 {
     const Im2colB b{x.data(), g};
-    Tensor c(Shape({a.dim(0), b.cols()}), cfill);
-    gemmIm2colRaw(a.dim(0), alpha, a.data(), a.dim(1), b, beta, c.data(),
-                  b.cols());
+    Tensor c(Shape({a.dim(0), b.cols()}),
+             std::numeric_limits<float>::quiet_NaN());
+    gemmIm2colRaw(a.dim(0), a.data(), a.dim(1), b, c.data(), b.cols());
     return c;
 }
 
@@ -139,25 +139,36 @@ expectBitIdentical(const Tensor &ref, const Tensor &got, const char *what)
 }
 
 /**
- * Geometry sweep shared by the dense and sparse conv paths: heavy
- * padding (pad >= kernel reach so whole panel rows are padding), stride
- * 2 and 3 (the strided-copy pack path, and 4 and 9 phase planes), a
- * non-square input, a 1x1 kernel, an n big enough to straddle several
- * panels with a ragged final one, a stem-like 7x7/2 whose padding cuts
- * into both ends of an output row, and a 7-wide strided output whose
- * rows are shorter than a panel.
+ * Geometry sweep shared by the dense and sparse direct convs: heavy
+ * padding (pad >= kernel reach so whole tiles read padding), stride 2
+ * and 3 (4 and 9 phase planes), a non-square input, a 1x1 kernel, an n
+ * big enough to straddle several tiles with a ragged final one, a
+ * stem-like 7x7/2 whose padding cuts into both ends of an output row, a
+ * 7-wide strided output whose rows are shorter than a tile; then phase
+ * planes of a stem 7x7/2 pad 3 and a 3x3/2 pad 1 on even and odd inputs
+ * (an odd padded width leaves the odd-column plane one column short), a
+ * 1x1/2 downsample that builds one phase of four, and grid tails at the
+ * sparse width: oh * Wq = 5 * 13 = 65 and 5 * 19 = 95, 1 and 31 (mod
+ * 32), so the last tile runs into the slack past the last plane.
  */
 std::vector<ConvGeom>
-stridedPaddedGeometries()
+directGeometries()
 {
     return {
         {4, 9, 13, 3, 3, 2, 1},  // strided, non-square
         {3, 8, 8, 3, 3, 1, 3},   // pad wider than the kernel reach
         {6, 17, 17, 5, 5, 3, 2}, // large kernel, stride 3
         {8, 12, 12, 1, 1, 1, 0}, // 1x1: im2col is a pure copy
-        {2, 21, 21, 3, 3, 1, 1}, // n = 441: ragged last nr-panel
+        {2, 21, 21, 3, 3, 1, 1}, // n = 441: ragged last tile
         {3, 23, 23, 7, 7, 2, 3}, // stem-like: padding at both run ends
         {8, 14, 14, 3, 3, 2, 1}, // 7-wide output rows
+        {3, 30, 30, 7, 7, 2, 3},
+        {3, 31, 31, 7, 7, 2, 3},
+        {8, 16, 16, 3, 3, 2, 1},
+        {8, 17, 17, 3, 3, 2, 1},
+        {16, 14, 14, 1, 1, 2, 0},
+        {8, 5, 11, 3, 3, 1, 1},
+        {8, 5, 17, 3, 3, 1, 1},
     };
 }
 
@@ -165,7 +176,7 @@ TEST(FusedPack, DenseBitIdenticalToIm2colAllIsas)
 {
     IsaGuard guard;
     // C=8, 3x3, pad 1 on 11x11 -> k=72, n=121; m=24 puts the problem well
-    // past kGemmScalarFallbackMacs, so both sides run the blocked driver.
+    // past kGemmScalarFallbackMacs, so the direct driver runs.
     const ConvGeom g{8, 11, 11, 3, 3, 1, 1};
     const Tensor x = randomInput(3, g);
     Rng rng(4);
@@ -176,7 +187,7 @@ TEST(FusedPack, DenseBitIdenticalToIm2colAllIsas)
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        expectBitIdentical(denseUnfused(a, x, g), denseFused(a, x, g),
+        expectBitIdentical(denseUnfused(a, x, g), denseDirect(a, x, g),
                            simd::isaName(isa));
     }
 }
@@ -195,42 +206,7 @@ TEST(FusedPack, DenseBitIdenticalOnSmallProblemFallback)
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        expectBitIdentical(denseUnfused(a, x, g), denseFused(a, x, g),
-                           simd::isaName(isa));
-    }
-}
-
-TEST(FusedPack, DenseStridedPaddedGeometries)
-{
-    IsaGuard guard;
-    const std::vector<ConvGeom> geoms = stridedPaddedGeometries();
-    for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
-        const ConvGeom &g = geoms[gi];
-        const Tensor x = randomInput(10 + gi, g);
-        Rng rng(20 + gi);
-        Tensor a(Shape({16, g.in_c * g.k_h * g.k_w}));
-        a.fillNormal(rng, 0.0f, 1.0f);
-        for (Isa isa : availableIsas()) {
-            ASSERT_TRUE(simd::setIsa(isa));
-            expectBitIdentical(denseUnfused(a, x, g), denseFused(a, x, g),
-                               simd::isaName(isa));
-        }
-    }
-}
-
-TEST(FusedPack, DenseAlphaBetaMatchUnfused)
-{
-    IsaGuard guard;
-    const ConvGeom g{4, 10, 10, 3, 3, 1, 1};
-    const Tensor x = randomInput(31, g);
-    Rng rng(32);
-    Tensor a(Shape({12, g.in_c * g.k_h * g.k_w}));
-    a.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        expectBitIdentical(denseUnfused(a, x, g, 0.5f, 1.0f, 2.0f),
-                           denseFused(a, x, g, 0.5f, 1.0f, 2.0f),
+        expectBitIdentical(denseUnfused(a, x, g), denseDirect(a, x, g),
                            simd::isaName(isa));
     }
 }
@@ -239,7 +215,8 @@ TEST(FusedPack, DeepKernelStraddlesKcBlocks)
 {
     IsaGuard guard;
     // k = 40 * 9 = 360 > kGemmKC forces at least two KC blocks, so the
-    // fused packer's (k0, kc) slicing of the virtual rows is exercised.
+    // direct driver's offset table is sliced at k0 and its later block
+    // adds into C.
     const ConvGeom g{40, 8, 8, 3, 3, 1, 1};
     ASSERT_GT(g.in_c * g.k_h * g.k_w, simd::kGemmKC);
     const Tensor x = randomInput(41, g);
@@ -249,7 +226,7 @@ TEST(FusedPack, DeepKernelStraddlesKcBlocks)
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        expectBitIdentical(denseUnfused(a, x, g), denseFused(a, x, g),
+        expectBitIdentical(denseUnfused(a, x, g), denseDirect(a, x, g),
                            simd::isaName(isa));
     }
 }
@@ -316,13 +293,12 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
     IsaGuard guard;
     ThreadGuard tguard;
     // Geometries straddle both drivers' partitions: several row blocks;
-    // one row block with n split over many panels (dense) or tiles
-    // (sparse); a 1-row second block; stage4's k = 4608 on a 7x7 input;
-    // and a single output pixel. n = 31, 33, 63 and 196 leave the last
-    // dense panel or sparse grid tile ragged (196 is stage3's batch-1 n).
-    // The dense driver splits panels only while row blocks are fewer
-    // than threads, so the 8-block case runs sparse only (it is the slow
-    // one under TSan).
+    // one row block with n split over many tiles; a 1-row second block;
+    // stage4's k = 4608 on a 7x7 input; and a single output pixel. n =
+    // 31, 33, 63 and 196 leave the last grid tile ragged (196 is stage3's
+    // batch-1 n). The dense driver splits tiles only while row blocks are
+    // fewer than threads, so the 8-block case runs sparse only (it is the
+    // slow one under TSan).
     struct Case
     {
         std::int64_t m;
@@ -363,14 +339,14 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
         for (Isa isa : availableIsas()) {
             ASSERT_TRUE(simd::setIsa(isa));
             setNumThreads(1);
-            const Tensor d1 = cs.dense ? denseFused(a, x, g) : Tensor();
+            const Tensor d1 = cs.dense ? denseDirect(a, x, g) : Tensor();
             Tensor s1(Shape({m, n}));
             sparse(s1);
             expectClose(s_oracle, s1, simd::isaName(isa));
             for (int threads : {2, 3, 4}) {
                 setNumThreads(threads);
                 if (cs.dense)
-                    expectBitIdentical(d1, denseFused(a, x, g),
+                    expectBitIdentical(d1, denseDirect(a, x, g),
                                        simd::isaName(isa));
                 Tensor st(Shape({m, n}));
                 sparse(st);
@@ -379,7 +355,7 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
             Tensor dn, sn(Shape({m, n}));
             runNested([&] {
                 if (cs.dense)
-                    dn = denseFused(a, x, g);
+                    dn = denseDirect(a, x, g);
                 sparse(sn);
             });
             if (cs.dense)
@@ -389,26 +365,56 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
     }
 }
 
+TEST(FusedPack, DenseDirectGeometriesMatchUnfused)
+{
+    IsaGuard guard;
+    ThreadGuard tguard;
+    // The shared sweep, then grid tails at the dense widths: oh * Wq =
+    // 5 * 29 = 145 and 5 * 35 = 175, 1 and 15 (mod 16), and 5 * 21 = 105,
+    // 1 (mod 8) but 9 (mod 16), for the scalar kernel's 8 lanes; and a
+    // strided, padded conv with k = 360 > kGemmKC whose 7-wide output
+    // rows leave a slack lane per grid row, so both the first block's
+    // store and the second block's add run on tiles with slack lanes.
+    // m = 33 leaves a ragged A panel for every register tile.
+    std::vector<ConvGeom> geoms = directGeometries();
+    geoms.insert(geoms.end(), {
+                                  {8, 5, 27, 3, 3, 1, 1},
+                                  {8, 5, 33, 3, 3, 1, 1},
+                                  {8, 5, 19, 3, 3, 1, 1},
+                                  {40, 9, 13, 3, 3, 2, 1},
+                              });
+    const std::int64_t m = 33;
+    for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
+        const ConvGeom &g = geoms[gi];
+        const std::int64_t k = g.in_c * g.k_h * g.k_w;
+        SCOPED_TRACE(testing::Message() << "geometry " << gi << ": k=" << k
+                                        << " out " << g.outH() << "x"
+                                        << g.outW());
+        ASSERT_GT(m * k * g.outH() * g.outW(), kGemmScalarFallbackMacs);
+        const Tensor x = randomInput(210 + gi, g);
+        Rng rng(230 + gi);
+        Tensor a(Shape({m, k}));
+        a.fillNormal(rng, 0.0f, 1.0f);
+        for (Isa isa : availableIsas()) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            const Tensor want = denseUnfused(a, x, g);
+            for (int threads : {1, 2, 3, 4}) {
+                setNumThreads(threads);
+                expectBitIdentical(want, denseDirect(a, x, g),
+                                   simd::isaName(isa));
+            }
+            Tensor nested;
+            runNested([&] { nested = denseDirect(a, x, g); });
+            expectBitIdentical(want, nested, simd::isaName(isa));
+        }
+    }
+}
+
 TEST(FusedPack, SparseDirectGeometriesMatchUnfused)
 {
     IsaGuard guard;
     ThreadGuard tguard;
-    // The dense sweep, then what only the direct path has: phase planes
-    // of a stem 7x7/2 pad 3 and a 3x3/2 pad 1 on even and odd inputs
-    // (an odd padded width leaves the odd-column plane one column
-    // short), a 1x1/2 downsample that builds one phase of four, and grid
-    // tails: oh * Wq = 5 * 13 = 65 and 5 * 19 = 95, 1 and 31 (mod 32),
-    // so the last tile runs into the slack past the last plane.
-    std::vector<ConvGeom> geoms = stridedPaddedGeometries();
-    geoms.insert(geoms.end(), {
-                                  {3, 30, 30, 7, 7, 2, 3},
-                                  {3, 31, 31, 7, 7, 2, 3},
-                                  {8, 16, 16, 3, 3, 2, 1},
-                                  {8, 17, 17, 3, 3, 2, 1},
-                                  {16, 14, 14, 1, 1, 2, 0},
-                                  {8, 5, 11, 3, 3, 1, 1},
-                                  {8, 5, 17, 3, 3, 1, 1},
-                              });
+    const std::vector<ConvGeom> geoms = directGeometries();
     for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
         const ConvGeom &g = geoms[gi];
         const std::int64_t k = g.in_c * g.k_h * g.k_w;
@@ -435,12 +441,12 @@ TEST(FusedPack, SparseDirectGeometriesMatchUnfused)
     }
 }
 
-TEST(FusedPack, SparsePhaseImageOverflowPanics)
+TEST(FusedPack, PhaseImageOverflowPanics)
 {
     // 70000 channels of 200x200 at pad 1 make a padded input of 2.9e9
-    // floats, past what the int32 offset table addresses. The driver
-    // must panic before it allocates the ~11 GB image (or reads the
-    // one-float slab).
+    // floats, past what the int32 offset table addresses. Both drivers
+    // must panic before they allocate the ~11 GB image (or read the
+    // one-float slab and weights).
     const ConvGeom g{70000, 200, 200, 3, 3, 1, 1};
     SparseRowMatrix sp;
     sp.rows = 1;
@@ -452,12 +458,16 @@ TEST(FusedPack, SparsePhaseImageOverflowPanics)
     std::vector<float> c(4, 0.0f);
     EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{&slab, g}, c.data(), 1),
                  PanicError);
+    const float weight = 1.0f;
+    EXPECT_THROW(gemmIm2colRaw(1, &weight, sp.cols, Im2colB{&slab, g},
+                               c.data(), 1),
+                 PanicError);
 }
 
 TEST(FusedPack, DegenerateGeometryPanics)
 {
-    // Kernel larger than the padded input: outH() clamps to 0 and every
-    // fused entry point must panic instead of packing a 0-column B.
+    // Kernel larger than the padded input: outH() clamps to 0 and both
+    // conv entry points must panic instead of laying out a 0-column B.
     const ConvGeom g{1, 2, 5, 3, 3, 2, 0};
     ASSERT_EQ(g.outH(), 0);
     std::vector<float> slab(static_cast<std::size_t>(g.in_h * g.in_w),
@@ -465,10 +475,7 @@ TEST(FusedPack, DegenerateGeometryPanics)
     const Im2colB b{slab.data(), g};
 
     std::vector<float> buf(64, 0.0f);
-    EXPECT_THROW(packBFromIm2col(b, 0, 0, 4, 8, 8, buf.data()),
-                 PanicError);
-    EXPECT_THROW(gemmIm2colRaw(2, 1.0f, buf.data(), 9, b, 0.0f, buf.data(),
-                               4),
+    EXPECT_THROW(gemmIm2colRaw(2, buf.data(), 9, b, buf.data(), 4),
                  PanicError);
 
     SparseRowMatrix sp;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -197,6 +198,79 @@ TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
     }
     EXPECT_TRUE(order_matters)
         << "inputs too tame: a single-chain order would also pass";
+}
+
+/**
+ * The AVX2 dense kernel's per-lane accumulation order, bit for bit: lane
+ * (r, c) starts from 0 and takes kk = 0, 1, ..., kc - 1 in ascending
+ * order, each step one fused multiply-add of ap[kk*6 + r] and
+ * base[off[kk] + c], and the tile overwrites acc (the contract in
+ * simd_dispatch.hpp). B rows sit at scattered, overlapping, unaligned
+ * places of one buffer, as the direct conv's offset table gives them.
+ * Inputs span several binades so a different order rounds differently;
+ * the test checks that a descending order would have been caught.
+ */
+TEST(SimdDispatch, Avx2DenseKernelLaneOrder)
+{
+    if (!simd::isaAvailable(Isa::Avx2))
+        GTEST_SKIP() << "avx2 not available on this host/build";
+    IsaGuard guard;
+    ASSERT_TRUE(simd::setIsa(Isa::Avx2));
+    const simd::Kernels &kn = simd::kernels();
+    ASSERT_EQ(kn.mr, 6);
+    ASSERT_EQ(kn.nr, 16);
+    const std::int64_t mr = kn.mr;
+    const std::int64_t nr = kn.nr;
+    const std::int64_t span = 7 * 96;
+
+    Rng rng(6);
+    auto spread = [&rng] {
+        return std::ldexp(rng.normal(0.0f, 1.0f),
+                          static_cast<int>(rng.intIn(-6, 6)));
+    };
+    std::vector<float> input(static_cast<std::size_t>(3 + span + nr));
+    for (float &x : input)
+        x = spread();
+    const float *base = input.data() + 3;
+
+    bool order_matters = false;
+    for (const std::int64_t kc : {0, 1, 2, 5, 96}) {
+        SCOPED_TRACE(testing::Message() << "kc=" << kc);
+        std::vector<std::int32_t> off(static_cast<std::size_t>(kc));
+        for (std::int64_t kk = 0; kk < kc; ++kk)
+            off[static_cast<std::size_t>(kk)] =
+                static_cast<std::int32_t>(kk * 41 % span);
+        std::vector<float> ap(static_cast<std::size_t>(kc * mr));
+        for (float &x : ap)
+            x = spread();
+        std::vector<float> got(static_cast<std::size_t>(mr * nr),
+                               std::numeric_limits<float>::quiet_NaN());
+        kn.gemmMicroKernel(ap.data(), base, off.data(), kc, got.data());
+
+        std::vector<float> want(static_cast<std::size_t>(mr * nr), 0.0f);
+        for (std::int64_t r = 0; r < mr; ++r) {
+            for (std::int64_t c = 0; c < nr; ++c) {
+                auto step = [&](std::int64_t kk, float s) {
+                    return std::fma(
+                        ap[static_cast<std::size_t>(kk * mr + r)],
+                        base[off[static_cast<std::size_t>(kk)] + c], s);
+                };
+                float &w = want[static_cast<std::size_t>(r * nr + c)];
+                float descending = w;
+                for (std::int64_t kk = 0; kk < kc; ++kk)
+                    w = step(kk, w);
+                for (std::int64_t kk = kc - 1; kk >= 0; --kk)
+                    descending = step(kk, descending);
+                order_matters = order_matters
+                    || std::memcmp(&descending, &w, sizeof(float)) != 0;
+            }
+        }
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 static_cast<std::size_t>(mr * nr)
+                                     * sizeof(float)));
+    }
+    EXPECT_TRUE(order_matters)
+        << "inputs too tame: a descending order would also pass";
 }
 
 TEST(SimdDispatch, VectorGemmMatchesScalarAllTransposeCases)

@@ -284,6 +284,27 @@ secondsOf(const std::function<void()> &fn, int reps)
     return best;
 }
 
+/**
+ * Best-of-reps seconds of each of `fns`, timed interleaved: rep r runs
+ * every fn once, in order, before rep r + 1. Host drift over the run
+ * then lands on every side alike, not in the ratio between them.
+ */
+std::vector<double>
+interleavedSecondsOf(const std::vector<std::function<void()>> &fns, int reps)
+{
+    std::vector<double> best(fns.size(), std::numeric_limits<double>::max());
+    for (int r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < fns.size(); ++i) {
+            const auto t0 = std::chrono::steady_clock::now();
+            fns[i]();
+            const auto t1 = std::chrono::steady_clock::now();
+            best[i] = std::min(
+                best[i], std::chrono::duration<double>(t1 - t0).count());
+        }
+    }
+    return best;
+}
+
 void
 speedupReport(const std::string &json)
 {
@@ -548,28 +569,30 @@ convReport(const std::string &json)
         simd::setIsa(isa);
         const std::string tag = simd::isaName(isa);
 
-        // Best-of-7 (same rep count on every side, so best-of-N bias
-        // cancels): the conv-vs-unfused gaps on the compute-bound cells
-        // are a few percent, which best-of-5 resolves only marginally on
-        // a shared box.
+        // Best-of-7 per side (same rep count on every side, so best-of-N
+        // bias cancels), the four sides interleaved rep by rep so that
+        // host drift during the report cannot land in the gated
+        // sparse-vs-dense ratio: the conv-vs-unfused gaps on the
+        // compute-bound cells are a few percent, which best-of-5
+        // resolves only marginally on a shared box.
         const int reps = 7;
-        const double t_dense_unfused = secondsOf(
-            [&] {
-                const Tensor cols = im2col(x, 0, g);
-                gemmRaw(m, n, k, 1.0f, a.data(), k, false, cols.data(), n,
-                        false, 0.0f, c.data(), n);
-            },
+        const std::vector<double> t = interleavedSecondsOf(
+            {[&] {
+                 const Tensor cols = im2col(x, 0, g);
+                 gemmRaw(m, n, k, 1.0f, a.data(), k, false, cols.data(), n,
+                         false, 0.0f, c.data(), n);
+             },
+             [&] { gemmIm2colRaw(m, a.data(), k, b, c.data(), n); },
+             [&] {
+                 const Tensor cols = im2col(x, 0, g);
+                 gemmSparseARaw(sp, cols.data(), n, c.data(), n);
+             },
+             [&] { gemmSparseAIm2col(sp, b, c.data(), n); }},
             reps);
-        const double t_dense_direct = secondsOf(
-            [&] { gemmIm2colRaw(m, a.data(), k, b, c.data(), n); }, reps);
-        const double t_sparse_unfused = secondsOf(
-            [&] {
-                const Tensor cols = im2col(x, 0, g);
-                gemmSparseARaw(sp, cols.data(), n, c.data(), n);
-            },
-            reps);
-        const double t_sparse_direct = secondsOf(
-            [&] { gemmSparseAIm2col(sp, b, c.data(), n); }, reps);
+        const double t_dense_unfused = t[0];
+        const double t_dense_direct = t[1];
+        const double t_sparse_unfused = t[2];
+        const double t_sparse_direct = t[3];
 
         const double dense_speedup = t_dense_unfused / t_dense_direct;
         const double sparse_speedup = t_sparse_unfused / t_sparse_direct;

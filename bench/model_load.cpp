@@ -7,7 +7,7 @@
  * and times the end-to-end path from file to forward-ready packed
  * operands for every layer:
  *
- *   stream: read file -> decode every symbol -> packGroupedRows per
+ *   stream: read file -> decode every symbol -> packSparseRows per
  *           layer into an in-memory MVQI image -> the mvqi path's
  *           validation and borrow over that image
  *   mvqi:   mmap -> structural validation -> borrow + O(nnz) semantic
@@ -108,8 +108,8 @@ synthesizeModel(const models::ModelSpec &spec, io::MvqiWriteOptions *opts,
 
 /**
  * Open `path` and materialize forward-ready operands for every layer,
- * at the conv group counts the serving architecture dictates (the MVQI
- * image bakes exactly these, so its path stays zero-copy).
+ * asked for at the conv group counts the serving architecture dictates
+ * (either format serves every count from the layer's one borrowed CSR).
  */
 std::vector<io::SharedOperands>
 coldLoad(const std::string &path,
@@ -136,7 +136,7 @@ sameArray(const OperandArray<T> &x, const OperandArray<T> &y)
             || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
 }
 
-/** Every operand's CSR arrays (all an image stores), byte for byte. */
+/** Every layer's CSR arrays (all an image stores), byte for byte. */
 bool
 operandsIdentical(const std::vector<io::SharedOperands> &a,
                   const std::vector<io::SharedOperands> &b)
@@ -144,16 +144,12 @@ operandsIdentical(const std::vector<io::SharedOperands> &a,
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i]->size() != b[i]->size())
+        const SparseRowMatrix &x = a[i]->front().rows;
+        const SparseRowMatrix &y = b[i]->front().rows;
+        if (!sameArray(x.row_ptr, y.row_ptr)
+            || !sameArray(x.col_idx, y.col_idx)
+            || !sameArray(x.values, y.values))
             return false;
-        for (std::size_t g = 0; g < a[i]->size(); ++g) {
-            const GroupedSparseMatrix &x = (*a[i])[g];
-            const GroupedSparseMatrix &y = (*b[i])[g];
-            if (!sameArray(x.rows.row_ptr, y.rows.row_ptr)
-                || !sameArray(x.rows.col_idx, y.rows.col_idx)
-                || !sameArray(x.rows.values, y.rows.values))
-                return false;
-        }
     }
     return true;
 }

@@ -12,7 +12,7 @@
  * convert options:
  *   --to stream|mvqi          target format (default: by <out> extension,
  *                             ".mvqi" => mvqi, anything else => stream)
- *   --groups N                conv groups baked into every MVQI layer
+ *   --groups N                conv groups recorded for every MVQI layer
  *   --layer-groups name=N     per-layer override (repeatable; the name
  *                             must be a layer of the model)
  * N must be a whole number >= 1.
@@ -68,7 +68,7 @@ describeLayer(const ModelArtifact &art, std::int64_t i)
               << cl.cfg.pattern.m << " ("
               << core::groupingName(cl.cfg.grouping) << ", codebook "
               << cl.codebook_id << ", ng=" << cl.ng() << ")"
-              << "  [pre-packed, groups=" << art.bakedGroups(i) << "]\n";
+              << "  [pre-packed, groups=" << art.layerGroups(i) << "]\n";
 }
 
 int
@@ -155,10 +155,8 @@ cmdVerify(const std::string &path)
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
         // openArtifact checked every operand's geometry against its
         // layer; packedOperands runs the full O(nnz) semantic validation
-        // (validateSparseOperand over each borrowed CSR).
-        const SharedOperands ops = art->packedOperands(i);
-        for (const GroupedSparseMatrix &g : *ops)
-            nnz += g.rows.nnz();
+        // (validateSparseOperand over the borrowed CSR).
+        nnz += art->packedOperands(i)->front().rows.nnz();
     }
     std::cout << path << ": OK ("
               << artifactFormatName(art->format()) << ", "

@@ -44,7 +44,7 @@ const Knob kKnobs[] = {
      "serve_load exits nonzero below this sustained images/s floor at "
      "the highest client count"},
     {"MVQ_WRITE_GOLDEN", "flag", "off",
-     "model_artifact_test regenerates tests/data/golden_v2.mvqi instead "
+     "model_artifact_test regenerates tests/data/golden_v3.mvqi instead "
      "of checking against it"},
 };
 

@@ -109,43 +109,44 @@ columnOffsets(const CompressedLayer &layer)
     return off;
 }
 
+} // namespace
+
 /**
- * The shared pack walk: rows [k0, k1) of the layer's unrolled [K, C*R*S]
- * weight matrix as a standalone CSR operand (rows rebased to k0). One LUT
- * pass has already expanded the stored group codes into `mask`; the walk
- * reads each weight's bit at its row base plus `col_off`, once to size
- * the arrays exactly and once to fill them. A kept position keeps its
- * codeword value even when that value is 0.0f — the operand mirrors the
- * mask structure, not incidental zeros.
+ * The pack walk. One LUT pass expands the stored group codes into a
+ * mask; the walk reads each weight's bit at its row base plus the
+ * per-column offsets, once to size the arrays exactly and once to fill
+ * them. A kept position keeps its codeword value even when that value is
+ * 0.0f — the operand mirrors the mask structure, not incidental zeros.
  */
 SparseRowMatrix
-packRowRange(const CompressedLayer &layer, const Mask &mask,
-             const ColumnOffsets &col_off, const Codebook &cb,
-             std::int64_t k0, std::int64_t k1)
+CompressedLayer::packSparseRows(const Codebook &cb) const
 {
-    const Shape &w4 = layer.weight_shape;
-    const std::int64_t d = layer.cfg.d;
+    checkPackInputs(*this, cb);
+    const Mask mask = decodeMask();
+    const ColumnOffsets col_off = columnOffsets(*this);
+    const Shape &w4 = weight_shape;
+    const std::int64_t d = cfg.d;
     const std::int64_t ncols = static_cast<std::int64_t>(col_off.flat.size());
     const std::int64_t *col_row = col_off.row.data();
     const std::int64_t *col_flat = col_off.flat.data();
     const std::uint8_t *keep = mask.data(); // 0/1 per weight
     auto rowBase = [&](std::int64_t k) {
-        return groupedOffset(
-            groupedCoords(k, 0, 0, 0, w4, d, layer.cfg.grouping), d);
+        return groupedOffset(groupedCoords(k, 0, 0, 0, w4, d, cfg.grouping),
+                             d);
     };
 
     SparseRowMatrix sp;
-    sp.rows = k1 - k0;
+    sp.rows = w4.dim(0);
     sp.cols = ncols;
     sp.row_ptr.resize(static_cast<std::size_t>(sp.rows) + 1);
     std::int64_t *row_ptr = sp.row_ptr.data();
     row_ptr[0] = 0;
-    for (std::int64_t k = k0; k < k1; ++k) {
+    for (std::int64_t k = 0; k < sp.rows; ++k) {
         const std::uint8_t *row_keep = keep + rowBase(k).flat;
         std::int64_t kept = 0;
         for (std::int64_t j = 0; j < ncols; ++j)
             kept += row_keep[col_flat[j]];
-        row_ptr[k - k0 + 1] = row_ptr[k - k0] + kept;
+        row_ptr[k + 1] = row_ptr[k] + kept;
     }
 
     sp.col_idx.resize(static_cast<std::size_t>(row_ptr[sp.rows]));
@@ -153,11 +154,11 @@ packRowRange(const CompressedLayer &layer, const Mask &mask,
     std::int32_t *col_idx = sp.col_idx.data();
     float *values = sp.values.data();
     const float *cw = cb.codewords.data();
-    const std::int32_t *assign = layer.assignments.data();
+    const std::int32_t *assign = assignments.data();
     // A row's kept columns are collected without a branch (N of every M
     // bits set at random defeats the predictor), then filled in.
     std::vector<std::int32_t> kept_cols(static_cast<std::size_t>(ncols));
-    for (std::int64_t k = k0; k < k1; ++k) {
+    for (std::int64_t k = 0; k < sp.rows; ++k) {
         const GroupedOffset base = rowBase(k);
         const std::uint8_t *row_keep = keep + base.flat;
         std::int64_t n = 0;
@@ -166,7 +167,7 @@ packRowRange(const CompressedLayer &layer, const Mask &mask,
                 static_cast<std::int32_t>(j);
             n += row_keep[col_flat[j]];
         }
-        const std::int64_t e0 = row_ptr[k - k0];
+        const std::int64_t e0 = row_ptr[k];
         for (std::int64_t q = 0; q < n; ++q) {
             const std::int32_t j = kept_cols[static_cast<std::size_t>(q)];
             const std::int64_t row = base.row + col_row[j];
@@ -177,37 +178,6 @@ packRowRange(const CompressedLayer &layer, const Mask &mask,
     }
     validateSparseOperand(sp);
     return sp;
-}
-
-} // namespace
-
-SparseRowMatrix
-CompressedLayer::packSparseRows(const Codebook &cb) const
-{
-    checkPackInputs(*this, cb);
-    const Mask mask = decodeMask();
-    return packRowRange(*this, mask, columnOffsets(*this), cb, 0,
-                        weight_shape.dim(0));
-}
-
-std::vector<GroupedSparseMatrix>
-CompressedLayer::packGroupedRows(const Codebook &cb,
-                                 std::int64_t groups) const
-{
-    checkPackInputs(*this, cb);
-    const std::int64_t kk = weight_shape.dim(0);
-    fatalIf(groups <= 0 || kk % groups != 0,
-            name, ": out channels ", kk, " not divisible by groups ",
-            groups);
-    const std::int64_t kg = kk / groups;
-
-    const Mask mask = decodeMask();
-    const ColumnOffsets col_off = columnOffsets(*this);
-    std::vector<GroupedSparseMatrix> out(static_cast<std::size_t>(groups));
-    for (std::int64_t grp = 0; grp < groups; ++grp)
-        out[static_cast<std::size_t>(grp)].rows = packRowRange(
-            *this, mask, col_off, cb, grp * kg, (grp + 1) * kg);
-    return out;
 }
 
 Tensor

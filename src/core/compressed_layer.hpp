@@ -107,18 +107,10 @@ struct CompressedLayer
      * load time and reused for every forward pass (see
      * nn::CompressedConv2d) — inference never touches pruned positions,
      * realizing the N/M flop reduction the accelerator sim models.
+     * This is the one operand per layer that MVQI images store and
+     * nn::CompressedConv2d runs; a conv's groups are row ranges of it.
      */
     SparseRowMatrix packSparseRows(const Codebook &cb) const;
-
-    /**
-     * packSparseRows split per convolution group: each group's row range
-     * [grp*K/groups, (grp+1)*K/groups) of the unrolled weight matrix packs
-     * directly into its own operand's CSR (no full-operand pack + slice
-     * copy), byte-identical to that row slice of packSparseRows. This is
-     * the operand MVQI images store and nn::CompressedConv2d runs.
-     */
-    std::vector<GroupedSparseMatrix>
-    packGroupedRows(const Codebook &cb, std::int64_t groups = 1) const;
 
     /** Dense-reconstruct (mask ignored; ablation cases A/B). */
     Tensor reconstructDense(const Codebook &cb) const;

@@ -19,19 +19,6 @@ borrowArr(const MvqiView &v, const MvqiArray &a)
     return OperandArray<T>::borrow(v.array<T>(a), a.count);
 }
 
-/** Assemble an operand whose CSR arrays alias the image. */
-GroupedSparseMatrix
-borrowOperand(const MvqiView &v, const MvqiOperand &op)
-{
-    GroupedSparseMatrix g;
-    g.rows.rows = op.rows;
-    g.rows.cols = op.cols;
-    g.rows.row_ptr = borrowArr<std::int64_t>(v, op.row_ptr);
-    g.rows.col_idx = borrowArr<std::int32_t>(v, op.col_idx);
-    g.rows.values = borrowArr<float>(v, op.values);
-    return g;
-}
-
 /** Keeps the image alive for as long as any borrowed operand handle is
  *  held (the SharedOperands aliasing constructor points into it). */
 struct OperandHolder
@@ -73,7 +60,8 @@ ModelArtifact::ModelArtifact(std::string path, ArtifactFormat format,
                              std::int64_t size_bytes,
                              std::shared_ptr<const MvqiImage> image)
     : path_(std::move(path)), format_(format), size_bytes_(size_bytes),
-      image_(std::move(image)), view_(image_->data(), image_->size(), path_)
+      image_(std::move(image)), view_(image_->data(), image_->size(), path_),
+      cache_(static_cast<std::size_t>(view_.layerCount()))
 {
 }
 
@@ -97,7 +85,7 @@ ModelArtifact::layerShape(std::int64_t i) const
 }
 
 std::int64_t
-ModelArtifact::bakedGroups(std::int64_t i) const
+ModelArtifact::layerGroups(std::int64_t i) const
 {
     return view_.layer(i).groups;
 }
@@ -161,53 +149,43 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
 {
     panicIf(i < 0 || i >= layerCount(), "layer index ", i,
             " out of range [0, ", layerCount(), ")");
+    const std::int64_t out_c = view_.layer(i).shape[0];
+    fatalIf(groups < 0 || (groups > 0 && out_c % groups != 0), path_,
+            ": conv groups ", groups, " do not divide the ", out_c,
+            " output channels of layer '", layerName(i), "'");
     fault::checkpoint(fault::kOperandBorrow,
                       "borrowing packed operands from the model image");
-    const std::int64_t baked = bakedGroups(i);
-    const std::int64_t g = groups == 0 ? baked : groups;
-    const auto key = std::make_pair(i, g);
     // One lock for the whole lookup-or-build: a miss holds it across the
-    // O(nnz) validation (or repack), so N threads first-touching the same
-    // (layer, groups) build it once and the rest hit the cache.
+    // O(nnz) validation, so N threads first-touching the same layer build
+    // it once and the rest hit the cache.
     std::lock_guard<std::mutex> lk(mu_);
-    if (auto it = cache_.find(key); it != cache_.end())
-        return it->second;
+    SharedOperands &cached = cache_[static_cast<std::size_t>(i)];
+    if (cached)
+        return cached;
 
-    SharedOperands shared;
-    if (g == baked) {
-        // Zero-copy path: borrow every operand's CSR from the image, then
-        // run the O(nnz) semantic validation — the line between a corrupt
-        // image failing loudly and the kernels reading out of bounds.
-        // Structural bounds and geometry were already checked by MvqiView.
-        auto holder = std::make_shared<OperandHolder>();
-        holder->keepalive = image_;
-        holder->ops.reserve(static_cast<std::size_t>(g));
-        const MvqiOperand *recs = view_.operands(i);
-        for (std::int64_t grp = 0; grp < g; ++grp) {
-            GroupedSparseMatrix op = borrowOperand(view_, recs[grp]);
-            try {
-                validateSparseOperand(op.rows);
-            } catch (const PanicError &e) {
-                // Invariant violations in *our* data are bugs (panic);
-                // in a file they are the file's fault — rewrap.
-                fatal(path_, ": corrupt MVQI operand (layer '",
-                      layerName(i), "', group ", grp, "): ", e.what());
-            }
-            holder->ops.push_back(std::move(op));
-        }
-        shared = SharedOperands(holder, &holder->ops);
-    } else {
-        // Group-count mismatch: correct but not zero-copy. Bake the
-        // right groups at write time to stay on the borrowed path.
-        const CompressedModel &m = modelLocked();
-        const CompressedLayer &cl = m.layers[static_cast<std::size_t>(i)];
-        shared = std::make_shared<const std::vector<GroupedSparseMatrix>>(
-            cl.packGroupedRows(
-                m.codebooks[static_cast<std::size_t>(cl.codebook_id)],
-                g));
+    // Zero-copy: borrow the layer's CSR from the image, then run the
+    // O(nnz) semantic validation — the line between a corrupt image
+    // failing loudly and the kernels reading out of bounds. Structural
+    // bounds and geometry were already checked by MvqiView.
+    const MvqiOperand &rec = view_.layer(i).operand;
+    auto holder = std::make_shared<OperandHolder>();
+    holder->keepalive = image_;
+    SparseRowMatrix &op = holder->ops.emplace_back().rows;
+    op.rows = rec.rows;
+    op.cols = rec.cols;
+    op.row_ptr = borrowArr<std::int64_t>(view_, rec.row_ptr);
+    op.col_idx = borrowArr<std::int32_t>(view_, rec.col_idx);
+    op.values = borrowArr<float>(view_, rec.values);
+    try {
+        validateSparseOperand(op);
+    } catch (const PanicError &e) {
+        // Invariant violations in *our* data are bugs (panic); in a file
+        // they are the file's fault — rewrap.
+        fatal(path_, ": corrupt MVQI operand (layer '", layerName(i),
+              "'): ", e.what());
     }
-    cache_[key] = shared;
-    return shared;
+    cached = SharedOperands(holder, &holder->ops);
+    return cached;
 }
 
 std::unique_ptr<ModelArtifact>

@@ -8,11 +8,12 @@
  *  - a `.mvqi` file is mmap'd read-only, so N processes opening it share
  *    its pages through the page cache;
  *  - a `.mvq` bit-packed stream (core/serialize) is decoded and built into
- *    an MVQI image in 64-byte-aligned memory (every layer at groups 1: the
- *    stream stores no conv geometry), and the decoded model is dropped.
+ *    an MVQI image in 64-byte-aligned memory (every layer recorded at
+ *    groups 1: the stream stores no conv geometry), and the decoded model
+ *    is dropped.
  *
  * From there every artifact takes one path: packedOperands borrows each
- * pre-packed operand's CSR sections straight out of the image
+ * layer's pre-packed CSR sections straight out of the image
  * (validateSparseOperand is the only O(nnz) work, and it reads — never
  * copies — the image), and model() is materialized from the image on
  * first call. openArtifact() sniffs the file magic, so callers are
@@ -24,12 +25,10 @@
 #define MVQ_CORE_IO_MODEL_ARTIFACT_HPP
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/compressed_layer.hpp"
@@ -48,11 +47,11 @@ enum class ArtifactFormat
 std::string artifactFormatName(ArtifactFormat f);
 
 /**
- * Shared handle to one layer's packed gemm operands (one CSR per conv
- * group, held as GroupedSparseMatrix::rows). The shared_ptr's control block
- * keeps whatever owns the underlying bytes alive — for a borrowed operand
- * that is the image itself — so holders may outlive the artifact that
- * produced them.
+ * Shared handle to one layer's packed gemm operand: a one-element vector
+ * whose CSR (GroupedSparseMatrix::rows) runs every conv group of the
+ * layer. The shared_ptr's control block keeps whatever owns the
+ * underlying bytes alive — for a borrowed operand that is the image
+ * itself — so holders may outlive the artifact that produced them.
  */
 using SharedOperands = std::shared_ptr<const std::vector<GroupedSparseMatrix>>;
 
@@ -83,21 +82,17 @@ class ModelArtifact
     /** Original 4-D kernel shape of layer i. */
     Shape layerShape(std::int64_t i) const;
 
-    /** Conv groups layer i's operands are pre-packed for (>= 1; always 1
-     *  for an artifact opened from a stream file). */
-    std::int64_t bakedGroups(std::int64_t i) const;
+    /** The conv groups layer i records (>= 1; always 1 for an artifact
+     *  opened from a stream file, which stores no conv geometry). */
+    std::int64_t layerGroups(std::int64_t i) const;
 
     /**
-     * Layer i's packed sparse operands for a `groups`-way convolution.
-     * `groups == 0` means "the artifact's baked groups". Results are
-     * cached per (layer, groups), so N conv instances built from one
-     * artifact share one operand set.
-     *
-     * The baked group count is served as borrowed views over the image
-     * (zero-copy; the returned handle keeps the image alive). Any other
-     * count falls back to materializing + repacking, which is correct but
-     * defeats the zero-copy point — bake the right groups at write time
-     * (MvqiWriteOptions::layer_groups).
+     * Layer i's packed sparse operand, borrowed from the image
+     * (zero-copy; the returned handle keeps the image alive) and cached
+     * per layer, so N conv instances built from one artifact share it.
+     * The one CSR serves a conv at any group count, so `groups` changes
+     * nothing; it must be 0 or divide the layer's output channels
+     * (FatalError otherwise).
      */
     SharedOperands packedOperands(std::int64_t i,
                                   std::int64_t groups = 0) const;
@@ -124,8 +119,8 @@ class ModelArtifact
     mutable std::mutex mu_;
     /** Materialized model, built on first model() call only. */
     mutable std::optional<CompressedModel> model_;
-    mutable std::map<std::pair<std::int64_t, std::int64_t>, SharedOperands>
-        cache_;
+    /** One borrowed, validated operand per layer, built on first use. */
+    mutable std::vector<SharedOperands> cache_;
 };
 
 /**
@@ -138,7 +133,7 @@ std::unique_ptr<ModelArtifact> openArtifact(const std::string &path);
 
 /**
  * Write `model` to `path` in the requested format. `mvqi_opts` applies
- * to ArtifactFormat::Mvqi only (conv groups to bake per layer).
+ * to ArtifactFormat::Mvqi only (conv groups to record per layer).
  */
 void saveArtifact(const CompressedModel &model, const std::string &path,
                   ArtifactFormat format,

@@ -99,9 +99,9 @@ appendOperand(ImageBuilder &b, const SparseRowMatrix &op)
     return rec;
 }
 
-/** The conv groups `opts` asks to bake into `cl`'s operands. */
+/** The conv groups `opts` records for `cl`. */
 std::int64_t
-bakedGroups(const CompressedLayer &cl, const MvqiWriteOptions &opts)
+recordedGroups(const CompressedLayer &cl, const MvqiWriteOptions &opts)
 {
     if (auto it = opts.layer_groups.find(cl.name);
         it != opts.layer_groups.end())
@@ -113,13 +113,13 @@ bakedGroups(const CompressedLayer &cl, const MvqiWriteOptions &opts)
  * An upper bound on buildMvqiImage's output size, so the image is
  * allocated once and no append copies it. Each section may be preceded
  * by up to kMvqiAlign - 1 pad bytes. Every stored mask code keeps N
- * weights, and each kept weight costs 8 bytes (column + value) in its
- * operand's CSR; row pointers cost 8 bytes per row, plus one per group.
- * Every term comes from the stored arrays or is capped by them, so a
- * corrupt layer (which the pack rejects) cannot inflate it.
+ * weights, and each kept weight costs 8 bytes (column + value) in the
+ * layer's CSR; row pointers cost 8 bytes per row, plus one. Every term
+ * comes from the stored arrays or is capped by them, so a corrupt layer
+ * (which the pack rejects) cannot inflate it.
  */
 std::size_t
-imageBytesBound(const CompressedModel &model, const MvqiWriteOptions &opts)
+imageBytesBound(const CompressedModel &model)
 {
     const std::size_t pad = static_cast<std::size_t>(kMvqiAlign) - 1;
     auto section = [&](std::size_t bytes) { return bytes + pad; };
@@ -138,14 +138,9 @@ imageBytesBound(const CompressedModel &model, const MvqiWriteOptions &opts)
             : 0;
         const std::int64_t rows = cl.weight_shape.rank() == 4
             ? std::min(cl.weight_shape.dim(0), codes * m) : 0;
-        const std::int64_t groups = std::clamp<std::int64_t>(
-            bakedGroups(cl, opts), 1, std::max<std::int64_t>(rows, 1));
         total += section(cl.assignments.size() * sizeof(std::int32_t))
             + section(cl.mask_codes.size() * sizeof(std::uint32_t))
-            + section(static_cast<std::size_t>(groups)
-                      * sizeof(MvqiOperand))
-            + static_cast<std::size_t>(groups) * 3 * pad
-            + static_cast<std::size_t>((rows + groups) * 8)
+            + 3 * pad + static_cast<std::size_t>((rows + 1) * 8)
             + static_cast<std::size_t>(kept * 8);
     }
     return total + pad;
@@ -159,8 +154,9 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
     const std::size_t n_books = model.codebooks.size();
     const std::size_t n_layers = model.layers.size();
 
-    // A misspelled name would otherwise bake that layer at the default
-    // groups and silently take it off the zero-copy path when served.
+    // A misspelled name would otherwise record the default groups for
+    // that layer, and a conv built from the file would read the wrong
+    // input channels.
     std::set<std::string> names;
     for (const CompressedLayer &cl : model.layers)
         names.insert(cl.name);
@@ -169,7 +165,7 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
                 entry.first, "', which the model does not have");
 
     ImageBuilder b;
-    b.buf.reserve(imageBytesBound(model, opts));
+    b.buf.reserve(imageBytesBound(model));
     b.reserve(sizeof(MvqiHeader));
     const std::uint64_t cb_toc_off = b.reserve(n_books * sizeof(MvqiCodebook));
     const std::uint64_t layer_toc_off =
@@ -200,9 +196,10 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
                 "layer ", cl.name, " references codebook ", cl.codebook_id,
                 " of ", n_books);
 
-        const std::int64_t groups = bakedGroups(cl, opts);
-        fatalIf(groups < 1, "invalid conv groups ", groups, " for layer ",
-                cl.name);
+        const std::int64_t groups = recordedGroups(cl, opts);
+        fatalIf(groups < 1 || cl.weight_shape.dim(0) % groups != 0,
+                "invalid conv groups ", groups, " for layer ", cl.name,
+                " with ", cl.weight_shape.dim(0), " output channels");
 
         MvqiLayer &rec = layer_toc[i];
         std::memcpy(rec.name, cl.name.c_str(), cl.name.size());
@@ -222,16 +219,9 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.mask_codes = b.append(cl.mask_codes);
 
         // The one and only pack: serving loads borrow these bytes as-is.
-        // One layer's operands at a time, so the heap never holds more.
-        const std::vector<GroupedSparseMatrix> ops =
-            cl.packGroupedRows(model.codebooks[cl.codebook_id], groups);
-        std::vector<MvqiOperand> op_recs;
-        op_recs.reserve(ops.size());
-        for (const GroupedSparseMatrix &op : ops)
-            op_recs.push_back(appendOperand(b, op.rows));
-        rec.operands_off = b.appendRaw(op_recs.data(),
-                                       static_cast<std::int64_t>(
-                                           op_recs.size()));
+        // One layer's operand at a time, so the heap never holds more.
+        rec.operand = appendOperand(
+            b, cl.packSparseRows(model.codebooks[cl.codebook_id]));
     }
 
     b.alignUp();
@@ -386,13 +376,6 @@ MvqiView::layer(std::int64_t i) const
         data_ + header().layer_toc_off)[i];
 }
 
-const MvqiOperand *
-MvqiView::operands(std::int64_t layer_idx) const
-{
-    return reinterpret_cast<const MvqiOperand *>(
-        data_ + layer(layer_idx).operands_off);
-}
-
 void
 MvqiView::checkArray(const MvqiArray &a, std::int64_t elem_bytes,
                      const char *name) const
@@ -493,31 +476,25 @@ MvqiView::validate()
         fatalIf(L.mask_codes.count != L.ng * (L.d / L.m), what_,
                 ": layer ", i, " mask-code count ", L.mask_codes.count,
                 " does not match ng*d/M = ", L.ng * (L.d / L.m));
-        checkArray(MvqiArray{L.operands_off,
-                             static_cast<std::int64_t>(L.groups)},
-                   sizeof(MvqiOperand), "operand TOC");
 
-        // Each operand is its group's unrolled [K/groups, C/groups*R*S]
-        // weight matrix; any other geometry would pass the CSR checks and
-        // still be rejected by every conv built over it.
-        const std::int64_t kg = L.shape[0] / L.groups;
+        // The operand is the layer's unrolled [K, C/groups*R*S] weight
+        // matrix; any other geometry would pass the CSR checks and still
+        // be rejected by every conv built over it.
+        const MvqiOperand &op = L.operand;
         const std::int64_t unrolled = L.shape[1] * L.shape[2] * L.shape[3];
-        for (std::int32_t g = 0; g < L.groups; ++g) {
-            const MvqiOperand &op = operands(i)[g];
-            fatalIf(op.rows != kg || op.cols != unrolled, what_, ": layer ",
-                    i, " ('", L.name, "') operand ", g, " is ", op.rows,
-                    "x", op.cols, ", but its shape [", L.shape[0], ", ",
-                    L.shape[1], ", ", L.shape[2], ", ", L.shape[3],
-                    "] at ", L.groups, " groups needs ", kg, "x", unrolled);
-            checkArray(op.row_ptr, sizeof(std::int64_t), "row_ptr");
-            fatalIf(op.row_ptr.count != op.rows + 1, what_, ": layer ", i,
-                    " operand ", g, " row_ptr count ", op.row_ptr.count,
-                    " does not match rows+1 = ", op.rows + 1);
-            checkArray(op.col_idx, sizeof(std::int32_t), "col_idx");
-            checkArray(op.values, sizeof(float), "values");
-            fatalIf(op.col_idx.count != op.values.count, what_, ": layer ",
-                    i, " operand ", g, " col_idx/values count mismatch");
-        }
+        fatalIf(op.rows != L.shape[0] || op.cols != unrolled, what_,
+                ": layer ", i, " ('", L.name, "') operand is ", op.rows, "x",
+                op.cols, ", but its shape [", L.shape[0], ", ", L.shape[1],
+                ", ", L.shape[2], ", ", L.shape[3], "] needs ", L.shape[0],
+                "x", unrolled);
+        checkArray(op.row_ptr, sizeof(std::int64_t), "row_ptr");
+        fatalIf(op.row_ptr.count != op.rows + 1, what_, ": layer ", i,
+                " operand row_ptr count ", op.row_ptr.count,
+                " does not match rows+1 = ", op.rows + 1);
+        checkArray(op.col_idx, sizeof(std::int32_t), "col_idx");
+        checkArray(op.values, sizeof(float), "values");
+        fatalIf(op.col_idx.count != op.values.count, what_, ": layer ", i,
+                " operand col_idx/values count mismatch");
     }
 }
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * MVQI ("MVQ Image") v2 — the flat, aligned, versioned serving format.
+ * MVQI ("MVQ Image") v3 — the flat, aligned, versioned serving format.
  * Where the bit-packed stream format (core/serialize) optimizes for the
  * paper's Eq. 7 storage accounting and must be decoded and re-packed on
  * every load, an MVQI file *is* the in-memory operand layout: fixed-width
  * little-endian header + TOC structs, then 64-byte-aligned sections
  * holding codebooks, assignments, mask codes, and the pre-packed sparse
- * operands (one CSR per conv group) exactly as the gemm drivers consume
- * them. Loading is therefore mmap + validate: no bit-stream decode, no
- * packGroupedRows, and N server processes share one read-only
+ * operand (one CSR per layer) exactly as the gemm drivers consume it.
+ * Loading is therefore mmap + validate: no bit-stream decode, no
+ * packSparseRows, and N server processes share one read-only
  * page-cached image. A stream file is served through the same image,
  * built in memory when it is opened.
  *
@@ -31,7 +31,7 @@
 namespace mvq::core::io {
 
 constexpr std::uint32_t kMvqiMagic = 0x4951564Du; //!< "MVQI", little-endian
-constexpr std::uint32_t kMvqiVersion = 2;
+constexpr std::uint32_t kMvqiVersion = 3;
 constexpr std::int64_t kMvqiAlign = 64;  //!< section alignment (bytes)
 constexpr std::size_t kMvqiNameBytes = 64; //!< fixed layer-name field
 
@@ -75,13 +75,13 @@ struct MvqiCodebook
 static_assert(sizeof(MvqiCodebook) == 48);
 
 /**
- * One pre-packed sparse operand: the CSR of one conv group of one layer,
- * flattened into offset-addressed sections that a loaded operand borrows
- * straight from the image.
+ * One pre-packed sparse operand: the CSR of one layer's unrolled weight
+ * matrix, flattened into offset-addressed sections that a loaded operand
+ * borrows straight from the image.
  */
 struct MvqiOperand
 {
-    std::int64_t rows = 0; //!< shape[0] / groups of the layer
+    std::int64_t rows = 0; //!< shape[0] of the layer
     std::int64_t cols = 0; //!< shape[1] * shape[2] * shape[3]
     MvqiArray row_ptr;     //!< int64, rows + 1
     MvqiArray col_idx;     //!< int32, nnz
@@ -101,18 +101,19 @@ struct MvqiLayer
     std::int32_t grouping = 0;      //!< core::Grouping enum value
     std::int32_t codebook_bits = 0;
     std::int32_t codebook_id = 0;
-    std::int32_t groups = 1;        //!< conv groups baked into operands
+    std::int32_t groups = 1;        //!< the conv's groups (geometry)
     std::int64_t dense_flops = 0;
     std::int64_t ng = 0;
     MvqiArray assignments;          //!< int32, ng
     MvqiArray mask_codes;           //!< uint32, ng * d/M
-    std::uint64_t operands_off = 0; //!< `groups` MvqiOperand records
+    MvqiOperand operand;            //!< the layer's one CSR
     std::uint64_t reserved = 0;
 };
-static_assert(sizeof(MvqiLayer) == 200);
+static_assert(sizeof(MvqiLayer) == 256);
 
-/** Writer knobs: the conv `groups` baked into each layer's pre-packed
- *  operands (the compressed container does not store conv geometry). */
+/** Writer knobs: the conv `groups` each layer records (the compressed
+ *  container does not store conv geometry). They are geometry only: the
+ *  operand is the layer's one CSR at any group count. */
 struct MvqiWriteOptions
 {
     std::int64_t default_groups = 1;
@@ -165,11 +166,12 @@ struct MvqiAllocator
 using MvqiBytes = std::vector<std::uint8_t, MvqiAllocator<std::uint8_t>>;
 
 /**
- * Serialize `model` into an MVQI image: runs packGroupedRows per layer
+ * Serialize `model` into an MVQI image: runs packSparseRows per layer
  * ONCE here, at serialize time, so no load ever runs it again.
  * Deterministic: same model + options => identical bytes (the golden
  * fixture test depends on this). Fatal on layer names >= 64 bytes,
- * invalid groups, or a `layer_groups` key that names no layer.
+ * groups that do not divide a layer's output channels, or a
+ * `layer_groups` key that names no layer.
  */
 MvqiBytes buildMvqiImage(const CompressedModel &model,
                          const MvqiWriteOptions &opts = {});
@@ -216,11 +218,10 @@ class MvqiImage
  * undefined behaviour. Array accessors return pointers that were bounds-
  * and alignment-checked against the image during construction.
  *
- * Structural validation is O(layers + groups), independent of model
- * size, and includes each operand's geometry against its layer's shape
- * and groups; the O(nnz) semantic validation of each operand's indices
- * happens when the operand is borrowed (validateSparseOperand, see
- * ModelArtifact::packedOperands).
+ * Structural validation is O(layers), independent of model size, and
+ * includes each operand's geometry against its layer's shape; the O(nnz)
+ * semantic validation of its indices happens when the operand is
+ * borrowed (validateSparseOperand, see ModelArtifact::packedOperands).
  */
 class MvqiView
 {
@@ -232,8 +233,6 @@ class MvqiView
     std::int64_t layerCount() const;
     const MvqiCodebook &codebook(std::int64_t i) const;
     const MvqiLayer &layer(std::int64_t i) const;
-    /** The layer's `groups` MvqiOperand records. */
-    const MvqiOperand *operands(std::int64_t layer_idx) const;
 
     /** Typed pointer to a validated array section. */
     template <typename T>

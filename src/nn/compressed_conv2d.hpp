@@ -9,13 +9,13 @@
  * never multiplied, so the 4:16 MAC reduction the paper's accelerator
  * gets from its AND-gate weight loader is realized on the CPU too, with
  * the kept weights stationary and the activations streaming past them.
- * The operand is one CSR per conv group
- * (core::CompressedLayer::packGroupedRows), exactly what MVQI images
- * store, and the sparse gemm splits each conv over the whole pool even
- * at batch 1.
- * The forward is bit-identical per ISA to the materializing im2col +
- * gemmSparseARaw composition, which stays as the test oracle (see
- * tensor/ops.hpp). Contrast with CompressedModel::applyTo, which
+ * The operand is the layer's one CSR, exactly what MVQI images store;
+ * conv group g runs its rows [g*K/groups, (g+1)*K/groups), so one driver
+ * call covers every group of an image (a depthwise layer included), and
+ * the sparse gemm splits each conv over the whole pool even at batch 1.
+ * The forward is bit-identical per ISA to the materializing per-group
+ * im2col + gemmSparseARaw composition, which stays as the test oracle
+ * (see tensor/ops.hpp). Contrast with CompressedModel::applyTo, which
  * densifies the kernel and pays the full dense gemm.
  */
 
@@ -41,7 +41,7 @@ class CompressedConv2d
   public:
     /**
      * Decode `layer`'s mask codes + assignments against `codebook` into
-     * the packed sparse operand (split per convolution group).
+     * the packed sparse operand.
      *
      * @param stride/pad Convolution geometry (not stored in the
      *        compressed container, which only keeps the kernel shape).
@@ -53,25 +53,29 @@ class CompressedConv2d
                      std::int64_t pad = 0, std::int64_t groups = 1);
 
     /**
-     * Construct over *injected* pre-packed operands (one CSR per conv
-     * group, held as GroupedSparseMatrix::rows) instead of packing here —
-     * the serving path: operands come from
-     * core::io::ModelArtifact::packedOperands, so N conv instances (and,
-     * with an MVQI image, N processes) share one packed operand set and
-     * construction does no decode and no pack. The shared_ptr keeps
-     * whatever owns the operand bytes (e.g. the artifact's image) alive.
+     * Construct over an *injected* pre-packed operand (a one-element
+     * vector whose CSR, GroupedSparseMatrix::rows, is the layer's
+     * [K, C/groups*R*S] matrix) instead of packing here — the serving
+     * path: the operand comes from core::io::ModelArtifact::packedOperands,
+     * so N conv instances (and, with an MVQI image, N processes) share one
+     * packed operand and construction does no decode and no pack. The
+     * shared_ptr keeps whatever owns the operand bytes (e.g. the
+     * artifact's image) alive.
      *
      * @param weight_shape Original 4-D kernel shape [K, C/groups, R, S]
-     *        (the operands only know the unrolled 2-D geometry).
+     *        (the operand only knows the unrolled 2-D geometry).
+     * @param groups Channel groups of the conv (see
+     *        core::io::ModelArtifact::layerGroups).
      */
     CompressedConv2d(
         std::string name, const Shape &weight_shape,
         std::shared_ptr<const std::vector<GroupedSparseMatrix>> operands,
-        std::int64_t stride = 1, std::int64_t pad = 0);
+        std::int64_t stride = 1, std::int64_t pad = 0,
+        std::int64_t groups = 1);
 
     /**
-     * NCHW forward through the direct sparse conv (one gemm per (batch,
-     * group) pair, output slabs written in place).
+     * NCHW forward through the direct sparse conv (one gemm per image
+     * over every group, output slabs written in place).
      * Genuinely const (no hidden mutable state), so one instance can
      * serve concurrent forward calls. Output is bit-identical for any
      * `MVQ_NUM_THREADS` within an ISA.
@@ -87,21 +91,21 @@ class CompressedConv2d
     /** Kept fraction of the packed operand (N/M for an exact N:M layer). */
     double density() const;
 
-    /** The packed CSR operand of one group (tests/diagnostics). */
+    /** The packed CSR operand, every group's rows (tests/diagnostics). */
     const SparseRowMatrix &
-    groupOperand(std::int64_t grp) const
+    operand() const
     {
-        return (*group_rows_)[static_cast<std::size_t>(grp)].rows;
+        return operands_->front().rows;
     }
 
     /**
-     * This instance's packed operand set, shareable with further
-     * instances via the injected-operands constructor (no repack).
+     * This instance's packed operand, shareable with further instances
+     * via the injected-operand constructor (no repack).
      */
     std::shared_ptr<const std::vector<GroupedSparseMatrix>>
     packedOperands() const
     {
-        return group_rows_;
+        return operands_;
     }
 
   private:
@@ -110,10 +114,9 @@ class CompressedConv2d
     std::int64_t stride_;
     std::int64_t pad_;
     std::int64_t groups_;
-    /** One operand per group; shared (never copied) across instances
+    /** The layer's one operand; shared (never copied) across instances
      *  built from the same artifact or via packedOperands(). */
-    std::shared_ptr<const std::vector<GroupedSparseMatrix>> group_rows_;
-    std::int64_t nnz_ = 0; //!< kept entries across all groups
+    std::shared_ptr<const std::vector<GroupedSparseMatrix>> operands_;
 };
 
 } // namespace mvq::nn

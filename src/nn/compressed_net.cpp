@@ -13,13 +13,14 @@ CompressedNet::CompressedNet(const core::io::ModelArtifact &artifact)
 
     layers_.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
-        // packedOperands(i) serves the artifact's baked group count from
-        // its shared per-(layer, groups) cache as borrowed views into the
+        // packedOperands(i) serves the layer's operand from the
+        // artifact's shared per-layer cache as borrowed views into the
         // image — the zero-copy serving path.
         layers_.emplace_back(artifact.layerName(i), artifact.layerShape(i),
-                             artifact.packedOperands(i), 1, 1);
+                             artifact.packedOperands(i), 1, 1,
+                             artifact.layerGroups(i));
     }
-    in_channels_ = artifact.layerShape(0).dim(1) * artifact.bakedGroups(0);
+    in_channels_ = artifact.layerShape(0).dim(1) * artifact.layerGroups(0);
 }
 
 Tensor

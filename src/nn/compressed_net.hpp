@@ -13,8 +13,8 @@
  * Like CompressedConv2d this is deliberately not an nn::Layer: no
  * backward, no parameters, no activations — a pure conv chain whose
  * per-image outputs are bit-identical whether images run batched or one
- * at a time (each (batch, group) pair is an independent gemm under the
- * repo determinism contract), which is what lets the serving layer
+ * at a time (each image is an independent gemm under the repo
+ * determinism contract), which is what lets the serving layer
  * batch aggressively without changing results.
  */
 
@@ -38,9 +38,9 @@ class CompressedNet
   public:
     /**
      * Build one CompressedConv2d per artifact layer, in artifact order,
-     * each over the artifact's shared packed operands at its baked conv
+     * each over the artifact's shared packed operand at its recorded conv
      * group count, at stride 1 / pad 1 ("same" geometry for 3x3 kernels;
-     * the artifact stores no conv geometry).
+     * the artifact stores no stride or pad).
      */
     explicit CompressedNet(const core::io::ModelArtifact &artifact);
 

@@ -508,9 +508,9 @@ im2colInto(const Im2colB &b, float *pc)
 }
 
 /**
- * The B operand of both direct conv drivers: one (batch, group) slab laid
- * out once as its zero-padded input and read in place through a table of
- * one int32 offset per im2col row.
+ * The B operand of both direct conv drivers: one image's slab of conv
+ * groups laid out once as its zero-padded input and read in place
+ * through a table of one int32 offset per im2col row of a group.
  *
  * Output (oh, ow) at tap (c, kh, kw) reads padded pixel (oh*s + kh,
  * ow*s + kw): pixel (oh + kh/s, ow + kw/s) of phase plane (c, kh%s,
@@ -520,16 +520,19 @@ im2colInto(const Im2colB &b, float *pc)
  * every im2col row as one contiguous run at tile(t) + off[col]. Only the
  * phases some tap reads are built: one at stride 1, four for a 3x3/2,
  * one for a 1x1/2. The grid's wq - ow slack columns per row compute
- * lanes no output takes (see runs()).
+ * lanes no output takes (see runs()). Group g's planes follow group g -
+ * 1's, so its im2col row col is image[g*gstride + off[col] + j]: every
+ * group shares the one offset table.
  */
 struct DirectB
 {
-    std::int64_t nr = 0;    //!< lanes per tile (the kernel's width)
-    std::int64_t ow = 0;    //!< outputs per grid row
-    std::int64_t wq = 0;    //!< grid row width (phase-plane width)
-    std::int64_t ngrid = 0; //!< grid positions through the last output
+    std::int64_t nr = 0;      //!< lanes per tile (the kernel's width)
+    std::int64_t ow = 0;      //!< outputs per grid row
+    std::int64_t wq = 0;      //!< grid row width (phase-plane width)
+    std::int64_t ngrid = 0;   //!< grid positions through the last output
+    std::int64_t gstride = 0; //!< floats from one group's planes to the next
     std::unique_ptr<float[]> image;
-    std::vector<std::int32_t> off; //!< per im2col row
+    std::vector<std::int32_t> off; //!< per im2col row of one group
 
     std::int64_t
     tiles() const
@@ -567,13 +570,15 @@ struct DirectB
 };
 
 /**
- * Lay out b's slab for a kernel nr lanes wide. The image ends in nr zero
- * floats, since the last tile reads up to nr - 1 past the last plane. A
- * slab whose planes the int32 offsets cannot address panics (naming
- * `what`) before anything is allocated.
+ * Lay out the `groups` * b.g.in_c channels at b.slab for a kernel nr
+ * lanes wide. The image ends in nr zero floats, since the last tile
+ * reads up to nr - 1 past the last plane. A slab whose planes the
+ * group-shifted int32 offsets cannot address panics (naming `what`)
+ * before anything is allocated.
  */
 DirectB
-directB(const Im2colB &b, std::int64_t nr, const char *what)
+directB(const Im2colB &b, std::int64_t groups, std::int64_t nr,
+        const char *what)
 {
     const ConvGeom &g = b.g;
     const std::int64_t s = g.stride;
@@ -586,7 +591,8 @@ directB(const Im2colB &b, std::int64_t nr, const char *what)
     const std::int64_t hq = oh + (g.k_h - 1) / s;
     const std::int64_t wq = db.wq = db.ow + (g.k_w - 1) / s;
     db.ngrid = (oh - 1) * wq + db.ow;
-    const std::int64_t planes = g.in_c * py_n * px_n;
+    db.gstride = g.in_c * py_n * px_n * hq * wq;
+    const std::int64_t planes = groups * g.in_c * py_n * px_n;
     const std::int64_t image_floats = planes * hq * wq + nr;
     panicIf(image_floats > std::numeric_limits<std::int32_t>::max(), what,
             ": ", planes, " phase planes of ", hq, "x", wq,
@@ -685,7 +691,7 @@ gemmIm2colRaw(std::int64_t m, const float *pa, std::int64_t lda,
     const simd::Kernels &kn = simd::kernels();
     const std::int64_t mr = kn.mr;
     const std::int64_t nr = kn.nr;
-    const DirectB db = directB(b, nr, "gemmIm2colRaw");
+    const DirectB db = directB(b, 1, nr, "gemmIm2colRaw");
 
     // One parallel region of row-block x tile-range tasks. Each task walks
     // the K blocks in order, packing its A block once per block, and runs
@@ -733,25 +739,30 @@ gemmIm2colRaw(std::int64_t m, const float *pa, std::int64_t lda,
 
 void
 gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float *pc,
-                  std::int64_t ldc)
+                  std::int64_t ldc, std::int64_t groups)
 {
     if (!a.validated)
         checkSparseOperand(a);
     checkConvOutputDims(b.g, "gemmSparseAIm2col");
     panicIf(a.cols != b.rows(), "gemmSparseAIm2col inner dims mismatch: ",
             a.cols, " vs ", b.rows());
+    panicIf(groups < 1 || a.rows % groups != 0, "gemmSparseAIm2col: ",
+            a.rows, " rows do not split into ", groups, " groups");
     const std::int64_t m = a.rows;
     if (m == 0)
         return;
     const simd::Kernels &kn = simd::kernels();
     const std::int64_t nr = kn.sparse_nr;
-    const DirectB db = directB(b, nr, "gemmSparseAIm2col");
+    const DirectB db = directB(b, groups, nr, "gemmSparseAIm2col");
+    const std::int64_t kg = m / groups;
 
     // Row-block x tile-range tasks, tile-outer within a task so a tile's
     // input runs stay hot across its rows. Each (row, tile) pair is one
     // kernel call over the row's entries in order, so C does not depend
     // on the partition; its output lanes go straight to C, which is
-    // overwritten.
+    // overwritten. The rows of group gi read the tile shifted to that
+    // group's planes; a task walks its rows one group segment at a time,
+    // so the shift costs no division per call.
     const std::int64_t *rp = a.row_ptr.data();
     const float *vals = a.values.data();
     const std::int32_t *idx = a.col_idx.data();
@@ -760,19 +771,25 @@ gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float *pc,
         [&](std::int64_t i0, std::int64_t t0, std::int64_t t1) {
             DirectB::Run runs[simd::kMaxSparseNr];
             float acc[simd::kMaxSparseNr];
+            const std::int64_t i1 = std::min(m, i0 + MC);
+            const std::int64_t g0 = i0 / kg;
             for (std::int64_t t = t0; t < t1; ++t) {
                 const std::int64_t nruns = db.runs(t, runs);
-                for (std::int64_t r = i0; r < std::min(m, i0 + MC); ++r) {
-                    std::fill(acc, acc + nr, 0.0f);
-                    kn.gemmSparseMicroKernel(vals + rp[r], idx + rp[r],
-                                             rp[r + 1] - rp[r],
-                                             db.off.data(), db.tile(t), nr,
-                                             acc);
-                    for (std::int64_t q = 0; q < nruns; ++q)
-                        std::memcpy(pc + r * ldc + runs[q].dst,
-                                    acc + runs[q].lane,
-                                    static_cast<std::size_t>(runs[q].len)
-                                        * sizeof(float));
+                std::int64_t r = i0;
+                for (std::int64_t gi = g0; r < i1; ++gi) {
+                    const float *base = db.tile(t) + gi * db.gstride;
+                    for (const std::int64_t re = std::min(i1, (gi + 1) * kg);
+                         r < re; ++r) {
+                        std::fill(acc, acc + nr, 0.0f);
+                        kn.gemmSparseMicroKernel(
+                            vals + rp[r], idx + rp[r], rp[r + 1] - rp[r],
+                            db.off.data(), base, nr, acc);
+                        for (std::int64_t q = 0; q < nruns; ++q)
+                            std::memcpy(pc + r * ldc + runs[q].dst,
+                                        acc + runs[q].lane,
+                                        static_cast<std::size_t>(runs[q].len)
+                                            * sizeof(float));
+                    }
                 }
             }
         });
@@ -786,7 +803,7 @@ gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t n,
     // under a 1x1 kernel, so the one sparse driver serves it unchanged.
     if (n > 0)
         gemmSparseAIm2col(a, Im2colB{pb, ConvGeom{a.cols, 1, n, 1, 1, 1, 0}},
-                          pc, ldc);
+                          pc, ldc, 1);
 }
 
 void

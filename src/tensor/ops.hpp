@@ -155,7 +155,7 @@ void validateSparseOperand(SparseRowMatrix &a);
 SparseRowMatrix sparsifyRows(const Tensor &a);
 
 /**
- * One conv group's packed operand. Only `rows`, its CSR, is ever packed,
+ * A layer's packed operand. Only `rows`, its CSR, is ever packed,
  * stored, borrowed or served; the other members are always empty. They
  * remain because the serving benchmark (perfbench/) still reads them,
  * and the type collapses into SparseRowMatrix once it reads the CSR
@@ -184,8 +184,8 @@ struct GroupedSparseMatrix
 /**
  * Sparse-A GEMM: C = A * B with A in compressed-row form and B/C dense;
  * C is overwritten. A thin wrapper over gemmSparseAIm2col's direct
- * driver, with B viewed as an a.cols-channel 1 x n image under a 1x1
- * kernel (its im2col is B itself). Only kept entries are walked, so
+ * driver at groups 1, with B viewed as an a.cols-channel 1 x n image
+ * under a 1x1 kernel (its im2col is B itself). Only kept entries are walked, so
  * flops scale with nnz: a 4:16 operand does ~1/4 the multiplies of the
  * dense path. Deterministic across thread counts within an ISA, like
  * gemm(). Kept because im2col + gemmSparseARaw is the memcmp oracle of
@@ -253,7 +253,8 @@ Tensor im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
  * one (batch, group) slab. `slab` points at the first input element of
  * the slab's channel range — for an NCHW tensor and group channel offset
  * c0 that is `input.data() + (n * C + c0) * in_h * in_w` — and must stay
- * valid for the duration of the gemm call it is passed to. Element
+ * valid for the duration of the gemm call it is passed to. (A grouped
+ * gemmSparseAIm2col call reads the groups slabs that follow it too.) Element
  * (row, col) of the virtual matrix is input pixel (c, ih, iw) with
  * row = (c * k_h + kh) * k_w + kw, ih = (col / outW) * stride - pad + kh,
  * iw = (col % outW) * stride - pad + kw, and 0 where ih/iw fall in the
@@ -301,27 +302,35 @@ void gemmIm2colRaw(std::int64_t m, const float *a, std::int64_t lda,
                    const Im2colB &b, float *c, std::int64_t ldc);
 
 /**
- * Direct sparse conv, the one sparse driver: C = A * im2col(b) with A in
- * compressed-row form (a.cols must equal b.rows()) and C, a.rows x
- * b.cols() with row stride ldc, overwritten. Nothing is packed. The
- * slab is laid out once as its zero-padded input — split into stride x
- * stride phase planes when strided, building only the phases some tap
- * reads — and the output is computed on the grid j = oh*Wq + ow (Wq the
- * phase-plane width). Every im2col row then is the input at a fixed
- * offset from the grid, so the nr grid positions of a tile meet each
- * kept weight as one contiguous run of the padded input, which the
- * per-ISA kernel reads in place through a per-call table of a.cols int32
- * offsets (the layout gemmIm2colRaw reads too). One parallel region runs
- * row-block x tile-range tasks; each stores its lanes with ow < outW
- * straight into C. The offset table covers the padded input with int32,
- * so a slab whose phase planes exceed that panics before allocating.
- * This is the method of Park et al., "Faster CNNs with Direct Sparse
- * Convolutions and Guided Pruning" (ICLR 2017), on MVQ's N:M operands. Bit-identical to the im2col +
- * gemmSparseARaw composition for any ISA and thread count; panics on
- * non-positive output dims.
+ * Direct sparse conv, the one sparse driver: C = A * im2col(b) for a
+ * `groups`-way conv, with A in compressed-row form and C, a.rows x
+ * b.cols() with row stride ldc, overwritten. b.g describes one group
+ * (b.g.in_c channels, so a.cols must equal b.rows()) and b.slab spans
+ * all groups * b.g.in_c channels of one image; a.rows must divide into
+ * `groups`, and rows [g*a.rows/groups, (g+1)*a.rows/groups) — group g's
+ * output channels — read group g's channels [g*b.g.in_c, (g+1)*b.g.in_c).
+ * A layer's one CSR thus runs every group, a depthwise conv included, in
+ * one call. Nothing is packed. The slab is laid out once as its
+ * zero-padded input — split into stride x stride phase planes when
+ * strided, building only the phases some tap reads — and the output is
+ * computed on the grid j = oh*Wq + ow (Wq the phase-plane width). Every
+ * im2col row then is the input at a fixed offset from the grid, so the
+ * nr grid positions of a tile meet each kept weight as one contiguous
+ * run of the padded input, which the per-ISA kernel reads in place
+ * through a per-call table of a.cols int32 offsets (the layout
+ * gemmIm2colRaw reads too), shifted by a fixed count of planes per
+ * group. One parallel region runs row-block x tile-range tasks; each
+ * stores its lanes with ow < outW straight into C. The offset table
+ * covers the padded input with int32, so a slab whose phase planes
+ * (all groups') exceed that panics before allocating. This is the
+ * method of Park et al., "Faster CNNs with Direct Sparse Convolutions
+ * and Guided Pruning" (ICLR 2017), on MVQ's N:M operands. Bit-identical
+ * to the per-group im2col + gemmSparseARaw compositions over A's row
+ * slices for any ISA and thread count; panics on non-positive output
+ * dims and on a row count `groups` does not divide.
  */
 void gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b,
-                       float *c, std::int64_t ldc);
+                       float *c, std::int64_t ldc, std::int64_t groups = 1);
 
 /**
  * Scatter-add a column matrix back into an image gradient (inverse of

@@ -2,8 +2,8 @@
  * @file
  * Hammer tests for the racy-by-design surfaces the serving runtime will
  * put under concurrent load: first-touch SIMD dispatch resolution,
- * first-touch env-knob reads, the per-(layer,groups) packed-operand
- * cache of artifacts opened from either file format, shared-operand
+ * first-touch env-knob reads, the per-layer packed-operand cache of
+ * artifacts opened from either file format, shared-operand
  * forward passes, and concurrent external callers of the thread pool.
  * Every test asserts a functional property (one cache entry,
  * bit-identical outputs, correct sums); the TSan tier
@@ -138,37 +138,37 @@ class ConcurrencyArtifactTest : public ::testing::Test
 TEST_F(ConcurrencyArtifactTest, PackedOperandsCacheHitsShareOneEntry)
 {
     // A mapped image and a stream served from its in-memory image go
-    // through the same cache.
+    // through the same cache. Each layer gets its own fresh artifact, so
+    // the threads race that layer's first touch; they ask for it at
+    // different group counts (0, 1 and the recorded one), which all name
+    // the layer's one cache entry.
     for (const std::string &path : {image_path_, stream_path_}) {
-        const auto art = io::openArtifact(path);
-        const std::int64_t layers = art->layerCount();
-        // [thread][layer] -> the operand set that thread observed first.
-        std::vector<std::vector<io::SharedOperands>> seen(
-            static_cast<std::size_t>(kHammerThreads));
-        hammer(kHammerThreads, [&](int t) {
-            auto &mine = seen[static_cast<std::size_t>(t)];
-            mine.resize(static_cast<std::size_t>(layers));
-            for (int i = 0; i < 32; ++i) {
-                for (std::int64_t l = 0; l < layers; ++l) {
-                    io::SharedOperands ops = art->packedOperands(l);
+        for (std::int64_t l = 0;
+             l < static_cast<std::int64_t>(model_.layers.size()); ++l) {
+            const auto art = io::openArtifact(path);
+            const std::int64_t groups[] = {0, 1, art->layerGroups(l)};
+            // [thread] -> the operand that thread observed first.
+            std::vector<io::SharedOperands> seen(
+                static_cast<std::size_t>(kHammerThreads));
+            hammer(kHammerThreads, [&](int t) {
+                auto &mine = seen[static_cast<std::size_t>(t)];
+                for (int i = 0; i < 32; ++i) {
+                    io::SharedOperands ops =
+                        art->packedOperands(l, groups[(t + i) % 3]);
                     ASSERT_NE(ops.get(), nullptr);
                     if (i == 0)
-                        mine[static_cast<std::size_t>(l)] = ops;
-                    // Cache coherence: every hit on (layer, baked groups)
-                    // returns the one entry built by whichever thread won
-                    // the first touch.
-                    ASSERT_EQ(ops.get(),
-                              mine[static_cast<std::size_t>(l)].get());
+                        mine = ops;
+                    // Cache coherence: every hit on the layer returns the
+                    // one entry built by whichever thread won the first
+                    // touch.
+                    ASSERT_EQ(ops.get(), mine.get());
                 }
-            }
-        });
-        for (std::int64_t l = 0; l < layers; ++l)
+            });
             for (int t = 1; t < kHammerThreads; ++t)
-                EXPECT_EQ(seen[0][static_cast<std::size_t>(l)].get(),
-                          seen[static_cast<std::size_t>(t)]
-                              [static_cast<std::size_t>(l)]
-                                  .get())
-                    << path;
+                EXPECT_EQ(seen[0].get(),
+                          seen[static_cast<std::size_t>(t)].get())
+                    << path << " layer " << l;
+        }
     }
 }
 

@@ -1,17 +1,26 @@
 /**
  * @file
  * Seeded differential test of the conv forwards over random kernel
- * shapes. From a seed, each case draws a conv geometry — channels, input
- * size, square kernel 1-7, stride 1-3, pad 0-3, groups (depthwise
- * included), batch 1-3 and output channels — and checks on every ISA
- * this host can execute:
+ * shapes, and of the matrix gemm over random matrix shapes. From a seed,
+ * each conv case draws a conv geometry — channels, input size, square
+ * kernel 1-7, stride 1-3, pad 0-3, groups (depthwise included), batch
+ * 1-3 and output channels — and checks on every ISA this host can
+ * execute:
  *
  * - nn::Conv2d::forward against im2col + gemmRaw per (batch, group)
  *   (memcmp) and against gemmReference (1e-4);
- * - nn::CompressedConv2d::forward over random N:M operands against
- *   im2col + gemmSparseARaw (memcmp) and gemmSparseAReference (1e-4);
+ * - nn::CompressedConv2d::forward over a random N:M operand against
+ *   im2col + gemmSparseARaw over each group's rows (memcmp) and
+ *   gemmSparseAReference (1e-4);
  * - both forwards at 1 thread against 4 threads and against a nested
  *   run inside a parallel region (memcmp).
+ *
+ * Each gemm case draws m, n and k around the scalar-fallback crossover
+ * (kGemmScalarFallbackMacs) or across one cache-block edge (kGemmMC,
+ * kGemmKC, kGemmNC), a transpose case, alpha and beta (beta 0 over a
+ * NaN-filled C) and padded leading dimensions, and checks gemmRaw
+ * against gemmReferenceRaw (1e-4) on every ISA, with 1 vs 4 threads and
+ * nested by memcmp.
  *
  * ctest runs the pinned seeds 1-200 (see main()). A longer local run
  * takes the first seed and the case count on the command line, e.g.
@@ -28,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +46,7 @@
 #include "common/random.hpp"
 #include "common/simd_dispatch.hpp"
 #include "core/nm_pruning.hpp"
+#include "csr_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -170,6 +181,120 @@ class ConvDifferential : public testing::Test
     Isa saved_ = simd::activeIsa();
 };
 
+struct GemmCase
+{
+    std::int64_t m, n, k, pad_a, pad_b, pad_c;
+    bool trans_a, trans_b;
+    float alpha, beta;
+};
+
+/** Draw one matrix-gemm shape from seed (a stream apart from the
+ *  conv case of the same seed). */
+GemmCase
+drawGemmCase(std::uint64_t seed)
+{
+    Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    auto near = [&](std::int64_t edge) {
+        const std::int64_t blocks = rng.intIn(1, 2);
+        return edge * blocks + rng.intIn(-2, 2);
+    };
+    GemmCase c{};
+    switch (rng.intIn(0, 3)) {
+    case 0: // every dim small: m*n*k on both sides of the fallback
+        c.m = rng.intIn(1, 40);
+        c.n = rng.intIn(1, 40);
+        c.k = rng.intIn(1, 40);
+        break;
+    case 1: // row blocks
+        c.m = near(simd::kGemmMC);
+        c.n = rng.intIn(1, 48);
+        c.k = rng.intIn(1, 48);
+        break;
+    case 2: // K blocks
+        c.m = rng.intIn(1, 32);
+        c.n = rng.intIn(1, 32);
+        c.k = near(simd::kGemmKC);
+        break;
+    default: // N strips
+        c.m = rng.intIn(1, 16);
+        c.n = near(simd::kGemmNC);
+        c.k = rng.intIn(1, 16);
+        break;
+    }
+    c.trans_a = rng.intIn(0, 1) == 1;
+    c.trans_b = rng.intIn(0, 1) == 1;
+    c.pad_a = rng.intIn(0, 3);
+    c.pad_b = rng.intIn(0, 3);
+    c.pad_c = rng.intIn(0, 3);
+    const float alphas[] = {1.0f, 0.5f, -1.25f};
+    const float betas[] = {0.0f, 0.0f, 1.0f, 0.5f};
+    c.alpha = alphas[rng.intIn(0, 2)];
+    c.beta = betas[rng.intIn(0, 3)];
+    return c;
+}
+
+TEST_F(ConvDifferential, RandomMatrixGemmsMatchReference)
+{
+    for (const std::uint64_t seed : g_seeds) {
+        const GemmCase c = drawGemmCase(seed);
+        // op(A) is m x k and op(B) k x n; each is stored transposed or
+        // not, row-major, with its leading dimension padded.
+        const std::int64_t a_rows = c.trans_a ? c.k : c.m;
+        const std::int64_t lda = (c.trans_a ? c.m : c.k) + c.pad_a;
+        const std::int64_t b_rows = c.trans_b ? c.n : c.k;
+        const std::int64_t ldb = (c.trans_b ? c.k : c.n) + c.pad_b;
+        const std::int64_t ldc = c.n + c.pad_c;
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << ": m " << c.m << " n " << c.n
+                     << " k " << c.k << (c.trans_a ? " A^T" : " A")
+                     << (c.trans_b ? " B^T" : " B") << " lda " << lda
+                     << " ldb " << ldb << " ldc " << ldc << " alpha "
+                     << c.alpha << " beta " << c.beta);
+
+        Rng rng(seed * 6271 + 3);
+        Tensor a(Shape({a_rows, lda}));
+        a.fillNormal(rng, 0.0f, 1.0f);
+        Tensor b(Shape({b_rows, ldb}));
+        b.fillNormal(rng, 0.0f, 1.0f);
+        // beta 0 ignores C, NaN included; its padding columns must stay.
+        Tensor c0(Shape({c.m, ldc}), std::numeric_limits<float>::quiet_NaN());
+        if (c.beta != 0.0f)
+            c0.fillNormal(rng, 0.0f, 1.0f);
+        auto run = [&](bool reference) {
+            Tensor out = c0;
+            (reference ? gemmReferenceRaw : gemmRaw)(
+                c.m, c.n, c.k, c.alpha, a.data(), lda, c.trans_a, b.data(),
+                ldb, c.trans_b, c.beta, out.data(), ldc);
+            return out;
+        };
+        const Tensor want = run(true);
+
+        for (Isa isa : availableIsas()) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            const char *name = simd::isaName(isa);
+            const Tensor got = threadInvariant([&] { return run(false); },
+                                               name);
+            for (std::int64_t i = 0; i < c.m; ++i) {
+                for (std::int64_t j = 0; j < ldc; ++j) {
+                    const float w = want[i * ldc + j];
+                    const float g = got[i * ldc + j];
+                    if (j >= c.n) {
+                        ASSERT_EQ(0, std::memcmp(&w, &g, sizeof(float)))
+                            << name << " touched C padding at " << i << ","
+                            << j;
+                        continue;
+                    }
+                    ASSERT_LE(std::fabs(w - g) / std::max(1.0f, std::fabs(w)),
+                              1e-4f)
+                        << name << " C(" << i << "," << j << ")";
+                }
+            }
+        }
+        if (HasFatalFailure())
+            return;
+    }
+}
+
 TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
 {
     for (const std::uint64_t seed : g_seeds) {
@@ -195,13 +320,16 @@ TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
                          nn::Conv2dConfig{in_c, out_c, c.kernel, c.stride,
                                           c.pad, c.groups, false},
                          rng);
-        auto operands = std::make_shared<std::vector<GroupedSparseMatrix>>(
-            static_cast<std::size_t>(c.groups));
-        for (GroupedSparseMatrix &op : *operands)
-            op.rows = randomNmOperand(rng, c.kg, k, c.nm);
+        auto operands = std::make_shared<std::vector<GroupedSparseMatrix>>(1);
+        operands->front().rows = randomNmOperand(rng, out_c, k, c.nm);
         const nn::CompressedConv2d sparse(
             "sparse", Shape({out_c, c.cg, c.kernel, c.kernel}), operands,
-            c.stride, c.pad);
+            c.stride, c.pad, c.groups);
+        // Group g's rows of the one operand, the per-group oracles' input.
+        std::vector<SparseRowMatrix> group_ops;
+        for (std::int64_t grp = 0; grp < c.groups; ++grp)
+            group_ops.push_back(rowSlice(sparse.operand(), grp * c.kg,
+                                         (grp + 1) * c.kg));
 
         // Oracles per (batch, group) on the materialized cols: the dense
         // reference gemm and the double-summing sparse reference.
@@ -221,9 +349,8 @@ TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
                 std::copy(cd.data(), cd.data() + cd.numel(),
                           want_dense.data() + at);
                 Tensor cs(Shape({c.kg, ohw}));
-                gemmSparseAReference(
-                    (*operands)[static_cast<std::size_t>(grp)].rows,
-                    cols.back(), cs);
+                gemmSparseAReference(group_ops[static_cast<std::size_t>(grp)],
+                                     cols.back(), cs);
                 std::copy(cs.data(), cs.data() + cs.numel(),
                           want_sparse.data() + at);
             }
@@ -244,9 +371,8 @@ TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
                     gemmRaw(c.kg, ohw, k, 1.0f, w.data() + grp * c.kg * k,
                             k, false, pb, ohw, false, 0.0f,
                             unfused_dense.data() + at, ohw);
-                    gemmSparseARaw(
-                        (*operands)[static_cast<std::size_t>(grp)].rows, pb,
-                        ohw, unfused_sparse.data() + at, ohw);
+                    gemmSparseARaw(group_ops[static_cast<std::size_t>(grp)],
+                                   pb, ohw, unfused_sparse.data() + at, ohw);
                 }
             }
 

@@ -4,7 +4,9 @@
  * in place, against the materializing im2col + gemm composition they
  * replace — bit-identity for every ISA this host can execute, plus 1e-4
  * oracle parity (sparse), over padded/strided/phase-split/grid-tail
- * geometries and K blocks; 1-to-4-thread and nested memcmp;
+ * geometries and K blocks; the grouped sparse conv (grouped and
+ * depthwise, one call over every group) against per-group compositions
+ * over row slices of its operand; 1-to-4-thread and nested memcmp;
  * degenerate-geometry and offset-overflow panics; and the Conv2d /
  * CompressedConv2d forwards (grouped, depthwise, strided, padded) against
  * the im2col + gemm composition per (batch, group).
@@ -22,6 +24,7 @@
 #include "common/simd_dispatch.hpp"
 #include "core/compressed_layer.hpp"
 #include "core/nm_pruning.hpp"
+#include "csr_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -441,6 +444,76 @@ TEST(FusedPack, SparseDirectGeometriesMatchUnfused)
     }
 }
 
+TEST(FusedPack, GroupedSparseDirectMatchesPerGroupCompositions)
+{
+    IsaGuard guard;
+    ThreadGuard tguard;
+    // Every shared geometry as one group of a grouped conv (3 groups of
+    // 24 rows) and, at one channel per group, of a depthwise conv (70
+    // groups of 1 row) and a depth-multiplier-3 one (23 groups of 3
+    // rows). 72, 70 and 69 rows span two 64-row task blocks, and the
+    // 24- and 3-row groups straddle the block edge, so a task starts its
+    // group walk mid-group.
+    struct Variant
+    {
+        const char *name;
+        std::int64_t groups, kg;
+        bool depthwise;
+    };
+    const Variant variants[] = {{"grouped", 3, 24, false},
+                                {"depthwise", 70, 1, true},
+                                {"depthwise x3", 23, 3, true}};
+    const std::vector<ConvGeom> geoms = directGeometries();
+    for (const Variant &v : variants) {
+        for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
+            ConvGeom g = geoms[gi];
+            if (v.depthwise)
+                g.in_c = 1;
+            const std::int64_t k = g.in_c * g.k_h * g.k_w;
+            const std::int64_t n = g.outH() * g.outW();
+            const std::int64_t m = v.groups * v.kg;
+            SCOPED_TRACE(testing::Message() << v.name << ", geometry " << gi
+                                            << ": k=" << k << " out "
+                                            << g.outH() << "x" << g.outW());
+            Rng rng(310 + gi);
+            Tensor x(Shape({1, v.groups * g.in_c, g.in_h, g.in_w}));
+            x.fillNormal(rng, 0.0f, 1.0f);
+            // m rows x k as 4:16 groups over k rounded up to 16, cut to k.
+            const std::int64_t kp = (k + 15) / 16 * 16;
+            const Tensor full = masked416Matrix(330 + gi, m, kp);
+            Tensor a(Shape({m, k}));
+            for (std::int64_t r = 0; r < m; ++r)
+                std::memcpy(a.data() + r * k, full.data() + r * kp,
+                            static_cast<std::size_t>(k) * sizeof(float));
+            const SparseRowMatrix sp = sparsifyRows(a);
+            auto grouped = [&] {
+                Tensor c(Shape({m, n}),
+                         std::numeric_limits<float>::quiet_NaN());
+                gemmSparseAIm2col(sp, Im2colB{x.data(), g}, c.data(), n,
+                                  v.groups);
+                return c;
+            };
+            for (Isa isa : availableIsas()) {
+                ASSERT_TRUE(simd::setIsa(isa));
+                Tensor want(Shape({m, n}));
+                for (std::int64_t grp = 0; grp < v.groups; ++grp) {
+                    const Tensor cols = im2col(x, 0, g, grp * g.in_c);
+                    gemmSparseARaw(rowSlice(sp, grp * v.kg, (grp + 1) * v.kg),
+                                   cols.data(), n,
+                                   want.data() + grp * v.kg * n, n);
+                }
+                for (int threads : {1, 2, 3, 4}) {
+                    setNumThreads(threads);
+                    expectBitIdentical(want, grouped(), simd::isaName(isa));
+                }
+                Tensor nested;
+                runNested([&] { nested = grouped(); });
+                expectBitIdentical(want, nested, simd::isaName(isa));
+            }
+        }
+    }
+}
+
 TEST(FusedPack, PhaseImageOverflowPanics)
 {
     // 70000 channels of 200x200 at pad 1 make a padded input of 2.9e9
@@ -462,6 +535,41 @@ TEST(FusedPack, PhaseImageOverflowPanics)
     EXPECT_THROW(gemmIm2colRaw(1, &weight, sp.cols, Im2colB{&slab, g},
                                c.data(), 1),
                  PanicError);
+
+    // Half as many channels per group fit, but the group shift addresses
+    // the planes of both groups: the grouped call must panic too.
+    const ConvGeom half{35000, 200, 200, 3, 3, 1, 1};
+    SparseRowMatrix two;
+    two.rows = 2;
+    two.cols = half.in_c * half.k_h * half.k_w;
+    two.row_ptr = {0, 1, 2};
+    two.col_idx = {0, 0};
+    two.values = {1.0f, 1.0f};
+    EXPECT_THROW(
+        gemmSparseAIm2col(two, Im2colB{&slab, half}, c.data(), 1, 2),
+        PanicError);
+}
+
+TEST(FusedPack, GroupsThatDoNotSplitTheRowsPanic)
+{
+    const ConvGeom g{1, 6, 6, 3, 3, 1, 1};
+    std::vector<float> slab(
+        static_cast<std::size_t>(3 * g.in_h * g.in_w), 1.0f);
+    SparseRowMatrix three; // 3 rows of 9 columns
+    three.rows = 3;
+    three.cols = 9;
+    three.row_ptr = {0, 1, 2, 3};
+    three.col_idx = {0, 4, 8};
+    three.values = {1.0f, 1.0f, 1.0f};
+    std::vector<float> c(3 * 36, 0.0f);
+    EXPECT_THROW(gemmSparseAIm2col(three, Im2colB{slab.data(), g}, c.data(),
+                                   36, 2),
+                 PanicError);
+    EXPECT_THROW(gemmSparseAIm2col(three, Im2colB{slab.data(), g}, c.data(),
+                                   36, 0),
+                 PanicError);
+    EXPECT_NO_THROW(gemmSparseAIm2col(three, Im2colB{slab.data(), g},
+                                      c.data(), 36, 3));
 }
 
 TEST(FusedPack, DegenerateGeometryPanics)
@@ -588,7 +696,7 @@ struct CompressedFixture
 
 /**
  * CompressedConv2d::forward without the fusion: materialize each (batch,
- * group) pair's cols and run the CSR sparse gemm into its slab.
+ * group) pair's cols and run the group's rows of the CSR into its slab.
  */
 Tensor
 compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
@@ -604,7 +712,9 @@ compressedUnfused(const nn::CompressedConv2d &conv, const Shape &ws,
     for (std::int64_t n = 0; n < x.dim(0); ++n) {
         for (std::int64_t grp = 0; grp < groups; ++grp) {
             const Tensor cols = im2col(x, n, g, grp * cg);
-            gemmSparseARaw(conv.groupOperand(grp), cols.data(), ohw,
+            gemmSparseARaw(rowSlice(conv.operand(), grp * kg,
+                                    (grp + 1) * kg),
+                           cols.data(), ohw,
                            out.data() + (n * ws.dim(0) + grp * kg) * ohw,
                            ohw);
         }

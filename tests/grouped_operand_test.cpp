@@ -1,10 +1,11 @@
 /**
  * @file
- * Per-conv-group operand coverage: CompressedLayer::packGroupedRows
- * splits a layer into one CSR operand per conv group, each its row slice
- * of packSparseRows byte for byte, and CompressedConv2d serves a grouped,
- * strided conv from those operands within 1e-4 of the densified forward
- * on every ISA this host can execute.
+ * Per-conv-group operand coverage: a grouped CompressedConv2d serves
+ * every group from the layer's one CSR, packSparseRows byte for byte
+ * (group g is its row range, not an operand of its own), shares that
+ * operand with instances built over packedOperands(), and serves a
+ * grouped, strided conv within 1e-4 of the densified forward on every
+ * ISA this host can execute.
  */
 
 #include <gtest/gtest.h>
@@ -85,45 +86,48 @@ struct CompressedFixture
     }
 };
 
-TEST(GroupedSparseGemm, PackGroupedRowsMatchesPackSparseRows)
+TEST(GroupedSparseGemm, GroupedConvServesPackSparseRows)
 {
     CompressedFixture f(Shape({32, 4, 3, 3}));
     const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
     EXPECT_TRUE(full.validated);
 
-    // Split per conv group, each group's operand is its row slice of the
-    // full pack byte for byte (row pointers rebased to the slice).
+    Rng rng(141);
     for (const std::int64_t groups : {1, 2, 4}) {
-        const auto ops = f.layer.packGroupedRows(f.cb, groups);
-        ASSERT_EQ(ops.size(), static_cast<std::size_t>(groups));
-        const std::int64_t kg = full.rows / groups;
-        std::int64_t total = 0;
-        for (std::int64_t grp = 0; grp < groups; ++grp) {
-            SCOPED_TRACE(testing::Message() << groups << " groups, group "
-                                            << grp);
-            const SparseRowMatrix &g =
-                ops[static_cast<std::size_t>(grp)].rows;
-            EXPECT_TRUE(g.validated);
-            ASSERT_EQ(g.rows, kg);
-            ASSERT_EQ(g.cols, full.cols);
-            const std::int64_t e0 =
-                full.row_ptr[static_cast<std::size_t>(grp * kg)];
-            for (std::int64_t r = 0; r <= kg; ++r)
-                EXPECT_EQ(g.row_ptr[static_cast<std::size_t>(r)],
-                          full.row_ptr[static_cast<std::size_t>(grp * kg + r)]
-                              - e0);
-            ASSERT_EQ(g.row_ptr[static_cast<std::size_t>(kg)], g.nnz());
-            const auto n = static_cast<std::size_t>(g.nnz());
-            const auto se0 = static_cast<std::size_t>(e0);
-            EXPECT_EQ(0, std::memcmp(g.col_idx.data(),
-                                     full.col_idx.data() + se0,
-                                     n * sizeof(std::int32_t)));
-            EXPECT_EQ(0, std::memcmp(g.values.data(),
-                                     full.values.data() + se0,
-                                     n * sizeof(float)));
-            total += g.nnz();
-        }
-        EXPECT_EQ(total, full.nnz());
+        SCOPED_TRACE(testing::Message() << groups << " groups");
+        const nn::CompressedConv2d conv(f.layer, f.cb, 1, 1, groups);
+
+        // One operand for every group: the full pack, byte for byte.
+        const auto ops = conv.packedOperands();
+        ASSERT_EQ(ops->size(), 1u);
+        const SparseRowMatrix &a = conv.operand();
+        EXPECT_TRUE(a.validated);
+        ASSERT_EQ(a.rows, full.rows);
+        ASSERT_EQ(a.cols, full.cols);
+        ASSERT_EQ(a.row_ptr.size(), full.row_ptr.size());
+        ASSERT_EQ(a.nnz(), full.nnz());
+        const auto n = static_cast<std::size_t>(full.nnz());
+        EXPECT_EQ(0, std::memcmp(a.row_ptr.data(), full.row_ptr.data(),
+                                 full.row_ptr.size()
+                                     * sizeof(std::int64_t)));
+        EXPECT_EQ(0, std::memcmp(a.col_idx.data(), full.col_idx.data(),
+                                 n * sizeof(std::int32_t)));
+        EXPECT_EQ(0, std::memcmp(a.values.data(), full.values.data(),
+                                 n * sizeof(float)));
+
+        // An instance over the shared operand does not repack, and its
+        // forward is memcmp-equal to the packing instance's.
+        const nn::CompressedConv2d shared("conv", f.shape, ops, 1, 1,
+                                          groups);
+        EXPECT_EQ(shared.packedOperands().get(), ops.get());
+        Tensor x(Shape({2, 4 * groups, 6, 6}));
+        x.fillNormal(rng, 0.0f, 1.0f);
+        const Tensor ref = conv.forward(x);
+        const Tensor got = shared.forward(x);
+        ASSERT_EQ(ref.shape(), got.shape());
+        EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                                 static_cast<std::size_t>(ref.numel())
+                                     * sizeof(float)));
     }
 }
 

@@ -3,10 +3,11 @@
  * ModelArtifact API tests: stream<->mvqi round-trip bit-identity
  * (reconstructed tensors and forward outputs memcmp-equal under the
  * active MVQ_SIMD ISA), borrowed-view vs owned-operand forward identity,
- * operand sharing/caching, image lifetime, stream files served from an
- * in-memory image, the `mvqi` CLI's option checks, the checked-in
- * golden fixture pinning MVQI format v2 byte-for-byte, and the v1
- * fixture every reader must reject.
+ * operand sharing/caching (one borrowed operand per layer at any group
+ * count), image lifetime, stream files served from an in-memory image,
+ * the `mvqi` CLI's option checks, the checked-in golden fixture pinning
+ * MVQI format v3 byte-for-byte, and the v1 and v2 fixtures every reader
+ * must reject.
  *
  * Regenerate the fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
@@ -74,7 +75,7 @@ forwardLayer(const io::ModelArtifact &art, std::int64_t i,
 {
     const Shape ws = art.layerShape(i);
     nn::CompressedConv2d conv(art.layerName(i), ws,
-                              art.packedOperands(i, groups), 1, 1);
+                              art.packedOperands(i, groups), 1, 1, groups);
     Tensor x(Shape({2, ws.dim(1) * groups, hw, hw}));
     Rng rng(901 + i);
     x.fillNormal(rng, 0.0f, 1.0f);
@@ -118,10 +119,10 @@ TEST_F(ModelArtifactTest, OpenSniffsFormat)
     EXPECT_EQ(m->layerCount(), 2);
     EXPECT_EQ(m->layerName(1), "conv1_grouped");
     EXPECT_EQ(m->layerShape(1), Shape({16, 4, 3, 3}));
-    EXPECT_EQ(m->bakedGroups(0), 1);
-    EXPECT_EQ(m->bakedGroups(1), 2);
-    // The stream stores no conv geometry: its image bakes groups 1.
-    EXPECT_EQ(s->bakedGroups(1), 1);
+    EXPECT_EQ(m->layerGroups(0), 1);
+    EXPECT_EQ(m->layerGroups(1), 2);
+    // The stream stores no conv geometry: its image records groups 1.
+    EXPECT_EQ(s->layerGroups(1), 1);
 }
 
 TEST_F(ModelArtifactTest, RoundTripReconstructionBitIdentity)
@@ -166,17 +167,18 @@ TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
         };
         for (std::int64_t i = 0; i < art->layerCount(); ++i) {
             const io::SharedOperands ops = art->packedOperands(i);
-            for (const GroupedSparseMatrix &g : *ops) {
-                // Borrowed mode, and all three CSR arrays point into the
-                // image — no packGroupedRows at borrow time, no copies.
-                EXPECT_TRUE(g.rows.row_ptr.borrowed()) << path;
-                EXPECT_TRUE(g.rows.col_idx.borrowed()) << path;
-                EXPECT_TRUE(g.rows.values.borrowed()) << path;
-                EXPECT_TRUE(inImage(g.rows.row_ptr.data())) << path;
-                EXPECT_TRUE(inImage(g.rows.col_idx.data())) << path;
-                EXPECT_TRUE(inImage(g.rows.values.data())) << path;
-                EXPECT_TRUE(g.rows.validated) << path;
-            }
+            ASSERT_EQ(ops->size(), 1u) << path;
+            // Borrowed mode, and all three CSR arrays point into the
+            // image — no pack at borrow time, no copies.
+            const SparseRowMatrix &op = ops->front().rows;
+            EXPECT_EQ(op.rows, art->layerShape(i).dim(0)) << path;
+            EXPECT_TRUE(op.row_ptr.borrowed()) << path;
+            EXPECT_TRUE(op.col_idx.borrowed()) << path;
+            EXPECT_TRUE(op.values.borrowed()) << path;
+            EXPECT_TRUE(inImage(op.row_ptr.data())) << path;
+            EXPECT_TRUE(inImage(op.col_idx.data())) << path;
+            EXPECT_TRUE(inImage(op.values.data())) << path;
+            EXPECT_TRUE(op.validated) << path;
         }
     }
 }
@@ -185,7 +187,7 @@ TEST_F(ModelArtifactTest, BorrowedVsOwnedForwardMemcmp)
 {
     const auto art = io::openArtifact(image_path_);
     for (std::int64_t i = 0; i < 2; ++i) {
-        const std::int64_t groups = art->bakedGroups(i);
+        const std::int64_t groups = art->layerGroups(i);
         // Owned operand: packed fresh from the in-memory model.
         const CompressedLayer &cl =
             model_.layers[static_cast<std::size_t>(i)];
@@ -194,7 +196,7 @@ TEST_F(ModelArtifactTest, BorrowedVsOwnedForwardMemcmp)
             1, 1, groups);
         nn::CompressedConv2d borrowed(art->layerName(i),
                                       art->layerShape(i),
-                                      art->packedOperands(i), 1, 1);
+                                      art->packedOperands(i), 1, 1, groups);
         Tensor x(Shape({1, art->layerShape(i).dim(1) * groups, 7, 7}));
         Rng rng(31 + i);
         x.fillNormal(rng, 0.0f, 1.0f);
@@ -244,7 +246,7 @@ TEST_F(ModelArtifactTest, StreamServesItsOwnInMemoryImage)
     const auto s = io::openArtifact(stream_path_);
     EXPECT_FALSE(s->mapped());
     // The in-memory image is exactly what the writer emits for the model
-    // at the default options (every layer baked at groups 1).
+    // at the default options (every layer recorded at groups 1).
     const io::MvqiBytes want = io::buildMvqiImage(model_);
     ASSERT_EQ(s->view().size(), static_cast<std::int64_t>(want.size()));
     EXPECT_EQ(std::memcmp(s->view().data(), want.data(), want.size()), 0);
@@ -301,15 +303,39 @@ TEST_F(ModelArtifactTest, LayerGroupsMustNameALayer)
     }
 }
 
-TEST_F(ModelArtifactTest, NonBakedGroupCountFallsBackCorrectly)
+TEST_F(ModelArtifactTest, EveryGroupCountBorrows)
 {
-    // Asking the MVQI artifact for a group count it did not bake is
-    // correct (repacks from the materialized model), just not zero-copy.
+    // The grouped layer opened from the stream (which records groups 1)
+    // and from the MVQI image (which records 2), both run at groups 2:
+    // each serves its one CSR borrowed from its image, and the forwards
+    // agree bit for bit.
     const auto s = io::openArtifact(stream_path_);
     const auto m = io::openArtifact(image_path_);
+    for (const auto *art : {s.get(), m.get()}) {
+        const io::SharedOperands ops = art->packedOperands(1, 2);
+        ASSERT_EQ(ops->size(), 1u);
+        EXPECT_TRUE(ops->front().rows.row_ptr.borrowed());
+        EXPECT_TRUE(ops->front().rows.col_idx.borrowed());
+        EXPECT_TRUE(ops->front().rows.values.borrowed());
+        // Every dividing group count is the same borrowed operand.
+        for (const std::int64_t groups : {0, 1, 4, 8, 16})
+            EXPECT_EQ(art->packedOperands(1, groups).get(), ops.get());
+        // A count that does not divide the 16 output channels is refused.
+        for (const std::int64_t groups : {3, -1}) {
+            try {
+                (void)art->packedOperands(1, groups);
+                FAIL() << "groups " << groups << " accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find("do not divide"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*s, 1, 2, 6),
+                                    forwardLayer(*m, 1, 2, 6)));
     EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*s, 1, 1, 6),
                                     forwardLayer(*m, 1, 1, 6)));
-    EXPECT_FALSE((*m->packedOperands(1, 1))[0].rows.values.borrowed());
 }
 
 /** A checked-in fixture under tests/data/. */
@@ -319,12 +345,12 @@ fixturePath(const char *name)
     return std::string(MVQ_SOURCE_DIR) + "/tests/data/" + name;
 }
 
-TEST(MvqiGolden, FixturePinsFormatV2)
+TEST(MvqiGolden, FixturePinsFormatV3)
 {
-    // Byte-for-byte lock on the checked-in v2 image. If this fails you
+    // Byte-for-byte lock on the checked-in v3 image. If this fails you
     // changed the on-disk layout: bump kMvqiVersion, update
     // docs/FORMAT.md, and regenerate with MVQ_WRITE_GOLDEN=1.
-    const std::string golden_path = fixturePath("golden_v2.mvqi");
+    const std::string golden_path = fixturePath("golden_v3.mvqi");
     const io::MvqiBytes image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
 
@@ -343,14 +369,14 @@ TEST(MvqiGolden, FixturePinsFormatV2)
         std::istreambuf_iterator<char>());
     ASSERT_EQ(image.size(), golden.size());
     EXPECT_EQ(std::memcmp(image.data(), golden.data(), image.size()), 0)
-        << "MVQI writer output drifted from the v2 fixture";
+        << "MVQI writer output drifted from the v3 fixture";
 }
 
 TEST(MvqiGolden, FixtureLoadsAndForwards)
 {
     // The fixture is not just bytes: it must open, validate, and serve
     // borrowed operands that forward bit-identically to a fresh image.
-    const auto art = io::openArtifact(fixturePath("golden_v2.mvqi"));
+    const auto art = io::openArtifact(fixturePath("golden_v3.mvqi"));
     ASSERT_EQ(art->layerCount(), 2);
 
     const std::string fresh_path = tmpPath("mvq_golden_fresh.mvqi");
@@ -380,23 +406,28 @@ runMvqi(const std::string &args, std::string *out)
     return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
 }
 
-TEST(MvqiGolden, V1FixtureIsRejected)
+TEST(MvqiGolden, OlderFixturesAreRejected)
 {
-    // v1 images (tile and remainder sections beside the CSR) are not
-    // read: the open fails with a typed error, and `mvqi verify` reports
-    // it with exit status 2. Converting the model through the stream
-    // format is the upgrade path.
-    const std::string v1 = fixturePath("golden_v1.mvqi");
-    expectOpenFails(v1, "unsupported MVQI version 1");
-    std::string text;
-    EXPECT_EQ(runMvqi("verify '" + v1 + "'", &text), 2) << text;
-    EXPECT_NE(text.find("unsupported MVQI version 1"), std::string::npos)
-        << text;
+    // v1 images (tile and remainder sections beside the CSR) and v2
+    // images (one CSR per conv group) are not read: the open fails with
+    // a typed error naming the version, and `mvqi verify` reports it
+    // with exit status 2. Converting the model through the stream format
+    // is the upgrade path.
+    for (const char *version : {"1", "2"}) {
+        const std::string path =
+            fixturePath(("golden_v" + std::string(version) + ".mvqi").c_str());
+        const std::string want =
+            std::string("unsupported MVQI version ") + version;
+        expectOpenFails(path, want);
+        std::string text;
+        EXPECT_EQ(runMvqi("verify '" + path + "'", &text), 2) << text;
+        EXPECT_NE(text.find(want), std::string::npos) << text;
+    }
 }
 
 TEST(MvqiCli, ConvertAcceptsOnlyWholeGroupCountsAndKnownLayers)
 {
-    const std::string in = "'" + fixturePath("golden_v2.mvqi") + "'";
+    const std::string in = "'" + fixturePath("golden_v3.mvqi") + "'";
     const std::string out_path = tmpPath("mvq_cli_test.mvqi");
     const std::string convert = "convert " + in + " '" + out_path + "' ";
     std::string text;
@@ -418,9 +449,14 @@ TEST(MvqiCli, ConvertAcceptsOnlyWholeGroupCountsAndKnownLayers)
         << text;
     EXPECT_NE(text.find("'conv1_grupped'"), std::string::npos) << text;
 
+    // A group count must divide the layer's 16 output channels.
+    EXPECT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=3", &text), 2)
+        << text;
+    EXPECT_NE(text.find("invalid conv groups 3"), std::string::npos) << text;
+
     ASSERT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=2", &text), 0)
         << text;
-    EXPECT_EQ(io::openArtifact(out_path)->bakedGroups(1), 2);
+    EXPECT_EQ(io::openArtifact(out_path)->layerGroups(1), 2);
     std::remove(out_path.c_str());
 }
 

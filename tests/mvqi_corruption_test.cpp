@@ -5,9 +5,10 @@
  * undefined behaviour, never a crash, never an escaped PanicError. The
  * targeted cases pin one diagnostic each (truncation, bad magic, wrong
  * version, misaligned section, out-of-range TOC, inconsistent counts,
- * operand geometry that disagrees with its layer, semantically corrupt
- * operands); the deterministic byte-flip sweep is the fuzz-style pass
- * the ASan/UBSan CI job runs over.
+ * an embedded operand whose geometry, offsets or counts disagree with
+ * its layer or the image, conv groups that do not divide the output
+ * channels, semantically corrupt operands); the deterministic byte-flip
+ * sweep is the fuzz-style pass the ASan/UBSan CI job runs over.
  */
 
 #include <gtest/gtest.h>
@@ -51,12 +52,12 @@ loadAndUse()
 {
     const auto art = io::openArtifact(kPath);
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        const io::SharedOperands ops = art->packedOperands(i);
+        const std::int64_t groups = art->layerGroups(i);
         const Shape ws = art->layerShape(i);
-        nn::CompressedConv2d conv(art->layerName(i), ws, ops, 1, 0);
-        Tensor x(Shape({1,
-                        ws.dim(1) * static_cast<std::int64_t>(ops->size()),
-                        5, 5}));
+        nn::CompressedConv2d conv(art->layerName(i), ws,
+                                  art->packedOperands(i, groups), 1, 0,
+                                  groups);
+        Tensor x(Shape({1, ws.dim(1) * groups, 5, 5}));
         Rng rng(3);
         x.fillNormal(rng, 0.0f, 1.0f);
         conv.forward(x);
@@ -186,8 +187,7 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
     std::memcpy(&h, img.data(), sizeof(h));
     io::MvqiLayer L;
     std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
-    io::MvqiOperand op;
-    std::memcpy(&op, img.data() + L.operands_off, sizeof(op));
+    const io::MvqiOperand &op = L.operand;
     ASSERT_GT(op.col_idx.count, 0);
     const std::int32_t bogus = static_cast<std::int32_t>(op.cols) + 99;
     std::memcpy(img.data() + op.col_idx.off, &bogus, sizeof(bogus));
@@ -206,11 +206,10 @@ TEST_F(MvqiCorruptionTest, OperandGeometryMustMatchItsLayer)
     std::memcpy(&h, img.data(), sizeof(h));
     io::MvqiLayer L;
     std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
-    io::MvqiOperand op;
-    std::memcpy(&op, img.data() + L.operands_off, sizeof(op));
-    ASSERT_EQ(op.cols, L.shape[1] * L.shape[2] * L.shape[3]);
-    patchU64(L.operands_off + offsetof(io::MvqiOperand, cols),
-             static_cast<std::uint64_t>(op.cols + 16));
+    ASSERT_EQ(L.operand.cols, L.shape[1] * L.shape[2] * L.shape[3]);
+    patchU64(h.layer_toc_off + offsetof(io::MvqiLayer, operand)
+                 + offsetof(io::MvqiOperand, cols),
+             static_cast<std::uint64_t>(L.operand.cols + 16));
     try {
         const auto art = io::openArtifact(kPath);
         for (std::int64_t i = 0; i < art->layerCount(); ++i)
@@ -219,9 +218,86 @@ TEST_F(MvqiCorruptionTest, OperandGeometryMustMatchItsLayer)
     } catch (const FatalError &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find(kPath), std::string::npos) << msg;
-        EXPECT_NE(msg.find("layer 0 ('conv0') operand 0"), std::string::npos)
+        EXPECT_NE(msg.find("layer 0 ('conv0') operand is 16x24"),
+                  std::string::npos)
             << msg;
     }
+}
+
+TEST_F(MvqiCorruptionTest, EmbeddedOperandFieldsAreChecked)
+{
+    // Each field of layer 0's embedded operand, and the layer's conv
+    // groups, patched to a value the image cannot back: every one must
+    // fail with its own FatalError before any kernel reads the operand.
+    const std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    io::MvqiLayer L;
+    std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
+    const io::MvqiOperand &op = L.operand;
+    const std::size_t base = h.layer_toc_off + offsetof(io::MvqiLayer, operand);
+    auto at = [&](std::size_t array_field, std::size_t member) {
+        return base + array_field + member;
+    };
+    const std::size_t off = offsetof(io::MvqiArray, off);
+    const std::size_t count = offsetof(io::MvqiArray, count);
+    const std::size_t rp = offsetof(io::MvqiOperand, row_ptr);
+    const std::size_t ci = offsetof(io::MvqiOperand, col_idx);
+    const std::size_t va = offsetof(io::MvqiOperand, values);
+    struct Case
+    {
+        const char *what;
+        std::size_t where;
+        std::int64_t value;
+        const char *needle;
+    };
+    const auto nnz = op.col_idx.count;
+    const auto far = std::int64_t{1} << 40;
+    const Case cases[] = {
+        {"rows + 1", base + offsetof(io::MvqiOperand, rows), op.rows + 1,
+         "operand is 17x8"},
+        {"rows - 1", base + offsetof(io::MvqiOperand, rows), op.rows - 1,
+         "operand is 15x8"},
+        {"cols - 1", base + offsetof(io::MvqiOperand, cols), op.cols - 1,
+         "operand is 16x7"},
+        {"row_ptr misaligned", at(rp, off),
+         static_cast<std::int64_t>(op.row_ptr.off) + 8, "misaligned row_ptr"},
+        {"row_ptr past the end", at(rp, off), far, "beyond the end"},
+        {"row_ptr count", at(rp, count), op.rows + 2, "row_ptr count 18"},
+        {"row_ptr huge count", at(rp, count), far, "extends past the end"},
+        {"col_idx misaligned", at(ci, off),
+         static_cast<std::int64_t>(op.col_idx.off) + 4, "misaligned col_idx"},
+        {"col_idx past the end", at(ci, off), far, "beyond the end"},
+        {"col_idx count", at(ci, count), nnz + 1, "count mismatch"},
+        {"col_idx negative count", at(ci, count), -1, "negative col_idx"},
+        {"values misaligned", at(va, off),
+         static_cast<std::int64_t>(op.values.off) + 32, "misaligned values"},
+        {"values past the end", at(va, off), far, "beyond the end"},
+        {"values count", at(va, count), nnz - 1, "count mismatch"},
+        {"groups 3", h.layer_toc_off + offsetof(io::MvqiLayer, groups), 3,
+         "invalid conv groups 3"},
+        {"groups 0", h.layer_toc_off + offsetof(io::MvqiLayer, groups), 0,
+         "invalid conv groups 0"},
+        {"groups -2", h.layer_toc_off + offsetof(io::MvqiLayer, groups), -2,
+         "invalid conv groups -2"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        if (c.where == h.layer_toc_off + offsetof(io::MvqiLayer, groups))
+            patchU32(c.where, static_cast<std::uint32_t>(c.value));
+        else
+            patchU64(c.where, static_cast<std::uint64_t>(c.value));
+        expectFatal(c.needle);
+    }
+
+    // Both counts one short: every structural check passes, and the
+    // borrow's semantic validation finds row_ptr overrunning the entries.
+    std::vector<std::uint8_t> short_img = img;
+    const std::int64_t fewer = nnz - 1;
+    std::memcpy(short_img.data() + at(ci, count), &fewer, sizeof(fewer));
+    std::memcpy(short_img.data() + at(va, count), &fewer, sizeof(fewer));
+    writeBytes(short_img);
+    expectFatal("corrupt MVQI operand (layer 'conv0')");
 }
 
 TEST_F(MvqiCorruptionTest, OpenFaultSiteFailsCleanlyOnValidImage)

@@ -21,8 +21,8 @@ namespace mvq::core {
 
 /**
  * Deterministic two-layer, two-codebook model exercising both N:M
- * patterns (4:16 and 2:4), grouped conv packing (layer 1 is baked for
- * groups=2 in the golden image), and quantized + unquantized codebooks.
+ * patterns (4:16 and 2:4), a grouped conv (the golden image records
+ * groups=2 for layer 1), and quantized + unquantized codebooks.
  * Every float is of the form (small integer) * 2^-2, exactly
  * representable, so serialization is byte-stable everywhere.
  */
@@ -99,7 +99,7 @@ makeGoldenModel()
     return model;
 }
 
-/** The conv groups the golden image bakes per layer (layer 1 is a
+/** The conv groups the golden image records per layer (layer 1 is a
  *  2-group conv; see makeGoldenModel). */
 inline io::MvqiWriteOptions
 goldenWriteOptions()

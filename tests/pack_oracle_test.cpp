@@ -1,10 +1,10 @@
 /**
  * @file
  * Byte-identity oracle for the operand builder. The O(nnz) pack walk
- * behind CompressedLayer::packSparseRows / packGroupedRows must
- * reproduce, array for array, the direct version kept here: one
- * per-weight groupedCoords walk. A stream-opened ResNet-18-geometry image
- * is compared with the writer's image carrying the oracle operands.
+ * behind CompressedLayer::packSparseRows must reproduce, array for
+ * array, the direct version kept here: one per-weight groupedCoords
+ * walk. A stream-opened ResNet-18-geometry image is compared with the
+ * writer's image carrying the oracle operands.
  */
 
 #include <gtest/gtest.h>
@@ -26,19 +26,18 @@ namespace {
 
 // ------------------------------------------------------------- the oracles
 
-/** Rows [k0, k1) of the unrolled weight matrix, one groupedCoords call
- *  per weight. */
+/** The unrolled weight matrix, one groupedCoords call per weight. */
 SparseRowMatrix
-oraclePackRowRange(const CompressedLayer &layer, const Mask &mask,
-                   const Codebook &cb, std::int64_t k0, std::int64_t k1)
+oraclePack(const CompressedLayer &layer, const Codebook &cb)
 {
+    const Mask mask = layer.decodeMask();
     const Shape &w4 = layer.weight_shape;
     const std::int64_t d = layer.cfg.d;
     SparseRowMatrix sp;
-    sp.rows = k1 - k0;
+    sp.rows = w4.dim(0);
     sp.cols = w4.dim(1) * w4.dim(2) * w4.dim(3);
     sp.row_ptr.push_back(0);
-    for (std::int64_t k = k0; k < k1; ++k) {
+    for (std::int64_t k = 0; k < sp.rows; ++k) {
         for (std::int64_t c = 0; c < w4.dim(1); ++c) {
             for (std::int64_t r = 0; r < w4.dim(2); ++r) {
                 for (std::int64_t s = 0; s < w4.dim(3); ++s) {
@@ -57,20 +56,6 @@ oraclePackRowRange(const CompressedLayer &layer, const Mask &mask,
         sp.row_ptr.push_back(static_cast<std::int64_t>(sp.values.size()));
     }
     return sp;
-}
-
-/** packGroupedRows through the oracle: one row range per conv group. */
-std::vector<SparseRowMatrix>
-oraclePackGroupedRows(const CompressedLayer &layer, const Codebook &cb,
-                      std::int64_t groups)
-{
-    const std::int64_t kg = layer.weight_shape.dim(0) / groups;
-    const Mask mask = layer.decodeMask();
-    std::vector<SparseRowMatrix> out;
-    for (std::int64_t grp = 0; grp < groups; ++grp)
-        out.push_back(
-            oraclePackRowRange(layer, mask, cb, grp * kg, (grp + 1) * kg));
-    return out;
 }
 
 // ------------------------------------------------------------- comparison
@@ -159,24 +144,14 @@ TEST_P(PackOracle, PackedOperandsMatchTheOracleArrayForArray)
         const CompressedLayer layer = randomLayer(
             rng, lc.shape, lc.grouping, lc.pattern, lc.d, 32, repeat);
         const std::string mode = repeat ? " repeated-code" : " random";
-        expectSameCsr(oraclePackRowRange(layer, layer.decodeMask(), cb, 0,
-                                         lc.shape.dim(0)),
-                      layer.packSparseRows(cb), lc.name + mode + " csr");
-        for (const std::int64_t groups : {1, 2, 4}) {
-            const auto want = oraclePackGroupedRows(layer, cb, groups);
-            const auto got = layer.packGroupedRows(cb, groups);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t g = 0; g < want.size(); ++g)
-                expectSameCsr(want[g], got[g].rows,
-                              lc.name + mode + " groups "
-                                  + std::to_string(groups) + " group "
-                                  + std::to_string(g));
-        }
+        const SparseRowMatrix got = layer.packSparseRows(cb);
+        EXPECT_TRUE(got.validated) << lc.name + mode;
+        expectSameCsr(oraclePack(layer, cb), got, lc.name + mode + " csr");
     }
 }
 
-// Row counts per group (K / groups) include ones that are not a multiple
-// of the pattern's M; d differs from M in the 2:4 and 8:16 cases.
+// Row counts include ones that are not a multiple of the pattern's M; d
+// differs from M in the 2:4 and 8:16 cases.
 INSTANTIATE_TEST_SUITE_P(
     Layers, PackOracle,
     ::testing::Values(
@@ -237,13 +212,13 @@ TEST(PackOracleImage, StreamOpenedResNet18ImageMatchesOracleOperands)
                         arr.size() * sizeof(T));
     };
     for (std::size_t i = 0; i < model.layers.size(); ++i) {
-        const auto ops = oraclePackGroupedRows(model.layers[i],
-                                               model.codebooks[0], 1);
+        const SparseRowMatrix op =
+            oraclePack(model.layers[i], model.codebooks[0]);
         const io::MvqiOperand &rec =
-            view.operands(static_cast<std::int64_t>(i))[0];
-        put(rec.row_ptr, ops[0].row_ptr);
-        put(rec.col_idx, ops[0].col_idx);
-        put(rec.values, ops[0].values);
+            view.layer(static_cast<std::int64_t>(i)).operand;
+        put(rec.row_ptr, op.row_ptr);
+        put(rec.col_idx, op.col_idx);
+        put(rec.values, op.values);
     }
     ASSERT_EQ(art->view().size(), static_cast<std::int64_t>(want.size()));
     EXPECT_EQ(std::memcmp(art->view().data(), want.data(), want.size()), 0);

@@ -88,7 +88,7 @@ makeServeModel()
     return model;
 }
 
-/** Both layers are plain (groups=1) convs; the defaults bake that. */
+/** Both layers are plain (groups=1) convs; the defaults record that. */
 inline io::MvqiWriteOptions
 serveWriteOptions()
 {

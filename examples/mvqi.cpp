@@ -12,10 +12,11 @@
  * convert options:
  *   --to stream|mvqi          target format (default: by <out> extension,
  *                             ".mvqi" => mvqi, anything else => stream)
- *   --groups N                conv groups recorded for every MVQI layer
- *   --layer-groups name=N     per-layer override (repeatable; the name
- *                             must be a layer of the model)
- * N must be a whole number >= 1.
+ *   --layer-groups name=N     conv groups an MVQI output records for that
+ *                             layer (repeatable; the name must be a layer
+ *                             of the model; N a whole number >= 1)
+ * Every other layer keeps the groups its input records (1 for a stream,
+ * which stores no conv geometry).
  *
  * Exit status: 0 on success, 1 on usage errors, 2 on a FatalError (a bad
  * option value, corrupt input), whose message goes to stderr.
@@ -40,7 +41,7 @@ usage()
     std::cerr << "usage:\n"
                  "  mvqi info <file>\n"
                  "  mvqi convert <in> <out> [--to stream|mvqi] "
-                 "[--groups N] [--layer-groups name=N]...\n"
+                 "[--layer-groups name=N]...\n"
                  "  mvqi verify <file>\n";
     return 1;
 }
@@ -120,8 +121,6 @@ cmdConvert(int argc, char **argv)
             to = v == "mvqi" ? ArtifactFormat::Mvqi
                              : ArtifactFormat::Stream;
             to_set = true;
-        } else if (arg == "--groups") {
-            opts.default_groups = parseGroups(arg, next());
         } else if (arg == "--layer-groups") {
             const std::string v = next();
             const auto eq = v.find('=');
@@ -139,6 +138,9 @@ cmdConvert(int argc, char **argv)
         to = ArtifactFormat::Mvqi;
 
     const auto art = openArtifact(in);
+    // A layer no --layer-groups names keeps the groups its input records.
+    for (std::int64_t i = 0; i < art->layerCount(); ++i)
+        opts.layer_groups.emplace(art->layerName(i), art->layerGroups(i));
     saveArtifact(art->model(), out, to, opts);
     std::cout << in << " (" << artifactFormatName(art->format()) << ", "
               << art->sizeBytes() << " B) -> " << out << " ("

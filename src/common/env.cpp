@@ -27,19 +27,10 @@ const Knob kKnobs[] = {
     {"MVQ_SIMD", "string", "auto-detect",
      "force a SIMD kernel path: scalar|avx2|neon (unavailable requests "
      "warn and fall back)"},
-    {"MVQ_FAULT_PLAN", "string", "(none)",
-     "deterministic fault-injection plan, e.g. 'serve.forward:nth=2;"
-     "artifact.open:every=3:mode=error' (see common/fault.hpp)"},
     {"MVQ_ENV_HELP", "flag", "off",
      "print this knob table to stderr on the first environment read"},
     {"MVQ_BENCH_FAST", "flag", "off",
      "shrink bench sweeps for smoke runs"},
-    {"MVQ_BENCH_GATE_MIN_SPEEDUP", "real", "0 (gate off)",
-     "micro_kernels exits nonzero below this avx2 speedup floor of the "
-     "direct sparse conv over the direct dense conv"},
-    {"MVQ_BENCH_GATE_MAX_LOAD_READ_RATIO", "real", "0 (gate off)",
-     "model_load exits nonzero when an MVQI cold load takes more than "
-     "this many memcmp passes over its operands"},
     {"MVQ_BENCH_GATE_MIN_IMAGES_PER_SEC", "real", "0 (gate off)",
      "serve_load exits nonzero below this sustained images/s floor at "
      "the highest client count"},

@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 
 namespace mvq::fault {
@@ -21,7 +20,6 @@ struct Armed
 struct Registry
 {
     std::mutex mu;
-    bool env_consulted = false;
     std::map<std::string, Armed> sites;
 };
 
@@ -47,20 +45,6 @@ publishCountLocked(Registry &r)
 {
     detail::g_armed.store(static_cast<int>(r.sites.size()),
                           std::memory_order_release);
-}
-
-/** First-touch: load MVQ_FAULT_PLAN exactly once per process. mu held.
- *  armFromPlan re-locks, so drop and re-take around it via the caller. */
-void
-consultEnvLocked(Registry &r, std::unique_lock<std::mutex> &lk)
-{
-    if (r.env_consulted)
-        return;
-    r.env_consulted = true;
-    publishCountLocked(r); // publish 0 now; armFromEnv refreshes below
-    lk.unlock();
-    armFromEnv();
-    lk.lock();
 }
 
 /** Count a hit and decide whether it fails. mu held. */
@@ -102,14 +86,13 @@ armOne(const std::string &site, const FaultSpec &spec)
 
 namespace detail {
 
-std::atomic<int> g_armed{-1}; // -1: env plan not consulted yet
+std::atomic<int> g_armed{0};
 
 bool
 fireSlow(const char *site)
 {
     Registry &r = registry();
-    std::unique_lock<std::mutex> lk(r.mu);
-    consultEnvLocked(r, lk);
+    std::lock_guard<std::mutex> lk(r.mu);
     return fireLocked(r, site);
 }
 
@@ -120,8 +103,7 @@ checkpointSlow(const char *site, const char *what)
     std::int64_t hit = 0;
     {
         Registry &r = registry();
-        std::unique_lock<std::mutex> lk(r.mu);
-        consultEnvLocked(r, lk);
+        std::lock_guard<std::mutex> lk(r.mu);
         if (!fireLocked(r, site))
             return;
         const Armed &a = r.sites.find(site)->second;
@@ -167,7 +149,6 @@ resetAll()
     Registry &r = registry();
     std::lock_guard<std::mutex> lk(r.mu);
     r.sites.clear();
-    r.env_consulted = true; // the env plan stays off unless re-applied
     publishCountLocked(r);
 }
 
@@ -182,7 +163,7 @@ armFromPlan(const std::string &plan)
         if (entry.empty())
             continue;
         const std::size_t colon = entry.find(':');
-        fatalIf(colon == std::string::npos, "MVQ_FAULT_PLAN entry '",
+        fatalIf(colon == std::string::npos, "fault plan entry '",
                 entry, "' has no schedule; want site:nth=N or "
                 "site:every=K (optionally :mode=throw|error)");
         const std::string site = entry.substr(0, colon);
@@ -203,7 +184,7 @@ armFromPlan(const std::string &plan)
                 } catch (const std::exception &) {
                     // fall through to the diagnostic below
                 }
-                fatal("MVQ_FAULT_PLAN entry '", entry, "': ", key,
+                fatal("fault plan entry '", entry, "': ", key,
                       "= wants a non-negative integer, got '", v, "'");
             };
             if (field.rfind("nth=", 0) == 0)
@@ -215,24 +196,12 @@ armFromPlan(const std::string &plan)
             else if (field == "mode=error")
                 spec.mode = FaultMode::Error;
             else
-                fatal("MVQ_FAULT_PLAN entry '", entry,
+                fatal("fault plan entry '", entry,
                       "': unrecognized field '", field,
                       "' (want nth=N, every=K, or mode=throw|error)");
         }
         armOne(site, spec);
     }
-}
-
-void
-armFromEnv()
-{
-    armFromPlan(env::str("MVQ_FAULT_PLAN", ""));
-    // Even an empty plan publishes a non-negative count so the fast
-    // path stops deferring to the slow path.
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    r.env_consulted = true;
-    publishCountLocked(r);
 }
 
 SiteStats

@@ -3,8 +3,8 @@
  * Deterministic fault-injection registry. Production code marks the
  * places where the outside world can fail — opening a model file,
  * borrowing operands from an image, launching a batched forward — as
- * named *sites*; tests (or the MVQ_FAULT_PLAN env knob) arm a site with
- * a fail-Nth or fail-every-K schedule and the next matching hit fails
+ * named *sites*; tests arm a site with a fail-Nth or fail-every-K
+ * schedule (or a plan string) and the next matching hit fails
  * there, exactly there, and nowhere else. Because the schedule counts
  * hits rather than reading clocks, the same plan over the same call
  * sequence produces the same failure interleaving every run — which is
@@ -24,10 +24,8 @@
  *    path (fatal(), i.e. FatalError), modeling an IO failure the code
  *    already knows how to diagnose.
  *
- * Arming is programmatic (arm()/armFromPlan(), used by tests) or
- * environmental (MVQ_FAULT_PLAN, loaded lazily at the first checkpoint;
- * see the grammar in armFromPlan). resetAll() disarms everything —
- * including the env plan for the rest of the process — and is how test
+ * Arming is programmatic: arm() per site, or armFromPlan() over a plan
+ * string (grammar there). resetAll() disarms everything and is how test
  * fixtures isolate themselves. Hit counters exist per armed site only:
  * an unarmed process counts nothing, by design (zero-cost rule above).
  *
@@ -99,9 +97,7 @@ void arm(const std::string &site, const FaultSpec &spec);
  *  disarming an unarmed site is a no-op. */
 void disarm(const std::string &site);
 
-/** Disarm every site and zero all counters. Also marks the env plan
- *  consumed: MVQ_FAULT_PLAN will not re-arm later in this process
- *  unless armFromEnv() is called explicitly. */
+/** Disarm every site and zero all counters. */
 void resetAll();
 
 /**
@@ -117,18 +113,13 @@ void resetAll();
  */
 void armFromPlan(const std::string &plan);
 
-/** Apply the MVQ_FAULT_PLAN env knob (no-op when unset/empty). Called
- *  lazily by the first checkpoint; tests call it to re-apply the env
- *  plan after resetAll(). */
-void armFromEnv();
-
 /** Counters for `site` since it was last armed. */
 SiteStats stats(const std::string &site);
 
 namespace detail {
 
-/** Number of armed sites; -1 until the env plan has been consulted.
- *  The checkpoints' entire unarmed cost is loading this. */
+/** Number of armed sites. The checkpoints' entire unarmed cost is
+ *  loading this. */
 extern std::atomic<int> g_armed;
 
 bool fireSlow(const char *site);

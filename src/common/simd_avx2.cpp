@@ -85,12 +85,12 @@ gemmMicroAvx2(const float *ap, const float *base, const std::int32_t *off,
 void
 gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
                     std::int64_t nnz, const std::int32_t *off,
-                    const float *base, std::int64_t /*nr*/, float *acc)
+                    const float *base, float *acc)
 {
-    __m256 e0 = _mm256_loadu_ps(acc);
-    __m256 e1 = _mm256_loadu_ps(acc + 8);
-    __m256 e2 = _mm256_loadu_ps(acc + 16);
-    __m256 e3 = _mm256_loadu_ps(acc + 24);
+    __m256 e0 = _mm256_setzero_ps();
+    __m256 e1 = _mm256_setzero_ps();
+    __m256 e2 = _mm256_setzero_ps();
+    __m256 e3 = _mm256_setzero_ps();
     __m256 o0 = _mm256_setzero_ps();
     __m256 o1 = _mm256_setzero_ps();
     __m256 o2 = _mm256_setzero_ps();

@@ -53,34 +53,31 @@ gemmMicroScalar(const float *__restrict ap, const float *__restrict base,
     std::memcpy(acc, c, sizeof(c));
 }
 
+/** The scalar sparse kernel's tile width (its table's sparse_nr). */
+constexpr std::int64_t kScalarSparseNr = 8;
+
 /**
- * Sparse-A row x input-tile kernel. nr is a runtime parameter (the scalar
- * kernel can back tables with different tile widths). A single
- * compressed row has no mr dimension to hide FP-add latency behind, so
- * accumulation is striped 2-way across entries (entry q feeds stripe
- * q % 2) and the stripes fold at the end, doubling the independent
- * dependency chains the auto-vectorizer can keep in flight.
+ * Sparse-A row x input-tile kernel, 1x8. A single compressed row has no
+ * mr dimension to hide FP-add latency behind, so accumulation is striped
+ * 2-way across entries (entry q feeds stripe q % 2) and the stripes fold
+ * at the end, doubling the independent dependency chains the
+ * auto-vectorizer can keep in flight.
  */
 void
 gemmSparseMicroScalar(const float *__restrict vals,
                       const std::int32_t *__restrict kidx, std::int64_t nnz,
                       const std::int32_t *__restrict off,
-                      const float *__restrict base, std::int64_t nr,
-                      float *__restrict acc)
+                      const float *__restrict base, float *__restrict acc)
 {
-    float s0[kMaxSparseNr];
-    float s1[kMaxSparseNr];
-    for (std::int64_t c = 0; c < nr; ++c) {
-        s0[c] = acc[c];
-        s1[c] = 0.0f;
-    }
+    float s0[kScalarSparseNr] = {};
+    float s1[kScalarSparseNr] = {};
     std::int64_t q = 0;
     for (; q + 2 <= nnz; q += 2) {
         const float v0 = vals[q];
         const float v1 = vals[q + 1];
         const float *b0 = base + off[kidx[q]];
         const float *b1 = base + off[kidx[q + 1]];
-        for (std::int64_t c = 0; c < nr; ++c) {
+        for (std::int64_t c = 0; c < kScalarSparseNr; ++c) {
             s0[c] += v0 * b0[c];
             s1[c] += v1 * b1[c];
         }
@@ -88,10 +85,10 @@ gemmSparseMicroScalar(const float *__restrict vals,
     if (q < nnz) {
         const float v = vals[q];
         const float *brow = base + off[kidx[q]];
-        for (std::int64_t c = 0; c < nr; ++c)
+        for (std::int64_t c = 0; c < kScalarSparseNr; ++c)
             s0[c] += v * brow[c];
     }
-    for (std::int64_t c = 0; c < nr; ++c)
+    for (std::int64_t c = 0; c < kScalarSparseNr; ++c)
         acc[c] = s0[c] + s1[c];
 }
 
@@ -142,7 +139,7 @@ assignBestSparseScalar(const float *wkeep, const std::int32_t *idx,
 
 constexpr Kernels kScalarKernels = {
     Isa::Scalar, "scalar",
-    /*mr=*/4,    /*nr=*/8, &gemmMicroScalar, /*sparse_nr=*/8,
+    /*mr=*/4,    /*nr=*/8, &gemmMicroScalar, kScalarSparseNr,
     &gemmSparseMicroScalar,
     &assignBestDenseScalar, &assignBestSparseScalar,
 };

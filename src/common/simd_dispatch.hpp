@@ -38,7 +38,7 @@ enum class Isa
 constexpr std::int64_t kMaxGemmMr = 8;
 constexpr std::int64_t kMaxGemmNr = 16;
 /** Upper bound on any table's sparse tile width (sparse_nr); the sparse
- *  driver and the scalar sparse kernel size their accumulators with it. */
+ *  driver sizes its tile buffers with it. */
 constexpr std::int64_t kMaxSparseNr = 32;
 
 /**
@@ -100,15 +100,15 @@ struct Kernels
      * kidx[]; entry q's nr inputs are the contiguous run
      * base[off[kidx[q]] + c], c in [0, nr), where off is the driver's
      * per-call offset table (one int32 per im2col row) and base the
-     * tile's start in the padded input. The kernel accumulates
-     * acc[c] += vals[q] * base[off[kidx[q]] + c] over the nnz entries. nr
-     * is passed explicitly so one scalar implementation can serve tables
-     * with different widths.
+     * tile's start in the padded input. The kernel writes
+     * acc[c] = sum over the nnz entries of vals[q] * base[off[kidx[q]] + c]
+     * for c in [0, sparse_nr), the tile overwritten (an empty row writes
+     * zeros).
      *
      * Per-lane order: every kernel stripes the entries 2-way. Stripe 0
-     * starts from acc[c] and takes the even entries q = 0, 2, 4, ...;
-     * stripe 1 starts from 0 and takes the odd ones; an odd tail entry
-     * goes to stripe 0. In the AVX2 and NEON kernels each entry is one
+     * starts from 0 and takes the even entries q = 0, 2, 4, ...; stripe 1
+     * starts from 0 and takes the odd ones; an odd tail entry goes to
+     * stripe 0. In the AVX2 and NEON kernels each entry is one
      * fused multiply-add into its stripe (the scalar kernel's s += v * b
      * fuses only where the compiler contracts it), and lane c returns
      * stripe0 + stripe1. The order depends on nothing but the row's
@@ -118,8 +118,7 @@ struct Kernels
      */
     void (*gemmSparseMicroKernel)(const float *vals, const std::int32_t *kidx,
                                   std::int64_t nnz, const std::int32_t *off,
-                                  const float *base, std::int64_t nr,
-                                  float *acc);
+                                  const float *base, float *acc);
 
     // --- Masked-assignment distance kernels (core/masked_kmeans) --------
     //

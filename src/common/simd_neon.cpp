@@ -84,11 +84,11 @@ gemmMicroNeon(const float *ap, const float *base, const std::int32_t *off,
 void
 gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
                     std::int64_t nnz, const std::int32_t *off,
-                    const float *base, std::int64_t /*nr*/, float *acc)
+                    const float *base, float *acc)
 {
     float32x4_t c0[4], c1[4];
     for (int v = 0; v < 4; ++v) {
-        c0[v] = vld1q_f32(acc + 4 * v);
+        c0[v] = vdupq_n_f32(0.0f);
         c1[v] = vdupq_n_f32(0.0f);
     }
     std::int64_t q = 0;

@@ -106,7 +106,7 @@ recordedGroups(const CompressedLayer &cl, const MvqiWriteOptions &opts)
     if (auto it = opts.layer_groups.find(cl.name);
         it != opts.layer_groups.end())
         return it->second;
-    return opts.default_groups;
+    return 1;
 }
 
 /**
@@ -473,9 +473,13 @@ MvqiView::validate()
                 " assignments count ", L.assignments.count,
                 " does not match ng ", L.ng);
         checkArray(L.mask_codes, sizeof(std::uint32_t), "mask codes");
-        fatalIf(L.mask_codes.count != L.ng * (L.d / L.m), what_,
+        const std::int64_t codes_per_group = L.d / L.m;
+        fatalIf(L.ng > kMax / codes_per_group, what_, ": layer ", i,
+                " mask-code count ng*d/M overflows (ng ", L.ng, ", d ", L.d,
+                ", M ", L.m, ")");
+        fatalIf(L.mask_codes.count != L.ng * codes_per_group, what_,
                 ": layer ", i, " mask-code count ", L.mask_codes.count,
-                " does not match ng*d/M = ", L.ng * (L.d / L.m));
+                " does not match ng*d/M = ", L.ng * codes_per_group);
 
         // The operand is the layer's unrolled [K, C/groups*R*S] weight
         // matrix; any other geometry would pass the CSR checks and still
@@ -488,9 +492,11 @@ MvqiView::validate()
                 ", ", L.shape[2], ", ", L.shape[3], "] needs ", L.shape[0],
                 "x", unrolled);
         checkArray(op.row_ptr, sizeof(std::int64_t), "row_ptr");
-        fatalIf(op.row_ptr.count != op.rows + 1, what_, ": layer ", i,
+        // rows is a positive shape dimension, so rows + 1 could overflow;
+        // count - 1 cannot (checkArray bounds count to [0, image size]).
+        fatalIf(op.row_ptr.count - 1 != op.rows, what_, ": layer ", i,
                 " operand row_ptr count ", op.row_ptr.count,
-                " does not match rows+1 = ", op.rows + 1);
+                " does not match its ", op.rows, " rows plus one");
         checkArray(op.col_idx, sizeof(std::int32_t), "col_idx");
         checkArray(op.values, sizeof(float), "values");
         fatalIf(op.col_idx.count != op.values.count, what_, ": layer ", i,

@@ -112,11 +112,11 @@ struct MvqiLayer
 static_assert(sizeof(MvqiLayer) == 256);
 
 /** Writer knobs: the conv `groups` each layer records (the compressed
- *  container does not store conv geometry). They are geometry only: the
- *  operand is the layer's one CSR at any group count. */
+ *  container does not store conv geometry), 1 for a layer the map does
+ *  not name. They are geometry only: the operand is the layer's one CSR
+ *  at any group count. */
 struct MvqiWriteOptions
 {
-    std::int64_t default_groups = 1;
     std::map<std::string, std::int64_t> layer_groups; //!< by layer name
 };
 

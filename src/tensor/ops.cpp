@@ -780,10 +780,9 @@ gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float *pc,
                     const float *base = db.tile(t) + gi * db.gstride;
                     for (const std::int64_t re = std::min(i1, (gi + 1) * kg);
                          r < re; ++r) {
-                        std::fill(acc, acc + nr, 0.0f);
                         kn.gemmSparseMicroKernel(
                             vals + rp[r], idx + rp[r], rp[r + 1] - rp[r],
-                            db.off.data(), base, nr, acc);
+                            db.off.data(), base, acc);
                         for (std::int64_t q = 0; q < nruns; ++q)
                             std::memcpy(pc + r * ldc + runs[q].dst,
                                         acc + runs[q].lane,

@@ -34,8 +34,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -47,6 +45,7 @@
 #include "common/simd_dispatch.hpp"
 #include "core/nm_pruning.hpp"
 #include "csr_test_util.hpp"
+#include "seed_args.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -394,34 +393,13 @@ TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
 } // namespace
 } // namespace mvq
 
-/** gtest's own flags, plus --seed <first> and --iters <count>: run
- *  seeds first, first + 1, ..., first + count - 1 instead of the pinned
- *  seeds 1-200 (first defaults to 1, count to 1). */
+/** gtest's own flags, plus --seed/--iters (seed_args.hpp) over the
+ *  pinned seeds 1-200. */
 int
 main(int argc, char **argv)
 {
     testing::InitGoogleTest(&argc, argv);
-    std::uint64_t first = 1;
-    long long iters = 200;
-    bool custom = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if ((arg != "--seed" && arg != "--iters") || i + 1 >= argc) {
-            std::fprintf(stderr,
-                         "usage: %s [gtest flags] [--seed S] [--iters N]\n",
-                         argv[0]);
-            return 2;
-        }
-        const long long v = std::strtoll(argv[++i], nullptr, 10);
-        if (!custom)
-            iters = 1;
-        custom = true;
-        if (arg == "--seed")
-            first = static_cast<std::uint64_t>(v);
-        else
-            iters = v;
-    }
-    for (long long s = 0; s < iters; ++s)
-        mvq::g_seeds.push_back(first + static_cast<std::uint64_t>(s));
+    if (!mvq::parseSeedArgs(argc, argv, 200, &mvq::g_seeds))
+        return 2;
     return RUN_ALL_TESTS();
 }

@@ -5,9 +5,10 @@
  * active MVQ_SIMD ISA), borrowed-view vs owned-operand forward identity,
  * operand sharing/caching (one borrowed operand per layer at any group
  * count), image lifetime, stream files served from an in-memory image,
- * the `mvqi` CLI's option checks, the checked-in golden fixture pinning
- * MVQI format v3 byte-for-byte, and the v1 and v2 fixtures every reader
- * must reject.
+ * stream and MVQI operands byte-identical at full ResNet-18 and
+ * MobileNet-v1 conv geometry, the `mvqi` CLI's option checks, the
+ * checked-in golden fixture pinning MVQI format v3 byte-for-byte, and
+ * the v1 and v2 fixtures every reader must reject.
  *
  * Regenerate the fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
@@ -19,10 +20,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <random>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
 #include "core/io/model_artifact.hpp"
+#include "models/layer_spec.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -338,6 +341,106 @@ TEST_F(ModelArtifactTest, EveryGroupCountBorrows)
                                     forwardLayer(*m, 1, 1, 6)));
 }
 
+/**
+ * A compressed model with the conv geometry of `spec` (every layer that
+ * splits into d=16 subvectors; the 1000-way head does not) and random
+ * 4:16 symbols from a fixed seed. `opts` records each conv's groups.
+ */
+CompressedModel
+synthesizeFullGeometry(const models::ModelSpec &spec,
+                       io::MvqiWriteOptions *opts)
+{
+    CompressedModel model;
+    std::mt19937 rng(12345);
+    Codebook cb;
+    cb.qbits = 8;
+    cb.scale = 1.0f / 64.0f;
+    cb.codewords = Tensor(Shape({256, 16}));
+    for (std::int64_t i = 0; i < cb.codewords.numel(); ++i)
+        cb.codewords[i] =
+            static_cast<float>(static_cast<int>(rng() % 255) - 127)
+            * cb.scale;
+    model.codebooks.push_back(std::move(cb));
+
+    const MaskCodec codec(NmPattern{4, 16});
+    for (const models::ConvLayerSpec &c : spec.convs) {
+        if (c.weightCount() % 16 != 0)
+            continue;
+        CompressedLayer l;
+        l.name = c.name;
+        l.weight_shape =
+            Shape({c.out_c, c.in_c / c.groups, c.kernel, c.kernel});
+        l.cfg.k = 256;
+        l.cfg.d = 16;
+        l.cfg.pattern = NmPattern{4, 16};
+        l.cfg.grouping = Grouping::OutputChannelWise;
+        l.cfg.codebook_bits = 8;
+        l.codebook_id = 0;
+        l.dense_flops = 2 * c.macs();
+        const std::int64_t ng = l.weight_shape.numel() / l.cfg.d;
+        for (std::int64_t j = 0; j < ng; ++j) {
+            l.assignments.push_back(static_cast<std::int32_t>(rng() % 256));
+            l.mask_codes.push_back(
+                static_cast<std::uint32_t>(rng() % codec.codeCount()));
+        }
+        opts->layer_groups[l.name] = c.groups;
+        model.layers.push_back(std::move(l));
+    }
+    return model;
+}
+
+template <typename T>
+bool
+sameArray(const OperandArray<T> &x, const OperandArray<T> &y)
+{
+    return x.size() == y.size()
+        && (x.empty()
+            || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+TEST(ModelArtifactGeometry, StreamAndMvqiOperandsAreByteIdentical)
+{
+    // The stream open decodes and packs every layer; the MVQI open
+    // borrows what the writer packed. At full conv geometry (MobileNet-v1's
+    // depthwise layers are the grouped case) both give the same CSR
+    // bytes, and the image records each conv's groups.
+    for (const models::ModelSpec &spec :
+         {models::mobilenetV1Spec(), models::resnet18Spec()}) {
+        SCOPED_TRACE(spec.name);
+        io::MvqiWriteOptions opts;
+        const CompressedModel model = synthesizeFullGeometry(spec, &opts);
+        const std::string stream_path =
+            tmpPath(("mvq_geometry_" + spec.name + ".mvq").c_str());
+        const std::string mvqi_path =
+            tmpPath(("mvq_geometry_" + spec.name + ".mvqi").c_str());
+        io::saveArtifact(model, stream_path, io::ArtifactFormat::Stream);
+        io::saveArtifact(model, mvqi_path, io::ArtifactFormat::Mvqi, opts);
+        const auto s = io::openArtifact(stream_path);
+        const auto m = io::openArtifact(mvqi_path);
+        ASSERT_EQ(s->layerCount(),
+                  static_cast<std::int64_t>(model.layers.size()));
+        ASSERT_EQ(m->layerCount(), s->layerCount());
+        bool grouped = false;
+        for (std::int64_t i = 0; i < s->layerCount(); ++i) {
+            const std::int64_t groups = opts.layer_groups.at(s->layerName(i));
+            grouped = grouped || groups > 1;
+            EXPECT_EQ(s->layerGroups(i), 1);
+            EXPECT_EQ(m->layerGroups(i), groups) << s->layerName(i);
+            const SparseRowMatrix &x =
+                s->packedOperands(i, groups)->front().rows;
+            const SparseRowMatrix &y =
+                m->packedOperands(i, groups)->front().rows;
+            EXPECT_TRUE(sameArray(x.row_ptr, y.row_ptr)
+                        && sameArray(x.col_idx, y.col_idx)
+                        && sameArray(x.values, y.values))
+                << s->layerName(i);
+        }
+        EXPECT_EQ(grouped, spec.name == models::mobilenetV1Spec().name);
+        std::remove(stream_path.c_str());
+        std::remove(mvqi_path.c_str());
+    }
+}
+
 /** A checked-in fixture under tests/data/. */
 std::string
 fixturePath(const char *name)
@@ -432,10 +535,6 @@ TEST(MvqiCli, ConvertAcceptsOnlyWholeGroupCountsAndKnownLayers)
     const std::string convert = "convert " + in + " '" + out_path + "' ";
     std::string text;
     for (const char *bad : {"2x", "0", "-1", "1.5", "''"}) {
-        EXPECT_EQ(runMvqi(convert + "--groups " + bad, &text), 2) << text;
-        EXPECT_NE(text.find("--groups expects a whole number >= 1"),
-                  std::string::npos)
-            << text;
         EXPECT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=" + bad,
                           &text),
                   2)
@@ -454,9 +553,37 @@ TEST(MvqiCli, ConvertAcceptsOnlyWholeGroupCountsAndKnownLayers)
         << text;
     EXPECT_NE(text.find("invalid conv groups 3"), std::string::npos) << text;
 
-    ASSERT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=2", &text), 0)
+    // One count for every layer is not an option: it is wrong for a net
+    // that mixes group counts.
+    EXPECT_EQ(runMvqi(convert + "--groups 2", &text), 1) << text;
+    EXPECT_NE(text.find("unknown option --groups"), std::string::npos)
         << text;
-    EXPECT_EQ(io::openArtifact(out_path)->layerGroups(1), 2);
+
+    ASSERT_EQ(runMvqi(convert + "--layer-groups conv1_grouped=4", &text), 0)
+        << text;
+    EXPECT_EQ(io::openArtifact(out_path)->layerGroups(0), 1);
+    EXPECT_EQ(io::openArtifact(out_path)->layerGroups(1), 4);
+    std::remove(out_path.c_str());
+}
+
+TEST(MvqiCli, ConvertKeepsRecordedGroups)
+{
+    // MVQI -> MVQI without flags records what the input records, so the
+    // output is the input byte for byte.
+    const std::string golden = fixturePath("golden_v3.mvqi");
+    const std::string out_path = tmpPath("mvq_cli_keep.mvqi");
+    std::string text;
+    ASSERT_EQ(runMvqi("convert '" + golden + "' '" + out_path + "'", &text),
+              0)
+        << text;
+    const auto out = io::openArtifact(out_path);
+    EXPECT_EQ(out->layerGroups(0), 1);
+    EXPECT_EQ(out->layerGroups(1), 2);
+    const auto art = io::openArtifact(golden);
+    ASSERT_EQ(out->view().size(), art->view().size());
+    EXPECT_EQ(std::memcmp(out->view().data(), art->view().data(),
+                          static_cast<std::size_t>(art->view().size())),
+              0);
     std::remove(out_path.c_str());
 }
 

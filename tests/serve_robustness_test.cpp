@@ -6,14 +6,11 @@
  * request expiry at deadline-1 vs deadline, batch isolation (a faulted
  * forward fails only its own batch), Healthy/Degraded/Failed health
  * transitions, fault-plan determinism (same plan, same traffic -> same
- * rejection sequence and memcmp-identical survivor outputs), and a
- * real-clock concurrent hammering test that rides the TSan CI tier.
- *
- * The *EnvPlan* tests are special: CI's ASan fault-plan sweep re-runs
- * just them under several MVQ_FAULT_PLAN values, so they re-apply the
- * env plan explicitly and tolerate ANY combination of armed sites —
- * the assertion is that every future completes and nothing leaks, not
- * that any particular request succeeds.
+ * rejection sequence and memcmp-identical survivor outputs), a
+ * real-clock concurrent hammering test that rides the TSan CI tier, and
+ * a plan sweep: the same traffic under several fault plans, where every
+ * future must complete and nothing may leak (ASan with leak checks) or
+ * race (TSan), whichever request succeeds.
  */
 
 #include <gtest/gtest.h>
@@ -566,18 +563,24 @@ TEST_F(ServeRobustnessTest, ConcurrentOverloadKeepsCountersConsistent)
     EXPECT_NE(server->health(), Health::Failed);
 }
 
-// ------------------------------------------------------- env-plan sweep
+// ----------------------------------------------------------- plan sweep
 
-TEST_F(ServeRobustnessTest, EnvPlanTrafficAlwaysCompletes)
+/** One fault plan (armFromPlan grammar) per case; "" arms nothing. */
+class ServePlanSweepTest : public ServeRobustnessTest,
+                           public ::testing::WithParamInterface<const char *>
 {
-    // CI re-runs this test under several MVQ_FAULT_PLAN values (ASan,
-    // leak detection on). It must hold for ANY plan over the known
-    // sites: every submit either throws a typed error or yields a
-    // future, and every future completes — no hang, no leak, no crash.
-    fault::resetAll();
-    fault::armFromEnv();
+};
 
-    const std::string path = "/tmp/mvq_serve_robustness_envplan.mvqi";
+TEST_P(ServePlanSweepTest, TrafficAlwaysCompletes)
+{
+    // Must hold for ANY plan over the known sites: every submit either
+    // throws a typed error or yields a future, and every future
+    // completes — no hang, no leak, no crash. Every injected failure
+    // (artifact open, operand borrow, forward throw, batcher stall)
+    // unwinds under the sanitizer tiers.
+    fault::armFromPlan(GetParam());
+
+    const std::string path = "/tmp/mvq_serve_robustness_plan.mvqi";
     core::io::saveArtifact(core::makeServeModel(), path,
                            core::io::ArtifactFormat::Mvqi,
                            core::serveWriteOptions());
@@ -632,6 +635,14 @@ TEST_F(ServeRobustnessTest, EnvPlanTrafficAlwaysCompletes)
     EXPECT_EQ(st.served, served);
     EXPECT_EQ(st.admitted, served + failed);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, ServePlanSweepTest,
+    ::testing::Values(
+        "", "serve.forward:every=1",
+        "serve.forward:nth=2;serve.batcher_stall:nth=3",
+        "serve.batcher_stall:every=1",
+        "artifact.open:nth=1:mode=error;artifact.operand_borrow:every=2"));
 
 } // namespace
 } // namespace mvq::serve

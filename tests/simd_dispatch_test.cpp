@@ -115,12 +115,12 @@ TEST(SimdDispatch, ForcedScalarGemmBitExactVsReference)
 
 /**
  * The AVX2 sparse kernel's per-lane accumulation order, bit for bit:
- * stripe 0 starts from acc and takes the even entries and an odd tail,
+ * stripe 0 starts from 0 and takes the even entries and an odd tail,
  * stripe 1 starts from 0 and takes the odd entries, each entry one fused
- * multiply-add, and lane c returns stripe0 + stripe1 (the contract in
- * simd_dispatch.hpp). Inputs span several binades so a different order
- * rounds differently; the test checks that a single-chain order would
- * have been caught.
+ * multiply-add, and lane c returns stripe0 + stripe1, the tile
+ * overwritten (the contract in simd_dispatch.hpp). Inputs span several
+ * binades so a different order rounds differently; the test checks that
+ * a single-chain order would have been caught.
  */
 TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
 {
@@ -160,13 +160,11 @@ TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
             kidx.push_back(static_cast<std::int32_t>(q * k / nnz));
             vals.push_back(spread());
         }
-        std::vector<float> acc0(static_cast<std::size_t>(nr));
-        for (float &x : acc0)
-            x = spread();
-
-        std::vector<float> got = acc0;
+        // NaN in, so a lane the kernel reads instead of overwriting shows.
+        std::vector<float> got(static_cast<std::size_t>(nr),
+                               std::numeric_limits<float>::quiet_NaN());
         kn.gemmSparseMicroKernel(vals.data(), kidx.data(), nnz, off.data(),
-                                 base, nr, got.data());
+                                 base, got.data());
 
         std::vector<float> want(static_cast<std::size_t>(nr));
         for (std::int64_t c = 0; c < nr; ++c) {
@@ -175,9 +173,9 @@ TEST(SimdDispatch, Avx2SparseKernelLaneOrder)
                                 kidx[static_cast<std::size_t>(q)])]
                             + c];
             };
-            float s0 = acc0[static_cast<std::size_t>(c)];
+            float s0 = 0.0f;
             float s1 = 0.0f;
-            float chain = s0;
+            float chain = 0.0f;
             for (std::int64_t q = 0; q < nnz; ++q) {
                 const float v = vals[static_cast<std::size_t>(q)];
                 if (q % 2 == 1)

@@ -573,8 +573,8 @@ convReport(const std::string &json)
         const std::vector<double> t = interleavedSecondsOf(
             {[&] {
                  const Tensor cols = im2col(x, 0, g);
-                 gemmRaw(m, n, k, 1.0f, a.data(), k, false, cols.data(), n,
-                         false, 0.0f, c.data(), n);
+                 gemmRaw(m, n, k, a.data(), k, false, cols.data(), n, false,
+                         c.data(), n);
              },
              [&] { gemmIm2colRaw(m, a.data(), k, b, c.data(), n); },
              [&] {

@@ -157,7 +157,7 @@ cmdVerify(const std::string &path)
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
         // openArtifact checked every operand's geometry against its
         // layer; packedOperands runs the full O(nnz) semantic validation
-        // (validateSparseOperand over the borrowed CSR).
+        // (SparseRowMatrix::borrow checks the CSR it borrows).
         nnz += art->packedOperands(i)->front().rows.nnz();
     }
     std::cout << path << ": OK ("

@@ -1,11 +1,9 @@
 #include "common/env.hpp"
 
 #include <cstdlib>
-#include <iostream>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 
 #include "common/logging.hpp"
 
@@ -20,6 +18,15 @@ namespace {
 // MVQ_* literals in the tree and against README's knob table, so adding a
 // knob anywhere without registering *and* documenting it fails CI.
 
+/** One registered knob. */
+struct Knob
+{
+    const char *name;        //!< e.g. "MVQ_NUM_THREADS"
+    const char *type;        //!< "flag", "int", "real", or "string"
+    const char *def;         //!< printable default
+    const char *description; //!< one-line summary (mirrors README's table)
+};
+
 const Knob kKnobs[] = {
     {"MVQ_NUM_THREADS", "int", "hardware concurrency",
      "worker count for the shared thread pool (bit-identical results for "
@@ -27,8 +34,6 @@ const Knob kKnobs[] = {
     {"MVQ_SIMD", "string", "auto-detect",
      "force a SIMD kernel path: scalar|avx2|neon (unavailable requests "
      "warn and fall back)"},
-    {"MVQ_ENV_HELP", "flag", "off",
-     "print this knob table to stderr on the first environment read"},
     {"MVQ_BENCH_FAST", "flag", "off",
      "shrink bench sweeps for smoke runs"},
     {"MVQ_BENCH_GATE_MIN_IMAGES_PER_SEC", "real", "0 (gate off)",
@@ -57,7 +62,6 @@ struct Registry
 {
     std::mutex mu;
     std::map<std::string, std::optional<std::string>> raw;
-    bool help_emitted = false;
 };
 
 Registry &
@@ -65,20 +69,6 @@ registry()
 {
     static Registry r;
     return r;
-}
-
-void
-emitHelpOnceLocked(Registry &r)
-{
-    if (r.help_emitted)
-        return;
-    r.help_emitted = true;
-    // Direct getenv: MVQ_ENV_HELP gates the dump itself, so it cannot go
-    // through the accessors without recursing into this function.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — serialized by registry mutex
-    const char *v = std::getenv("MVQ_ENV_HELP");
-    if (v != nullptr && std::string(v) == "1")
-        std::cerr << helpText();
 }
 
 std::optional<std::string>
@@ -89,7 +79,6 @@ rawValue(const std::string &name)
             "it there and document it in README's knob table");
     Registry &r = registry();
     std::lock_guard<std::mutex> lk(r.mu);
-    emitHelpOnceLocked(r);
     auto it = r.raw.find(name);
     if (it == r.raw.end()) {
         // NOLINTNEXTLINE(concurrency-mt-unsafe) — serialized by registry mutex
@@ -167,31 +156,6 @@ bool
 isSet(const std::string &name)
 {
     return rawValue(name).has_value();
-}
-
-const std::vector<Knob> &
-knownKnobs()
-{
-    static const std::vector<Knob> table(std::begin(kKnobs),
-                                         std::end(kKnobs));
-    return table;
-}
-
-std::string
-helpText()
-{
-    std::ostringstream os;
-    os << "MVQ environment knobs (MVQ_ENV_HELP=1 prints this table):\n";
-    for (const Knob &k : kKnobs) {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe) — display-only readback
-        const char *cur = std::getenv(k.name);
-        os << "  " << k.name << " [" << k.type << ", default " << k.def
-           << "]";
-        if (cur != nullptr)
-            os << " = \"" << cur << "\"";
-        os << "\n    " << k.description << "\n";
-    }
-    return os.str();
 }
 
 } // namespace mvq::env

@@ -9,10 +9,6 @@
  * when it asks (the first-use race of scattered `std::getenv` calls in
  * hot paths is gone by construction).
  *
- * `MVQ_ENV_HELP=1` dumps the full knob table — name, type, default,
- * current value, description — to stderr on the first registry access,
- * so any binary linking the library can enumerate its knobs.
- *
  * Discipline (machine-checked by scripts/mvq_lint.py):
  *  - raw `std::getenv` is banned everywhere except env.cpp;
  *  - every quoted `MVQ_*` name in the tree must be a registered knob;
@@ -29,18 +25,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace mvq::env {
-
-/** One registered knob (see the table in env.cpp). */
-struct Knob
-{
-    const char *name;        //!< e.g. "MVQ_NUM_THREADS"
-    const char *type;        //!< "flag", "int", "real", or "string"
-    const char *def;         //!< printable default
-    const char *description; //!< one-line summary (mirrors README's table)
-};
 
 /**
  * Boolean knob. Unset or empty returns `def`; "0"/"off"/"false"/"no"
@@ -62,12 +48,6 @@ std::string str(const std::string &name, const std::string &def);
 /** True when the variable is present in the environment at all (cached
  *  like every other read), regardless of its value. */
 bool isSet(const std::string &name);
-
-/** The full registry table, for tooling and the MVQ_ENV_HELP dump. */
-const std::vector<Knob> &knownKnobs();
-
-/** The MVQ_ENV_HELP table as a string (name/type/default/current/desc). */
-std::string helpText();
 
 } // namespace mvq::env
 

@@ -135,13 +135,11 @@ CompressedLayer::packSparseRows(const Codebook &cb) const
                              d);
     };
 
-    SparseRowMatrix sp;
-    sp.rows = w4.dim(0);
-    sp.cols = ncols;
-    sp.row_ptr.resize(static_cast<std::size_t>(sp.rows) + 1);
-    std::int64_t *row_ptr = sp.row_ptr.data();
+    const std::int64_t rows = w4.dim(0);
+    std::vector<std::int64_t> ptr(static_cast<std::size_t>(rows) + 1);
+    std::int64_t *row_ptr = ptr.data();
     row_ptr[0] = 0;
-    for (std::int64_t k = 0; k < sp.rows; ++k) {
+    for (std::int64_t k = 0; k < rows; ++k) {
         const std::uint8_t *row_keep = keep + rowBase(k).flat;
         std::int64_t kept = 0;
         for (std::int64_t j = 0; j < ncols; ++j)
@@ -149,16 +147,16 @@ CompressedLayer::packSparseRows(const Codebook &cb) const
         row_ptr[k + 1] = row_ptr[k] + kept;
     }
 
-    sp.col_idx.resize(static_cast<std::size_t>(row_ptr[sp.rows]));
-    sp.values.resize(static_cast<std::size_t>(row_ptr[sp.rows]));
-    std::int32_t *col_idx = sp.col_idx.data();
-    float *values = sp.values.data();
+    std::vector<std::int32_t> idx(static_cast<std::size_t>(row_ptr[rows]));
+    std::vector<float> vals(static_cast<std::size_t>(row_ptr[rows]));
+    std::int32_t *col_idx = idx.data();
+    float *values = vals.data();
     const float *cw = cb.codewords.data();
     const std::int32_t *assign = assignments.data();
     // A row's kept columns are collected without a branch (N of every M
     // bits set at random defeats the predictor), then filled in.
     std::vector<std::int32_t> kept_cols(static_cast<std::size_t>(ncols));
-    for (std::int64_t k = 0; k < sp.rows; ++k) {
+    for (std::int64_t k = 0; k < rows; ++k) {
         const GroupedOffset base = rowBase(k);
         const std::uint8_t *row_keep = keep + base.flat;
         std::int64_t n = 0;
@@ -176,8 +174,8 @@ CompressedLayer::packSparseRows(const Codebook &cb) const
             values[e0 + q] = cw[assign[row] * d + pos];
         }
     }
-    validateSparseOperand(sp);
-    return sp;
+    return SparseRowMatrix::fromVectors(rows, ncols, std::move(ptr),
+                                        std::move(idx), std::move(vals));
 }
 
 Tensor

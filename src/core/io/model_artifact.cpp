@@ -1,6 +1,6 @@
 #include "core/io/model_artifact.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 
@@ -11,21 +11,6 @@
 namespace mvq::core::io {
 
 namespace {
-
-template <typename T>
-OperandArray<T>
-borrowArr(const MvqiView &v, const MvqiArray &a)
-{
-    return OperandArray<T>::borrow(v.array<T>(a), a.count);
-}
-
-/** Keeps the image alive for as long as any borrowed operand handle is
- *  held (the SharedOperands aliasing constructor points into it). */
-struct OperandHolder
-{
-    std::shared_ptr<const MvqiImage> keepalive;
-    std::vector<GroupedSparseMatrix> ops;
-};
 
 /** The file's leading little-endian 32-bit magic (both formats have one). */
 std::uint32_t
@@ -113,11 +98,9 @@ ModelArtifact::modelLocked() const
         cb.qbits = static_cast<int>(rec.qbits);
         cb.scale = rec.scale;
         cb.codewords = Tensor(Shape({rec.k, rec.d}));
-        std::memcpy(cb.codewords.data(),
-                    view_.array<float>(
-                        MvqiArray{rec.codewords_off, rec.k * rec.d}),
-                    static_cast<std::size_t>(rec.k * rec.d)
-                        * sizeof(float));
+        const auto cw =
+            view_.array<float>(MvqiArray{rec.codewords_off, rec.k * rec.d});
+        std::copy(cw.begin(), cw.end(), cb.codewords.data());
         m.codebooks.push_back(std::move(cb));
     }
     for (std::int64_t i = 0; i < view_.layerCount(); ++i) {
@@ -134,10 +117,10 @@ ModelArtifact::modelLocked() const
         cl.cfg.codebook_bits = static_cast<int>(L.codebook_bits);
         cl.codebook_id = static_cast<int>(L.codebook_id);
         cl.dense_flops = L.dense_flops;
-        const std::int32_t *ap = view_.array<std::int32_t>(L.assignments);
-        cl.assignments.assign(ap, ap + L.assignments.count);
-        const std::uint32_t *mp = view_.array<std::uint32_t>(L.mask_codes);
-        cl.mask_codes.assign(mp, mp + L.mask_codes.count);
+        const auto ap = view_.array<std::int32_t>(L.assignments);
+        cl.assignments.assign(ap.begin(), ap.end());
+        const auto mp = view_.array<std::uint32_t>(L.mask_codes);
+        cl.mask_codes.assign(mp.begin(), mp.end());
         m.layers.push_back(std::move(cl));
     }
     model_ = std::move(m);
@@ -163,28 +146,26 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
     if (cached)
         return cached;
 
-    // Zero-copy: borrow the layer's CSR from the image, then run the
-    // O(nnz) semantic validation — the line between a corrupt image
-    // failing loudly and the kernels reading out of bounds. Structural
-    // bounds and geometry were already checked by MvqiView.
+    // Zero-copy: borrow the layer's CSR from the image, which the operand
+    // keeps alive. Building it runs the O(nnz) semantic validation — the
+    // line between a corrupt image failing loudly and the kernels reading
+    // out of bounds. Structural bounds and geometry were already checked
+    // by MvqiView.
     const MvqiOperand &rec = view_.layer(i).operand;
-    auto holder = std::make_shared<OperandHolder>();
-    holder->keepalive = image_;
-    SparseRowMatrix &op = holder->ops.emplace_back().rows;
-    op.rows = rec.rows;
-    op.cols = rec.cols;
-    op.row_ptr = borrowArr<std::int64_t>(view_, rec.row_ptr);
-    op.col_idx = borrowArr<std::int32_t>(view_, rec.col_idx);
-    op.values = borrowArr<float>(view_, rec.values);
     try {
-        validateSparseOperand(op);
+        cached = std::make_shared<const std::vector<GroupedSparseMatrix>>(
+            1, GroupedSparseMatrix{
+                   .rows = SparseRowMatrix::borrow(
+                       rec.rows, rec.cols,
+                       view_.array<std::int64_t>(rec.row_ptr),
+                       view_.array<std::int32_t>(rec.col_idx),
+                       view_.array<float>(rec.values), image_)});
     } catch (const PanicError &e) {
         // Invariant violations in *our* data are bugs (panic); in a file
         // they are the file's fault — rewrap.
         fatal(path_, ": corrupt MVQI operand (layer '", layerName(i),
               "'): ", e.what());
     }
-    cached = SharedOperands(holder, &holder->ops);
     return cached;
 }
 

@@ -13,10 +13,10 @@
  *    is dropped.
  *
  * From there every artifact takes one path: packedOperands borrows each
- * layer's pre-packed CSR sections straight out of the image
- * (validateSparseOperand is the only O(nnz) work, and it reads — never
- * copies — the image), and model() is materialized from the image on
- * first call. openArtifact() sniffs the file magic, so callers are
+ * layer's pre-packed CSR sections straight out of the image (the check
+ * SparseRowMatrix::borrow runs is the only O(nnz) work, and it reads —
+ * never copies — the image), and model() is materialized from the image
+ * on first call. openArtifact() sniffs the file magic, so callers are
  * format-agnostic, and converting between formats is
  * saveArtifact(artifact->model()).
  */

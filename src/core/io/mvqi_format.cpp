@@ -54,7 +54,7 @@ struct ImageBuilder
     {
         static_assert(std::is_trivially_copyable_v<T>);
         const std::uint64_t off = alignUp();
-        if (n > 0) // p may be null for an empty borrowed array
+        if (n > 0) // p may be null for an empty array
             buf.insert(buf.end(),
                        reinterpret_cast<const std::uint8_t *>(p),
                        reinterpret_cast<const std::uint8_t *>(p)
@@ -64,16 +64,7 @@ struct ImageBuilder
 
     template <typename T>
     MvqiArray
-    append(const OperandArray<T> &a)
-    {
-        return MvqiArray{appendRaw(a.data(),
-                                   static_cast<std::int64_t>(a.size())),
-                         static_cast<std::int64_t>(a.size())};
-    }
-
-    template <typename T>
-    MvqiArray
-    append(const std::vector<T> &a)
+    append(std::span<T> a)
     {
         return MvqiArray{appendRaw(a.data(),
                                    static_cast<std::int64_t>(a.size())),
@@ -215,8 +206,8 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.groups = static_cast<std::int32_t>(groups);
         rec.dense_flops = cl.dense_flops;
         rec.ng = cl.ng();
-        rec.assignments = b.append(cl.assignments);
-        rec.mask_codes = b.append(cl.mask_codes);
+        rec.assignments = b.append(std::span(cl.assignments));
+        rec.mask_codes = b.append(std::span(cl.mask_codes));
 
         // The one and only pack: serving loads borrow these bytes as-is.
         // One layer's operand at a time, so the heap never holds more.

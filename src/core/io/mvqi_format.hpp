@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,7 +222,7 @@ class MvqiImage
  * Structural validation is O(layers), independent of model size, and
  * includes each operand's geometry against its layer's shape; the O(nnz)
  * semantic validation of its indices happens when the operand is
- * borrowed (validateSparseOperand, see ModelArtifact::packedOperands).
+ * borrowed (SparseRowMatrix::borrow, see ModelArtifact::packedOperands).
  */
 class MvqiView
 {
@@ -234,12 +235,13 @@ class MvqiView
     const MvqiCodebook &codebook(std::int64_t i) const;
     const MvqiLayer &layer(std::int64_t i) const;
 
-    /** Typed pointer to a validated array section. */
+    /** Typed view of a validated array section. */
     template <typename T>
-    const T *
+    std::span<const T>
     array(const MvqiArray &a) const
     {
-        return reinterpret_cast<const T *>(data_ + a.off);
+        return {reinterpret_cast<const T *>(data_ + a.off),
+                static_cast<std::size_t>(a.count)};
     }
 
     const std::uint8_t *data() const { return data_; }

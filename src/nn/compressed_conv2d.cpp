@@ -11,9 +11,8 @@ namespace {
 std::shared_ptr<const std::vector<GroupedSparseMatrix>>
 packOperand(const core::CompressedLayer &layer, const core::Codebook &cb)
 {
-    auto ops = std::make_shared<std::vector<GroupedSparseMatrix>>(1);
-    ops->front().rows = layer.packSparseRows(cb);
-    return ops;
+    return std::make_shared<const std::vector<GroupedSparseMatrix>>(
+        1, GroupedSparseMatrix{.rows = layer.packSparseRows(cb)});
 }
 
 } // namespace

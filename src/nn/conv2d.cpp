@@ -151,15 +151,14 @@ Conv2d::backward(const Tensor &grad_out)
             const float *pg = grad_out.data()
                 + ((n * cfg_.out_channels + grp * kg) * oh * ow);
 
-            // dW slab += G * cols^T, accumulated in place (beta = 1).
-            gemmRaw(kg, wcols, oh * ow, 1.0f, pg, oh * ow, false,
-                    cols.data(), oh * ow, true, 1.0f,
-                    dw.data() + grp * kg * wcols, wcols);
+            // dW slab += G * cols^T, accumulated in place.
+            gemmRaw(kg, wcols, oh * ow, pg, oh * ow, false, cols.data(),
+                    oh * ow, true, dw.data() + grp * kg * wcols, wcols,
+                    /*accumulate=*/true);
 
             // dCols = W_grp^T * G, scatter back to input gradient.
-            gemmRaw(wcols, oh * ow, kg, 1.0f, pw + grp * kg * wcols,
-                    wcols, true, pg, oh * ow, false, 0.0f, gcols.data(),
-                    oh * ow);
+            gemmRaw(wcols, oh * ow, kg, pw + grp * kg * wcols, wcols, true,
+                    pg, oh * ow, false, gcols.data(), oh * ow);
             col2im(gcols, grad_in, n, g, grp * cg);
         }
         wgrad_partial[static_cast<std::size_t>(chunk)] = std::move(dw);

@@ -14,39 +14,22 @@ decodeCompressedLayer(const AccelConfig &cfg,
 {
     const std::int64_t d = layer.cfg.d;
     const std::int64_t ng = layer.ng();
-    const core::MaskCodec codec(layer.cfg.pattern);
 
     // The hardware reads one (index, mask-code) tuple per subvector and
     // one CRF word per tuple.
     counters.crf_reads += ng;
     counters.l2_read_bytes += streamBits(cfg, ng * d) / 8;
 
-    // LUT mask decode + AND-gate reconstruction. One decodeInto pass
-    // expands the whole code stream straight into the mask buffer (no
-    // per-subvector vectors), and the AND gates run on raw pointers —
-    // bit-identical to the per-subvector decode, without the heap churn
-    // and bounds-checked indexing the seed paid per element.
-    const std::int64_t groups = d / layer.cfg.pattern.m;
-    core::Mask mask(static_cast<std::size_t>(ng * d), 0);
-    codec.decodeInto(layer.mask_codes.data(), ng * groups, mask.data());
-    Tensor wr(Shape({ng, d}));
-    float *pw = wr.data();
-    const float *cw = codebook.codewords.data();
-    const std::uint8_t *pm = mask.data();
-    for (std::int64_t j = 0; j < ng; ++j) {
-        const std::int32_t index =
-            layer.assignments[static_cast<std::size_t>(j)];
-        const float *crow = cw + index * d;
-        float *wrow = pw + j * d;
-        const std::uint8_t *mrow = pm + j * d;
-        for (std::int64_t t = 0; t < d; ++t)
-            wrow[t] = mrow[t] ? crow[t] : 0.0f;
-    }
-
+    // LUT mask decode + AND-gate reconstruction, through the checked
+    // path CompressedLayer::reconstruct takes: an out-of-range mask code
+    // or assignment is a FatalError, never a read past the LUT or the
+    // codebook.
     DecodedWeights out;
-    out.weights = core::ungroupWeights(wr, layer.weight_shape, d,
-                                       layer.cfg.grouping);
-    out.grouped_mask = std::move(mask);
+    out.grouped_mask = layer.decodeMask();
+    out.weights = core::ungroupWeights(
+        core::reconstructGrouped(codebook.codewords, layer.assignments,
+                                 out.grouped_mask),
+        layer.weight_shape, d, layer.cfg.grouping);
     out.d = d;
     return out;
 }

@@ -63,14 +63,14 @@ constexpr std::int64_t kSparseTasksPerThread = 8;
 constexpr std::int64_t kDenseTasksPerThread = 1;
 
 /**
- * Pack op(A)[i0:i0+mc, k0:k0+kc] (alpha pre-applied) into mr-row panels:
- * panel p holds columns-of-mr values ap[kk*mr + r] = alpha * op(A)(i0 +
- * p*mr + r, k0 + kk). Rows past mc pad with zeros.
+ * Pack op(A)[i0:i0+mc, k0:k0+kc] into mr-row panels: panel p holds
+ * columns-of-mr values ap[kk*mr + r] = op(A)(i0 + p*mr + r, k0 + kk).
+ * Rows past mc pad with zeros.
  */
 void
 packA(const float *pa, std::int64_t lda, bool trans_a, std::int64_t i0,
-      std::int64_t k0, std::int64_t mc, std::int64_t kc, float alpha,
-      std::int64_t mr, float *ap)
+      std::int64_t k0, std::int64_t mc, std::int64_t kc, std::int64_t mr,
+      float *ap)
 {
     for (std::int64_t p = 0; p < mc; p += mr) {
         const std::int64_t rows = std::min(mr, mc - p);
@@ -78,8 +78,8 @@ packA(const float *pa, std::int64_t lda, bool trans_a, std::int64_t i0,
             for (std::int64_t r = 0; r < rows; ++r) {
                 const std::int64_t i = i0 + p + r;
                 const std::int64_t kidx = k0 + kk;
-                ap[kk * mr + r] = alpha
-                    * (trans_a ? pa[kidx * lda + i] : pa[i * lda + kidx]);
+                ap[kk * mr + r] =
+                    trans_a ? pa[kidx * lda + i] : pa[i * lda + kidx];
             }
             for (std::int64_t r = rows; r < mr; ++r)
                 ap[kk * mr + r] = 0.0f;
@@ -159,28 +159,6 @@ forEachTask(
     });
 }
 
-/** Scale C (m x n, row stride ldc) by beta, in parallel over rows. */
-void
-scaleCRows(float *pc, std::int64_t m, std::int64_t n, std::int64_t ldc,
-           float beta)
-{
-    if (beta == 0.0f) {
-        parallelFor(0, m, 16, [&](std::int64_t rb, std::int64_t re) {
-            for (std::int64_t i = rb; i < re; ++i)
-                std::memset(pc + i * ldc, 0,
-                            static_cast<std::size_t>(n) * sizeof(float));
-        });
-    } else if (beta != 1.0f) {
-        parallelFor(0, m, 16, [&](std::int64_t rb, std::int64_t re) {
-            for (std::int64_t i = rb; i < re; ++i) {
-                float *crow = pc + i * ldc;
-                for (std::int64_t j = 0; j < n; ++j)
-                    crow[j] *= beta;
-            }
-        });
-    }
-}
-
 void
 checkSparseGemmShapes(const SparseRowMatrix &a, const Tensor &b,
                       const Tensor &c, const char *what)
@@ -213,9 +191,7 @@ checkSparseOperand(const SparseRowMatrix &a)
     // The micro-kernels look each column up in an offset table of cols
     // entries, so the column range is memory safety, not just
     // correctness — a malformed operand must panic here rather than read
-    // out of bounds. O(nnz); operands packed through
-    // validateSparseOperand pay this once at pack time, hand-built ones
-    // per gemm call.
+    // out of bounds. O(nnz), paid once when the operand is built.
     for (std::int64_t i = 0; i < a.rows; ++i) {
         std::int32_t prev = -1;
         for (std::int64_t e = a.row_ptr[static_cast<std::size_t>(i)];
@@ -231,31 +207,60 @@ checkSparseOperand(const SparseRowMatrix &a)
     }
 }
 
+/** The arrays of an operand built by SparseRowMatrix::fromVectors. */
+struct OwnedArrays
+{
+    std::vector<std::int64_t> row_ptr;
+    std::vector<std::int32_t> col_idx;
+    std::vector<float> values;
+};
+
 } // namespace
 
-void
-validateSparseOperand(SparseRowMatrix &a)
+SparseRowMatrix::SparseRowMatrix(std::int64_t n_rows, std::int64_t n_cols,
+                                 std::span<const std::int64_t> ptr,
+                                 std::span<const std::int32_t> idx,
+                                 std::span<const float> vals,
+                                 std::shared_ptr<const void> keepalive)
+    : rows(n_rows), cols(n_cols), row_ptr(ptr), col_idx(idx), values(vals),
+      keepalive_(std::move(keepalive))
 {
-    checkSparseOperand(a);
-    a.validated = true;
+    checkSparseOperand(*this);
+}
+
+SparseRowMatrix
+SparseRowMatrix::fromVectors(std::int64_t n_rows, std::int64_t n_cols,
+                             std::vector<std::int64_t> ptr,
+                             std::vector<std::int32_t> idx,
+                             std::vector<float> vals)
+{
+    const auto owned = std::make_shared<const OwnedArrays>(
+        OwnedArrays{std::move(ptr), std::move(idx), std::move(vals)});
+    return SparseRowMatrix(n_rows, n_cols, owned->row_ptr, owned->col_idx,
+                           owned->values, owned);
+}
+
+SparseRowMatrix
+SparseRowMatrix::borrow(std::int64_t n_rows, std::int64_t n_cols,
+                        std::span<const std::int64_t> ptr,
+                        std::span<const std::int32_t> idx,
+                        std::span<const float> vals,
+                        std::shared_ptr<const void> keepalive)
+{
+    return SparseRowMatrix(n_rows, n_cols, ptr, idx, vals,
+                           std::move(keepalive));
 }
 
 void
-gemmReferenceRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+gemmReferenceRaw(std::int64_t m, std::int64_t n, std::int64_t k,
                  const float *pa, std::int64_t lda, bool trans_a,
-                 const float *pb, std::int64_t ldb, bool trans_b, float beta,
-                 float *pc, std::int64_t ldc)
+                 const float *pb, std::int64_t ldb, bool trans_b, float *pc,
+                 std::int64_t ldc, bool accumulate)
 {
-    if (beta == 0.0f) {
+    if (!accumulate) {
         for (std::int64_t i = 0; i < m; ++i)
             std::memset(pc + i * ldc, 0,
                         static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-        for (std::int64_t i = 0; i < m; ++i) {
-            float *crow = pc + i * ldc;
-            for (std::int64_t j = 0; j < n; ++j)
-                crow[j] *= beta;
-        }
     }
 
     // i-k-j loop order keeps the inner loop contiguous on B and C for the
@@ -263,7 +268,7 @@ gemmReferenceRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
     if (!trans_a && !trans_b) {
         for (std::int64_t i = 0; i < m; ++i) {
             for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float av = alpha * pa[i * lda + kk];
+                const float av = pa[i * lda + kk];
                 if (av == 0.0f)
                     continue;
                 const float *brow = pb + kk * ldb;
@@ -286,36 +291,34 @@ gemmReferenceRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
             float acc = 0.0f;
             for (std::int64_t kk = 0; kk < k; ++kk)
                 acc += a_at(i, kk) * b_at(kk, j);
-            pc[i * ldc + j] += alpha * acc;
+            pc[i * ldc + j] += acc;
         }
     }
 }
 
 void
 gemmReference(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
-              Tensor &c, float alpha, float beta)
+              Tensor &c, bool accumulate)
 {
     std::int64_t m, n, k;
     checkGemmShapes(a, trans_a, b, trans_b, c, m, n, k);
-    gemmReferenceRaw(m, n, k, alpha, a.data(), a.dim(1), trans_a, b.data(),
-                     b.dim(1), trans_b, beta, c.data(), n);
+    gemmReferenceRaw(m, n, k, a.data(), a.dim(1), trans_a, b.data(),
+                     b.dim(1), trans_b, c.data(), n, accumulate);
 }
 
 void
-gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-        const float *pa, std::int64_t lda, bool trans_a, const float *pb,
-        std::int64_t ldb, bool trans_b, float beta, float *pc,
-        std::int64_t ldc)
+gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, const float *pa,
+        std::int64_t lda, bool trans_a, const float *pb, std::int64_t ldb,
+        bool trans_b, float *pc, std::int64_t ldc, bool accumulate)
 {
     // Very small problems: packing overhead dominates, use the scalar
     // kernel. The threshold is in multiply-adds.
     if (m * n * k <= kGemmScalarFallbackMacs) {
-        gemmReferenceRaw(m, n, k, alpha, pa, lda, trans_a, pb, ldb, trans_b,
-                         beta, pc, ldc);
+        gemmReferenceRaw(m, n, k, pa, lda, trans_a, pb, ldb, trans_b, pc,
+                         ldc, accumulate);
         return;
     }
 
-    scaleCRows(pc, m, n, ldc, beta);
     // Register-tile shape comes from the active ISA's micro-kernel.
     const simd::Kernels &kn = simd::kernels();
     const std::int64_t mr = kn.mr;
@@ -335,11 +338,14 @@ gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
     // in a fixed order); inside, row-block x panel-range tasks run in
     // parallel over disjoint C tiles, each packing its own row block of A,
     // so results are identical for any thread count (within a given ISA —
-    // different micro-kernels reorder the lane sums).
+    // different micro-kernels reorder the lane sums). Overwriting, the
+    // first block stores 0.0f + acc: the bits a zeroed C plus that block
+    // would hold, -0.0f included.
     for (std::int64_t jc = 0; jc < n; jc += NC) {
         const std::int64_t nc = std::min(NC, n - jc);
         for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
             const std::int64_t kc = std::min(KC, k - k0);
+            const bool store = k0 == 0 && !accumulate;
             forEachTask(
                 m, (nc + nr - 1) / nr, kDenseTasksPerThread,
                 [&](std::int64_t q0, std::int64_t q1) {
@@ -351,7 +357,7 @@ gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                     const std::int64_t mc = std::min(MC, m - i0);
                     std::vector<float> apack(static_cast<std::size_t>(
                         kc * ((mc + mr - 1) / mr) * mr));
-                    packA(pa, lda, trans_a, i0, k0, mc, kc, alpha, mr,
+                    packA(pa, lda, trans_a, i0, k0, mc, kc, mr,
                           apack.data());
                     float acc[simd::kMaxGemmMr * simd::kMaxGemmNr];
                     const std::int64_t mpanels = (mc + mr - 1) / mr;
@@ -369,7 +375,8 @@ gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                                 const float *arow = acc + r * nr;
                                 for (std::int64_t cidx = 0; cidx < cols;
                                      ++cidx)
-                                    crow[cidx] += arow[cidx];
+                                    crow[cidx] = (store ? 0.0f : crow[cidx])
+                                        + arow[cidx];
                             }
                         }
                     }
@@ -380,44 +387,45 @@ gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 void
 gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
-     Tensor &c, float alpha, float beta)
+     Tensor &c, bool accumulate)
 {
     std::int64_t m, n, k;
     checkGemmShapes(a, trans_a, b, trans_b, c, m, n, k);
-    gemmRaw(m, n, k, alpha, a.data(), a.dim(1), trans_a, b.data(), b.dim(1),
-            trans_b, beta, c.data(), n);
+    gemmRaw(m, n, k, a.data(), a.dim(1), trans_a, b.data(), b.dim(1),
+            trans_b, c.data(), n, accumulate);
 }
 
 SparseRowMatrix
 sparsifyRows(const Tensor &a)
 {
     checkRank2(a, "sparsifyRows input");
-    SparseRowMatrix sp;
-    sp.rows = a.dim(0);
-    sp.cols = a.dim(1);
-    sp.row_ptr.reserve(static_cast<std::size_t>(sp.rows + 1));
-    sp.row_ptr.push_back(0);
+    const std::int64_t rows = a.dim(0);
+    const std::int64_t cols = a.dim(1);
+    std::vector<std::int64_t> row_ptr;
+    std::vector<std::int32_t> col_idx;
+    std::vector<float> values;
+    row_ptr.reserve(static_cast<std::size_t>(rows + 1));
+    row_ptr.push_back(0);
     const float *pa = a.data();
-    for (std::int64_t i = 0; i < sp.rows; ++i) {
-        const float *arow = pa + i * sp.cols;
-        for (std::int64_t j = 0; j < sp.cols; ++j) {
+    for (std::int64_t i = 0; i < rows; ++i) {
+        const float *arow = pa + i * cols;
+        for (std::int64_t j = 0; j < cols; ++j) {
             if (arow[j] != 0.0f) {
-                sp.col_idx.push_back(static_cast<std::int32_t>(j));
-                sp.values.push_back(arow[j]);
+                col_idx.push_back(static_cast<std::int32_t>(j));
+                values.push_back(arow[j]);
             }
         }
-        sp.row_ptr.push_back(static_cast<std::int64_t>(sp.values.size()));
+        row_ptr.push_back(static_cast<std::int64_t>(values.size()));
     }
-    validateSparseOperand(sp);
-    return sp;
+    return SparseRowMatrix::fromVectors(rows, cols, std::move(row_ptr),
+                                        std::move(col_idx),
+                                        std::move(values));
 }
 
 void
 gemmSparseAReference(const SparseRowMatrix &a, const Tensor &b, Tensor &c)
 {
     checkSparseGemmShapes(a, b, c, "gemmSparseAReference");
-    if (!a.validated)
-        checkSparseOperand(a);
     // Plain compressed-row scan, no blocking: each kept A entry streams
     // one B row into one C row. It sums in double, so at deep reductions
     // (k = 4608 of unit-variance values) the oracle's own rounding stays
@@ -683,8 +691,8 @@ gemmIm2colRaw(std::int64_t m, const float *pa, std::int64_t lda,
     if (m * n * k <= kGemmScalarFallbackMacs) {
         std::vector<float> cols(static_cast<std::size_t>(k * n));
         im2colInto(b, cols.data());
-        gemmReferenceRaw(m, n, k, 1.0f, pa, lda, false, cols.data(), n,
-                         false, 0.0f, pc, ldc);
+        gemmReferenceRaw(m, n, k, pa, lda, false, cols.data(), n, false, pc,
+                         ldc);
         return;
     }
 
@@ -697,9 +705,9 @@ gemmIm2colRaw(std::int64_t m, const float *pa, std::int64_t lda,
     // the K blocks in order, packing its A block once per block, and runs
     // the kernel on every (tile, A panel) pair, tile-outer so a tile's
     // input runs stay hot across its panels. The first block stores
-    // 0.0f + acc, the bits gemmRaw's zeroed C plus its first block leaves
-    // (-0.0f included), and later blocks add, so every C element sums its
-    // blocks in gemmRaw's order whichever task holds it.
+    // 0.0f + acc, as an overwriting gemmRaw's does (-0.0f included), and
+    // later blocks add, so every C element sums its blocks in gemmRaw's
+    // order whichever task holds it.
     forEachTask(
         m, db.tiles(), kDenseTasksPerThread, nullptr,
         [&](std::int64_t i0, std::int64_t t0, std::int64_t t1) {
@@ -711,8 +719,7 @@ gemmIm2colRaw(std::int64_t m, const float *pa, std::int64_t lda,
             DirectB::Run runs[simd::kMaxGemmNr];
             for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
                 const std::int64_t kc = std::min(KC, k - k0);
-                packA(pa, lda, false, i0, k0, mc, kc, 1.0f, mr,
-                      apack.data());
+                packA(pa, lda, false, i0, k0, mc, kc, mr, apack.data());
                 for (std::int64_t t = t0; t < t1; ++t) {
                     const std::int64_t nruns = db.runs(t, runs);
                     for (std::int64_t p = 0; p < mpanels; ++p) {
@@ -741,8 +748,6 @@ void
 gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float *pc,
                   std::int64_t ldc, std::int64_t groups)
 {
-    if (!a.validated)
-        checkSparseOperand(a);
     checkConvOutputDims(b.g, "gemmSparseAIm2col");
     panicIf(a.cols != b.rows(), "gemmSparseAIm2col inner dims mismatch: ",
             a.cols, " vs ", b.rows());

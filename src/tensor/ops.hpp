@@ -12,11 +12,10 @@
  *   into larger slabs — e.g. one (batch, group) block of an NCHW tensor —
  *   and have results written in place. The Tensor overloads are the
  *   `ld == cols` special case.
- * - **Accumulation.** The matrix gemms compute
- *   `C = alpha * op(A) * op(B) + beta * C`; `beta == 0` means C's prior
- *   contents are ignored (and may be uninitialized), not multiplied by 0.
- *   The sparse-A gemms and both conv entry points compute `C = A * B` and
- *   overwrite C.
+ * - **Accumulation.** The matrix gemms overwrite C with `op(A) * op(B)`
+ *   (C's prior contents are ignored and may be uninitialized), or add it
+ *   to C when `accumulate` is set. The sparse-A gemms and both conv entry
+ *   points compute `C = A * B` and overwrite C.
  * - **Determinism.** Every kernel is bit-identical for any
  *   `MVQ_NUM_THREADS` within a given SIMD ISA: parallel chunk boundaries
  *   depend only on the iteration range, and parallel chunks write
@@ -35,7 +34,11 @@
 #ifndef MVQ_TENSOR_OPS_HPP
 #define MVQ_TENSOR_OPS_HPP
 
-#include "tensor/operand_array.hpp"
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "tensor/tensor.hpp"
 
 namespace mvq {
@@ -50,42 +53,44 @@ namespace mvq {
 constexpr std::int64_t kGemmScalarFallbackMacs = 16 * 1024;
 
 /**
- * C = alpha * op(A) * op(B) + beta * C for rank-2 tensors.
+ * C = op(A) * op(B) for rank-2 tensors, or C += op(A) * op(B).
  *
- * @param trans_a Use A transposed.
- * @param trans_b Use B transposed.
+ * @param trans_a    Use A transposed.
+ * @param trans_b    Use B transposed.
+ * @param accumulate Add the product to C instead of overwriting C.
  */
 void gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
-          Tensor &c, float alpha = 1.0f, float beta = 0.0f);
+          Tensor &c, bool accumulate = false);
 
 /**
- * Raw-pointer GEMM: C = alpha * op(A) * op(B) + beta * C where op(A) is
- * m x k, op(B) is k x n and C is m x n with leading dimensions (row
- * strides) lda/ldb/ldc. This is the layer the Tensor overload wraps; it
+ * Raw-pointer GEMM: C = op(A) * op(B) (or C += op(A) * op(B) when
+ * `accumulate` is set) where op(A) is m x k, op(B) is k x n and C is
+ * m x n with leading dimensions (row strides) lda/ldb/ldc. Overwriting,
+ * C's first K block is stored as 0.0f + its sum — the bits a zeroed C
+ * plus that block would hold. This is the layer the Tensor overload wraps; it
  * exists so callers holding a matrix *view* into a larger slab — e.g. a
  * conv layer writing one (batch, group) block of its NCHW output — can
  * run the packed kernels in place instead of bouncing through a temporary
  * plus memcpy. Same blocked driver, same per-ISA micro-kernels, same
  * determinism contract as gemm().
  */
-void gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-             const float *a, std::int64_t lda, bool trans_a, const float *b,
-             std::int64_t ldb, bool trans_b, float beta, float *c,
-             std::int64_t ldc);
+void gemmRaw(std::int64_t m, std::int64_t n, std::int64_t k, const float *a,
+             std::int64_t lda, bool trans_a, const float *b,
+             std::int64_t ldb, bool trans_b, float *c, std::int64_t ldc,
+             bool accumulate = false);
 
 /**
  * Scalar single-threaded GEMM (the seed kernel). Kept as the correctness
  * oracle for tests and the "before" baseline for bench/micro_kernels.
  */
 void gemmReference(const Tensor &a, bool trans_a, const Tensor &b,
-                   bool trans_b, Tensor &c, float alpha = 1.0f,
-                   float beta = 0.0f);
+                   bool trans_b, Tensor &c, bool accumulate = false);
 
 /** Raw-pointer form of gemmReference (see gemmRaw for the conventions). */
 void gemmReferenceRaw(std::int64_t m, std::int64_t n, std::int64_t k,
-                      float alpha, const float *a, std::int64_t lda,
-                      bool trans_a, const float *b, std::int64_t ldb,
-                      bool trans_b, float beta, float *c, std::int64_t ldc);
+                      const float *a, std::int64_t lda, bool trans_a,
+                      const float *b, std::int64_t ldb, bool trans_b,
+                      float *c, std::int64_t ldc, bool accumulate = false);
 
 /** Convenience: returns op(A) * op(B) as a fresh tensor. */
 Tensor matmul(const Tensor &a, const Tensor &b,
@@ -99,30 +104,47 @@ Tensor matmul(const Tensor &a, const Tensor &b,
  * pass — the pack stage of the sparse gemm never touches pruned
  * positions.
  *
- * The arrays are OperandArray so an operand can either own its storage
- * (packed at runtime) or borrow it from an MVQI model image
- * (core/io/model_artifact) — the drivers only ever read through const
- * accessors, so both modes share every kernel unchanged.
+ * An operand is a value that is checked once, when it is built, and
+ * never changes. Both factories check the structural invariants —
+ * row_ptr size/monotone/coverage, col_idx strictly ascending within each
+ * row and in [0, cols) — and panic (PanicError) on a violation, so every
+ * operand a kernel sees is well formed. The invariants are memory safety,
+ * not just correctness: the micro-kernels look each column up in a
+ * per-call offset table of cols entries. The arrays are read-only views
+ * whose bytes the operand keeps alive: its own vectors when packed at
+ * runtime (fromVectors), or the owner of borrowed memory, such as the
+ * MVQI model image of core/io/model_artifact (borrow). A copy shares the
+ * arrays; a default-constructed operand is the valid empty 0 x 0 one
+ * (row_ptr = {0}).
  */
-struct SparseRowMatrix
+class SparseRowMatrix
 {
-    std::int64_t rows = 0; //!< logical row count (m of the gemm)
-    std::int64_t cols = 0; //!< logical column count (k of the gemm)
+  public:
+    SparseRowMatrix() = default;
+
+    /** An operand owning its arrays: `row_ptr` holds rows+1 offsets,
+     *  `col_idx` and `values` the kept entries. Panics when malformed. */
+    static SparseRowMatrix fromVectors(std::int64_t rows, std::int64_t cols,
+                                       std::vector<std::int64_t> row_ptr,
+                                       std::vector<std::int32_t> col_idx,
+                                       std::vector<float> values);
+
+    /** An operand over arrays it does not copy; `keepalive` keeps them
+     *  valid for as long as any copy of the operand lives. Panics when
+     *  malformed. */
+    static SparseRowMatrix borrow(std::int64_t rows, std::int64_t cols,
+                                  std::span<const std::int64_t> row_ptr,
+                                  std::span<const std::int32_t> col_idx,
+                                  std::span<const float> values,
+                                  std::shared_ptr<const void> keepalive);
+
+    const std::int64_t rows = 0; //!< logical row count (m of the gemm)
+    const std::int64_t cols = 0; //!< logical column count (k of the gemm)
     /** rows+1 offsets into col_idx/values; row i owns [row_ptr[i],
      *  row_ptr[i+1]). */
-    OperandArray<std::int64_t> row_ptr;
-    OperandArray<std::int32_t> col_idx; //!< ascending within each row
-    OperandArray<float> values;         //!< kept entries, row-major
-
-    /**
-     * Set by validateSparseOperand once the structural invariants (row_ptr
-     * coverage, ascending in-range col_idx) have been checked. The gemm
-     * entry points trust a validated operand and skip their O(nnz)
-     * re-check — the pack stage runs once, the forward pass runs per
-     * inference, so validation belongs with the pack. Hand-built operands
-     * start unvalidated and are still checked (and panic) per call.
-     */
-    bool validated = false;
+    const std::span<const std::int64_t> row_ptr{kEmptyRowPtr};
+    const std::span<const std::int32_t> col_idx; //!< ascending per row
+    const std::span<const float> values;         //!< kept entries, row-major
 
     std::int64_t
     nnz() const
@@ -139,24 +161,27 @@ struct SparseRowMatrix
                 / static_cast<double>(rows * cols)
             : 0.0;
     }
-};
 
-/**
- * Check the structural invariants of a compressed-row operand (row_ptr
- * size/monotone/coverage, col_idx strictly ascending within each row and
- * in [0, cols)) and mark it validated, so the gemm entry points skip the
- * O(nnz) re-check on every call. Panics (PanicError) on violation. The
- * invariants are memory safety, not just correctness: the micro-kernels
- * look each column up in a per-call offset table of cols entries.
- */
-void validateSparseOperand(SparseRowMatrix &a);
+  private:
+    static constexpr std::int64_t kEmptyRowPtr[1] = {0};
+
+    /** Checks the invariants (the factories' one constructor). */
+    SparseRowMatrix(std::int64_t n_rows, std::int64_t n_cols,
+                    std::span<const std::int64_t> ptr,
+                    std::span<const std::int32_t> idx,
+                    std::span<const float> vals,
+                    std::shared_ptr<const void> keepalive);
+
+    const std::shared_ptr<const void> keepalive_;
+};
 
 /** Compress a rank-2 tensor's exact non-zeros into CSR (tests/benches). */
 SparseRowMatrix sparsifyRows(const Tensor &a);
 
 /**
  * A layer's packed operand. Only `rows`, its CSR, is ever packed,
- * stored, borrowed or served; the other members are always empty. They
+ * stored, borrowed or served; the other members are always empty (the
+ * spans hold nothing, `remainder` is the empty 0 x 0 operand). They
  * remain because the serving benchmark (perfbench/) still reads them,
  * and the type collapses into SparseRowMatrix once it reads the CSR
  * instead (ROADMAP item 8).
@@ -168,11 +193,11 @@ struct GroupedSparseMatrix
     };
 
     SparseRowMatrix rows; //!< the operand (what the gemms run)
-    OperandArray<Tile> tiles;
-    OperandArray<std::int32_t> cols;
-    OperandArray<float> vals;
-    OperandArray<std::int64_t> band_ptr;
-    SparseRowMatrix remainder;
+    std::span<const Tile> tiles{};
+    std::span<const std::int32_t> cols{};
+    std::span<const float> vals{};
+    std::span<const std::int64_t> band_ptr{};
+    SparseRowMatrix remainder{};
 
     std::int64_t
     tileNnz() const
@@ -291,8 +316,8 @@ struct Im2colB
  * wide. One parallel region runs row-block x tile-range tasks; each task
  * walks the kGemmKC blocks of the reduction in order, so each C element
  * sums the same blocks in the same order as gemmRaw and the result is
- * BIT-IDENTICAL to `gemmRaw(m, n, k, 1, a, lda, false, im2col(...).data(),
- * n, false, 0, c, ldc)` for any ISA and thread count. Problems at or
+ * BIT-IDENTICAL to `gemmRaw(m, n, k, a, lda, false, im2col(...).data(),
+ * n, false, c, ldc)` for any ISA and thread count. Problems at or
  * below kGemmScalarFallbackMacs materialize and run gemmReferenceRaw,
  * exactly as the unfused composition does. Panics on non-positive output
  * dims, and before allocating when the padded input overflows the int32

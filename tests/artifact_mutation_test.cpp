@@ -11,10 +11,14 @@
  *    byte flips inside one section (header, a TOC, or any array section);
  *  - stream: random bit flips anywhere in the file.
  *
- * Every mutant goes the full untrusted-input path: openArtifact, borrow
- * every layer, build the CompressedNet and forward a fixed input. It must
- * either succeed or throw a typed FatalError. A PanicError, any other
- * exception, a crash or a sanitizer report fails the case.
+ * Every mutant that opens goes through every consumer of a loaded
+ * artifact: borrow every layer, build the CompressedNet and forward a
+ * fixed input; materialize the model, reconstruct each layer and decode
+ * it through the accelerator sim's weight loader; rebuild an MVQI image
+ * from the model in memory. Each consumer runs whatever the one before
+ * it threw, and each must either succeed or throw a typed FatalError. A
+ * PanicError, any other exception, a crash or a sanitizer report fails
+ * the case.
  *
  * ctest runs the pinned seeds 1-150 per target (see main()). A longer
  * local run takes the first seed and the case count on the command line,
@@ -32,7 +36,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,6 +49,7 @@
 #include "core/serialize.hpp"
 #include "nn/compressed_net.hpp"
 #include "seed_args.hpp"
+#include "sim/weight_loader.hpp"
 
 namespace mvq::core {
 namespace {
@@ -52,8 +59,10 @@ std::vector<std::uint64_t> g_seeds;
 
 /** Seeds that once found a fault; they run in every invocation, on both
  *  targets. 116384 (MVQI): a layer's d so large that MvqiView's
- *  ng * d/M overflowed (UBSan). */
-const std::vector<std::uint64_t> kPinnedSeeds = {116384};
+ *  ng * d/M overflowed (UBSan). 2 (MVQI): byte flips in layer 0's
+ *  assignments; the sim's weight loader read codewords through them
+ *  unchecked and crashed. */
+const std::vector<std::uint64_t> kPinnedSeeds = {116384, 2};
 
 /** A layer with deterministic symbols (no float computation). */
 CompressedLayer
@@ -148,43 +157,81 @@ writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
               static_cast<std::streamsize>(b.size()));
 }
 
-/** Open, borrow every layer, build the net and forward a fixed 6x6
- *  input over the channels it takes. Returns normally or throws; the
- *  caller sorts the exception. */
-void
-loadAndForward(const std::string &path)
+/** Run one step on a mutant. True when it succeeds; a FatalError is a
+ *  typed rejection (false), and any other exception fails the test,
+ *  naming `what` (target and seed) and the step. */
+bool
+step(const std::string &what, const char *name,
+     const std::function<void()> &fn)
 {
-    const auto art = io::openArtifact(path);
-    for (std::int64_t i = 0; i < art->layerCount(); ++i)
-        (void)art->packedOperands(i, art->layerGroups(i));
-    const nn::CompressedNet net(*art);
+    try {
+        fn();
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    } catch (const PanicError &e) {
+        ADD_FAILURE() << what << ": " << name << ": PanicError: " << e.what();
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << what << ": " << name
+                      << ": untyped exception: " << e.what();
+    }
+    return false;
+}
+
+/** Borrow every layer, build the net and forward a fixed 6x6 input over
+ *  the channels it takes. */
+void
+forward(const io::ModelArtifact &art)
+{
+    for (std::int64_t i = 0; i < art.layerCount(); ++i)
+        (void)art.packedOperands(i, art.layerGroups(i));
+    const nn::CompressedNet net(art);
     Tensor x(Shape({1, net.inChannels(), 6, 6}));
     for (std::int64_t i = 0; i < x.numel(); ++i)
         x[i] = static_cast<float>(i % 9 - 4) * 0.5f;
     (void)net.forward(x);
 }
 
-/** How one case ended. */
+/** How one case ended: every consumer succeeded, or one was refused. */
 enum class Outcome { Loaded, Rejected };
 
-/** Run one mutant; a non-FatalError exception fails the test, naming
- *  `what` (target and seed). */
+/** Open the file at `path` and run every consumer on it (see the file
+ *  comment). */
+Outcome
+consumeAll(const std::string &path, const std::string &what)
+{
+    std::unique_ptr<io::ModelArtifact> art;
+    if (!step(what, "open", [&] { art = io::openArtifact(path); }))
+        return Outcome::Rejected;
+    bool ok = step(what, "forward", [&] { forward(*art); });
+    ok = step(what, "model", [&] { (void)art->model(); }) && ok;
+    const sim::AccelConfig cfg;
+    for (std::int64_t i = 0; i < art->layerCount(); ++i) {
+        const auto li = static_cast<std::size_t>(i);
+        ok = step(what, "reconstructLayer",
+                  [&] { (void)art->model().reconstructLayer(li); })
+            && ok;
+        ok = step(what, "decodeCompressedLayer",
+                  [&] {
+                      sim::Counters counters;
+                      (void)sim::decodeCompressedLayer(cfg, *art, i,
+                                                       counters);
+                  })
+            && ok;
+    }
+    ok = step(what, "buildMvqiImage",
+              [&] { (void)io::buildMvqiImage(art->model()); })
+        && ok;
+    return ok ? Outcome::Loaded : Outcome::Rejected;
+}
+
+/** Run one mutant. */
 Outcome
 runCase(const std::string &path, const std::vector<std::uint8_t> &bytes,
         const std::string &what)
 {
     writeBytes(path, bytes);
-    try {
-        loadAndForward(path);
-        return Outcome::Loaded;
-    } catch (const FatalError &) {
-        return Outcome::Rejected;
-    } catch (const PanicError &e) {
-        ADD_FAILURE() << what << ": PanicError: " << e.what();
-    } catch (const std::exception &e) {
-        ADD_FAILURE() << what << ": untyped exception: " << e.what();
-    }
-    return Outcome::Rejected;
+    return consumeAll(path, what);
 }
 
 // ---------------------------------------------------------- MVQI fields
@@ -410,14 +457,13 @@ sweep(const char *target, const char *ext, Mutant mutant)
     }
 }
 
-TEST(ArtifactMutation, SeedModelLoadsAndForwards)
+TEST(ArtifactMutation, SeedModelPassesEveryConsumer)
 {
     const std::string path = scratchPath(".mvqi");
-    writeBytes(path, validImage());
-    EXPECT_NO_THROW(loadAndForward(path));
+    EXPECT_EQ(runCase(path, validImage(), "valid image"), Outcome::Loaded);
     EXPECT_EQ(io::openArtifact(path)->layerGroups(0), 2);
-    writeBytes(path, validStream());
-    EXPECT_NO_THROW(loadAndForward(path));
+    EXPECT_EQ(runCase(path, validStream(), "valid stream"),
+              Outcome::Loaded);
     std::remove(path.c_str());
 }
 

@@ -102,13 +102,6 @@ TEST(Concurrency, FirstTouchKnobReadsAgreeAcrossThreads)
     }
 }
 
-TEST(Concurrency, EnvHelpTextEnumeratesEveryKnob)
-{
-    const std::string help = env::helpText();
-    for (const env::Knob &k : env::knownKnobs())
-        EXPECT_NE(help.find(k.name), std::string::npos) << k.name;
-}
-
 class ConcurrencyArtifactTest : public ::testing::Test
 {
   protected:

@@ -17,8 +17,8 @@
  *
  * Each gemm case draws m, n and k around the scalar-fallback crossover
  * (kGemmScalarFallbackMacs) or across one cache-block edge (kGemmMC,
- * kGemmKC, kGemmNC), a transpose case, alpha and beta (beta 0 over a
- * NaN-filled C) and padded leading dimensions, and checks gemmRaw
+ * kGemmKC, kGemmNC), a transpose case, overwrite (over a NaN-filled C)
+ * or accumulate, and padded leading dimensions, and checks gemmRaw
  * against gemmReferenceRaw (1e-4) on every ISA, with 1 vs 4 threads and
  * nested by memcmp.
  *
@@ -183,8 +183,7 @@ class ConvDifferential : public testing::Test
 struct GemmCase
 {
     std::int64_t m, n, k, pad_a, pad_b, pad_c;
-    bool trans_a, trans_b;
-    float alpha, beta;
+    bool trans_a, trans_b, accumulate;
 };
 
 /** Draw one matrix-gemm shape from seed (a stream apart from the
@@ -225,10 +224,7 @@ drawGemmCase(std::uint64_t seed)
     c.pad_a = rng.intIn(0, 3);
     c.pad_b = rng.intIn(0, 3);
     c.pad_c = rng.intIn(0, 3);
-    const float alphas[] = {1.0f, 0.5f, -1.25f};
-    const float betas[] = {0.0f, 0.0f, 1.0f, 0.5f};
-    c.alpha = alphas[rng.intIn(0, 2)];
-    c.beta = betas[rng.intIn(0, 3)];
+    c.accumulate = rng.intIn(0, 1) == 1;
     return c;
 }
 
@@ -247,23 +243,24 @@ TEST_F(ConvDifferential, RandomMatrixGemmsMatchReference)
                      << "seed " << seed << ": m " << c.m << " n " << c.n
                      << " k " << c.k << (c.trans_a ? " A^T" : " A")
                      << (c.trans_b ? " B^T" : " B") << " lda " << lda
-                     << " ldb " << ldb << " ldc " << ldc << " alpha "
-                     << c.alpha << " beta " << c.beta);
+                     << " ldb " << ldb << " ldc " << ldc
+                     << (c.accumulate ? " accumulate" : " overwrite"));
 
         Rng rng(seed * 6271 + 3);
         Tensor a(Shape({a_rows, lda}));
         a.fillNormal(rng, 0.0f, 1.0f);
         Tensor b(Shape({b_rows, ldb}));
         b.fillNormal(rng, 0.0f, 1.0f);
-        // beta 0 ignores C, NaN included; its padding columns must stay.
+        // Overwriting ignores C, NaN included; its padding columns must
+        // stay.
         Tensor c0(Shape({c.m, ldc}), std::numeric_limits<float>::quiet_NaN());
-        if (c.beta != 0.0f)
+        if (c.accumulate)
             c0.fillNormal(rng, 0.0f, 1.0f);
         auto run = [&](bool reference) {
             Tensor out = c0;
             (reference ? gemmReferenceRaw : gemmRaw)(
-                c.m, c.n, c.k, c.alpha, a.data(), lda, c.trans_a, b.data(),
-                ldb, c.trans_b, c.beta, out.data(), ldc);
+                c.m, c.n, c.k, a.data(), lda, c.trans_a, b.data(), ldb,
+                c.trans_b, out.data(), ldc, c.accumulate);
             return out;
         };
         const Tensor want = run(true);
@@ -319,8 +316,10 @@ TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
                          nn::Conv2dConfig{in_c, out_c, c.kernel, c.stride,
                                           c.pad, c.groups, false},
                          rng);
-        auto operands = std::make_shared<std::vector<GroupedSparseMatrix>>(1);
-        operands->front().rows = randomNmOperand(rng, out_c, k, c.nm);
+        const auto operands =
+            std::make_shared<const std::vector<GroupedSparseMatrix>>(
+                1, GroupedSparseMatrix{
+                       .rows = randomNmOperand(rng, out_c, k, c.nm)});
         const nn::CompressedConv2d sparse(
             "sparse", Shape({out_c, c.cg, c.kernel, c.kernel}), operands,
             c.stride, c.pad, c.groups);
@@ -367,9 +366,9 @@ TEST_F(ConvDifferential, RandomGeometriesMatchOracles)
                                                n * c.groups + grp)]
                                           .data();
                     const std::int64_t at = (n * out_c + grp * c.kg) * ohw;
-                    gemmRaw(c.kg, ohw, k, 1.0f, w.data() + grp * c.kg * k,
-                            k, false, pb, ohw, false, 0.0f,
-                            unfused_dense.data() + at, ohw);
+                    gemmRaw(c.kg, ohw, k, w.data() + grp * c.kg * k, k,
+                            false, pb, ohw, false, unfused_dense.data() + at,
+                            ohw);
                     gemmSparseARaw(group_ops[static_cast<std::size_t>(grp)],
                                    pb, ohw, unfused_sparse.data() + at, ohw);
                 }

@@ -10,29 +10,28 @@
 #define MVQ_TESTS_CSR_TEST_UTIL_HPP
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "tensor/ops.hpp"
 
 namespace mvq {
 
-/** Rows [r0, r1) of `a` as a standalone, validated CSR (row pointers
- *  rebased to the slice). */
+/** Rows [r0, r1) of `a` as a standalone CSR (row pointers rebased to
+ *  the slice). */
 inline SparseRowMatrix
 rowSlice(const SparseRowMatrix &a, std::int64_t r0, std::int64_t r1)
 {
-    SparseRowMatrix s;
-    s.rows = r1 - r0;
-    s.cols = a.cols;
     const std::int64_t e0 = a.row_ptr[static_cast<std::size_t>(r0)];
     const std::int64_t e1 = a.row_ptr[static_cast<std::size_t>(r1)];
+    std::vector<std::int64_t> row_ptr;
     for (std::int64_t r = r0; r <= r1; ++r)
-        s.row_ptr.push_back(a.row_ptr[static_cast<std::size_t>(r)] - e0);
-    s.col_idx.insert(s.col_idx.end(), a.col_idx.data() + e0,
-                     a.col_idx.data() + e1);
-    s.values.insert(s.values.end(), a.values.data() + e0,
-                    a.values.data() + e1);
-    validateSparseOperand(s);
-    return s;
+        row_ptr.push_back(a.row_ptr[static_cast<std::size_t>(r)] - e0);
+    return SparseRowMatrix::fromVectors(
+        r1 - r0, a.cols, std::move(row_ptr),
+        std::vector<std::int32_t>(a.col_idx.begin() + e0,
+                                  a.col_idx.begin() + e1),
+        std::vector<float>(a.values.begin() + e0, a.values.begin() + e1));
 }
 
 } // namespace mvq

@@ -91,9 +91,8 @@ denseUnfused(const Tensor &a, const Tensor &x, const ConvGeom &g)
 {
     const Tensor cols = im2col(x, 0, g);
     Tensor c(Shape({a.dim(0), cols.dim(1)}));
-    gemmRaw(a.dim(0), cols.dim(1), a.dim(1), 1.0f, a.data(), a.dim(1),
-            false, cols.data(), cols.dim(1), false, 0.0f, c.data(),
-            cols.dim(1));
+    gemmRaw(a.dim(0), cols.dim(1), a.dim(1), a.data(), a.dim(1), false,
+            cols.data(), cols.dim(1), false, c.data(), cols.dim(1));
     return c;
 }
 
@@ -521,12 +520,8 @@ TEST(FusedPack, PhaseImageOverflowPanics)
     // must panic before they allocate the ~11 GB image (or read the
     // one-float slab and weights).
     const ConvGeom g{70000, 200, 200, 3, 3, 1, 1};
-    SparseRowMatrix sp;
-    sp.rows = 1;
-    sp.cols = g.in_c * g.k_h * g.k_w;
-    sp.row_ptr = {0, 1};
-    sp.col_idx = {0};
-    sp.values = {1.0f};
+    const SparseRowMatrix sp = SparseRowMatrix::fromVectors(
+        1, g.in_c * g.k_h * g.k_w, {0, 1}, {0}, {1.0f});
     float slab = 1.0f;
     std::vector<float> c(4, 0.0f);
     EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{&slab, g}, c.data(), 1),
@@ -539,12 +534,8 @@ TEST(FusedPack, PhaseImageOverflowPanics)
     // Half as many channels per group fit, but the group shift addresses
     // the planes of both groups: the grouped call must panic too.
     const ConvGeom half{35000, 200, 200, 3, 3, 1, 1};
-    SparseRowMatrix two;
-    two.rows = 2;
-    two.cols = half.in_c * half.k_h * half.k_w;
-    two.row_ptr = {0, 1, 2};
-    two.col_idx = {0, 0};
-    two.values = {1.0f, 1.0f};
+    const SparseRowMatrix two = SparseRowMatrix::fromVectors(
+        2, half.in_c * half.k_h * half.k_w, {0, 1, 2}, {0, 0}, {1.0f, 1.0f});
     EXPECT_THROW(
         gemmSparseAIm2col(two, Im2colB{&slab, half}, c.data(), 1, 2),
         PanicError);
@@ -555,12 +546,8 @@ TEST(FusedPack, GroupsThatDoNotSplitTheRowsPanic)
     const ConvGeom g{1, 6, 6, 3, 3, 1, 1};
     std::vector<float> slab(
         static_cast<std::size_t>(3 * g.in_h * g.in_w), 1.0f);
-    SparseRowMatrix three; // 3 rows of 9 columns
-    three.rows = 3;
-    three.cols = 9;
-    three.row_ptr = {0, 1, 2, 3};
-    three.col_idx = {0, 4, 8};
-    three.values = {1.0f, 1.0f, 1.0f};
+    const SparseRowMatrix three = SparseRowMatrix::fromVectors(
+        3, 9, {0, 1, 2, 3}, {0, 4, 8}, {1.0f, 1.0f, 1.0f});
     std::vector<float> c(3 * 36, 0.0f);
     EXPECT_THROW(gemmSparseAIm2col(three, Im2colB{slab.data(), g}, c.data(),
                                    36, 2),
@@ -586,12 +573,8 @@ TEST(FusedPack, DegenerateGeometryPanics)
     EXPECT_THROW(gemmIm2colRaw(2, buf.data(), 9, b, buf.data(), 4),
                  PanicError);
 
-    SparseRowMatrix sp;
-    sp.rows = 1;
-    sp.cols = 9;
-    sp.row_ptr = {0, 1};
-    sp.col_idx = {0};
-    sp.values = {1.0f};
+    const SparseRowMatrix sp =
+        SparseRowMatrix::fromVectors(1, 9, {0, 1}, {0}, {1.0f});
     EXPECT_THROW(gemmSparseAIm2col(sp, b, buf.data(), 4), PanicError);
 }
 
@@ -600,12 +583,9 @@ TEST(FusedPack, SparseInnerDimMismatchPanics)
     const ConvGeom g{2, 6, 6, 3, 3, 1, 1};
     std::vector<float> slab(
         static_cast<std::size_t>(g.in_c * g.in_h * g.in_w), 1.0f);
-    SparseRowMatrix sp; // cols = 4 != g rows = 18
-    sp.rows = 1;
-    sp.cols = 4;
-    sp.row_ptr = {0, 1};
-    sp.col_idx = {0};
-    sp.values = {1.0f};
+    // cols = 4 != g rows = 18
+    const SparseRowMatrix sp =
+        SparseRowMatrix::fromVectors(1, 4, {0, 1}, {0}, {1.0f});
     std::vector<float> c(64, 0.0f);
     EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{slab.data(), g}, c.data(), 36),
                  PanicError);
@@ -630,8 +610,8 @@ conv2dUnfused(nn::Conv2d &conv, const Tensor &x)
     for (std::int64_t n = 0; n < x.dim(0); ++n) {
         for (std::int64_t grp = 0; grp < cc.groups; ++grp) {
             const Tensor cols = im2col(x, n, g, grp * cg);
-            gemmRaw(kg, ohw, wcols, 1.0f, pw + grp * kg * wcols, wcols,
-                    false, cols.data(), ohw, false, 0.0f,
+            gemmRaw(kg, ohw, wcols, pw + grp * kg * wcols, wcols, false,
+                    cols.data(), ohw, false,
                     out.data() + (n * cc.out_channels + grp * kg) * ohw,
                     ohw);
         }

@@ -1,6 +1,6 @@
 // Known-bad snippet for mvq_lint --selftest: raw std::getenv outside
 // src/common/env.cpp. Scattered getenv calls race first use and dodge
-// the MVQ_ENV_HELP enumeration; all reads go through mvq::env.
+// the knob registry; all reads go through mvq::env.
 // NOT compiled; linted only.
 #include <cstdlib>
 

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <span>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
@@ -171,17 +172,18 @@ TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
         for (std::int64_t i = 0; i < art->layerCount(); ++i) {
             const io::SharedOperands ops = art->packedOperands(i);
             ASSERT_EQ(ops->size(), 1u) << path;
-            // Borrowed mode, and all three CSR arrays point into the
-            // image — no pack at borrow time, no copies.
+            // All three CSR arrays point into the image — no pack at
+            // borrow time, no copies — and so do a copy's.
             const SparseRowMatrix &op = ops->front().rows;
             EXPECT_EQ(op.rows, art->layerShape(i).dim(0)) << path;
-            EXPECT_TRUE(op.row_ptr.borrowed()) << path;
-            EXPECT_TRUE(op.col_idx.borrowed()) << path;
-            EXPECT_TRUE(op.values.borrowed()) << path;
             EXPECT_TRUE(inImage(op.row_ptr.data())) << path;
             EXPECT_TRUE(inImage(op.col_idx.data())) << path;
             EXPECT_TRUE(inImage(op.values.data())) << path;
-            EXPECT_TRUE(op.validated) << path;
+            // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+            const SparseRowMatrix copy = op;
+            EXPECT_EQ(copy.row_ptr.data(), op.row_ptr.data()) << path;
+            EXPECT_EQ(copy.col_idx.data(), op.col_idx.data()) << path;
+            EXPECT_EQ(copy.values.data(), op.values.data()) << path;
         }
     }
 }
@@ -226,8 +228,8 @@ TEST_F(ModelArtifactTest, PackedOperandsAreCachedAndShared)
 
 TEST_F(ModelArtifactTest, SharedOperandsOutliveTheArtifact)
 {
-    // The aliasing shared_ptr keeps the mapping alive after the artifact
-    // handle is gone.
+    // A borrowed operand keeps the mapping alive after the artifact
+    // handle is gone, and so does a copy of it alone.
     io::SharedOperands ops;
     Shape ws;
     std::string name;
@@ -237,11 +239,24 @@ TEST_F(ModelArtifactTest, SharedOperandsOutliveTheArtifact)
         ws = art->layerShape(0);
         name = art->layerName(0);
     }
-    nn::CompressedConv2d conv(name, ws, ops, 1, 1);
     Tensor x(Shape({1, ws.dim(1), 5, 5}));
     Rng rng(5);
     x.fillNormal(rng, 0.0f, 1.0f);
-    EXPECT_GT(conv.forward(x).numel(), 0);
+    Tensor want;
+    {
+        const nn::CompressedConv2d conv(name, ws, ops, 1, 1);
+        want = conv.forward(x);
+    }
+    EXPECT_GT(want.numel(), 0);
+
+    const SparseRowMatrix copy = ops->front().rows;
+    ops.reset();
+    const nn::CompressedConv2d alone(
+        name, ws,
+        std::make_shared<const std::vector<GroupedSparseMatrix>>(
+            1, GroupedSparseMatrix{.rows = copy}),
+        1, 1);
+    EXPECT_TRUE(tensorsBitIdentical(want, alone.forward(x)));
 }
 
 TEST_F(ModelArtifactTest, StreamServesItsOwnInMemoryImage)
@@ -317,9 +332,14 @@ TEST_F(ModelArtifactTest, EveryGroupCountBorrows)
     for (const auto *art : {s.get(), m.get()}) {
         const io::SharedOperands ops = art->packedOperands(1, 2);
         ASSERT_EQ(ops->size(), 1u);
-        EXPECT_TRUE(ops->front().rows.row_ptr.borrowed());
-        EXPECT_TRUE(ops->front().rows.col_idx.borrowed());
-        EXPECT_TRUE(ops->front().rows.values.borrowed());
+        const std::uint8_t *base = art->view().data();
+        auto inImage = [&](const void *p) {
+            const auto *b = static_cast<const std::uint8_t *>(p);
+            return b >= base && b <= base + art->view().size();
+        };
+        EXPECT_TRUE(inImage(ops->front().rows.row_ptr.data()));
+        EXPECT_TRUE(inImage(ops->front().rows.col_idx.data()));
+        EXPECT_TRUE(inImage(ops->front().rows.values.data()));
         // Every dividing group count is the same borrowed operand.
         for (const std::int64_t groups : {0, 1, 4, 8, 16})
             EXPECT_EQ(art->packedOperands(1, groups).get(), ops.get());
@@ -391,7 +411,7 @@ synthesizeFullGeometry(const models::ModelSpec &spec,
 
 template <typename T>
 bool
-sameArray(const OperandArray<T> &x, const OperandArray<T> &y)
+sameArray(std::span<const T> x, std::span<const T> y)
 {
     return x.size() == y.size()
         && (x.empty()

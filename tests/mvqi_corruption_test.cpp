@@ -23,6 +23,7 @@
 #include "core/io/model_artifact.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
+#include "sim/weight_loader.hpp"
 #include "tensor/ops.hpp"
 
 namespace mvq::core {
@@ -180,8 +181,9 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
 {
     // Flip a col_idx of layer 0's operand out of range: structural
     // bounds still pass, so this must be caught by the O(nnz) semantic
-    // validation (validateSparseOperand) and rewrapped as a FatalError
-    // naming the file — the line that keeps the kernels in bounds.
+    // check when the operand is borrowed (SparseRowMatrix::borrow) and
+    // rewrapped as a FatalError naming the file — the line that keeps
+    // the kernels in bounds.
     std::vector<std::uint8_t> img = validImage();
     io::MvqiHeader h;
     std::memcpy(&h, img.data(), sizeof(h));
@@ -193,6 +195,38 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
     std::memcpy(img.data() + op.col_idx.off, &bogus, sizeof(bogus));
     writeBytes(img);
     expectFatal("corrupt MVQI operand");
+}
+
+TEST_F(MvqiCorruptionTest, OutOfRangeAssignmentFailsEveryDecoder)
+{
+    // The forward serves the packed operand and never reads the stored
+    // assignments, so an image with one out of range still loads. Every
+    // consumer that decodes them — the model's reconstruction and the
+    // accelerator sim's weight loader — must refuse it with a FatalError
+    // instead of reading past the codebook.
+    const std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    io::MvqiLayer L;
+    std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
+    io::MvqiCodebook cb;
+    std::memcpy(&cb,
+                img.data() + h.codebook_toc_off
+                    + static_cast<std::size_t>(L.codebook_id) * sizeof(cb),
+                sizeof(cb));
+    ASSERT_GT(L.assignments.count, 0);
+    for (const std::int64_t bogus : {cb.k, std::int64_t{1000000000},
+                                     std::int64_t{-1}}) {
+        SCOPED_TRACE(bogus);
+        patchU32(L.assignments.off, static_cast<std::uint32_t>(bogus));
+        EXPECT_NO_THROW(loadAndUse());
+        const auto art = io::openArtifact(kPath);
+        sim::Counters counters;
+        EXPECT_THROW(sim::decodeCompressedLayer(sim::AccelConfig{}, *art, 0,
+                                                counters),
+                     FatalError);
+        EXPECT_THROW(art->model().reconstructLayer(0), FatalError);
+    }
 }
 
 TEST_F(MvqiCorruptionTest, OperandGeometryMustMatchItsLayer)

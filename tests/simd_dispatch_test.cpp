@@ -91,9 +91,9 @@ TEST(SimdDispatch, ForcedScalarGemmBitExactVsReference)
 
     // The scalar micro-kernel reproduces gemmReference's per-element
     // accumulation order exactly when a single KC block covers the whole
-    // k dimension (k <= 256), alpha is pre-applied identically (the
-    // non-transposed reference path), and beta zeroes C — so the blocked
-    // path must be bit-identical, not merely close. Sizes exceed the
+    // k dimension (k <= 256) and C is overwritten (the reference zeroes
+    // C, the blocked path stores 0.0f + its sum) — so the blocked path
+    // must be bit-identical, not merely close. Sizes exceed the
     // scalar-fallback MAC threshold so the packed path actually runs.
     for (auto [m, n, k] : {std::tuple<std::int64_t, std::int64_t,
                                       std::int64_t>{70, 66, 130},
@@ -104,8 +104,8 @@ TEST(SimdDispatch, ForcedScalarGemmBitExactVsReference)
         Tensor b = randomMat(rng, k, n);
         Tensor c_ref(Shape({m, n}));
         Tensor c_opt(Shape({m, n}));
-        gemmReference(a, false, b, false, c_ref, 1.0f, 0.0f);
-        gemm(a, false, b, false, c_opt, 1.0f, 0.0f);
+        gemmReference(a, false, b, false, c_ref);
+        gemm(a, false, b, false, c_opt);
         EXPECT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                  static_cast<std::size_t>(m * n)
                                      * sizeof(float)))
@@ -287,10 +287,10 @@ TEST(SimdDispatch, VectorGemmMatchesScalarAllTransposeCases)
 
                 ASSERT_TRUE(simd::setIsa(Isa::Scalar));
                 Tensor c_s = c0;
-                gemm(a, ta, b, tb, c_s, 0.5f, 1.0f);
+                gemm(a, ta, b, tb, c_s, /*accumulate=*/true);
                 ASSERT_TRUE(simd::setIsa(isa));
                 Tensor c_v = c0;
-                gemm(a, ta, b, tb, c_v, 0.5f, 1.0f);
+                gemm(a, ta, b, tb, c_v, /*accumulate=*/true);
 
                 for (std::int64_t i = 0; i < m * n; ++i) {
                     const float denom =

@@ -12,6 +12,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -176,24 +179,111 @@ TEST(SparseGemm, EmptyRowsProduceZeroRows)
 TEST(SparseGemm, MalformedOperandPanics)
 {
     // The micro-kernels look col_idx up in an offset table of cols
-    // entries, so a malformed operand must panic up front instead of
-    // reading out of bounds.
-    SparseRowMatrix sp;
-    sp.rows = 2;
-    sp.cols = 8;
-    sp.row_ptr = {0, 2, 3};
-    sp.col_idx = {3, 1, 0}; // not ascending within row 0
-    sp.values = {1.0f, 2.0f, 3.0f};
-    Tensor b(Shape({8, 4}));
-    Tensor c(Shape({2, 4}));
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+    // entries, so a malformed operand must panic when it is built, on
+    // either factory, instead of reading out of bounds in a gemm.
+    struct Case
+    {
+        std::vector<std::int64_t> row_ptr;
+        std::vector<std::int32_t> col_idx;
+        const char *what;
+    };
+    const Case cases[] = {
+        {{0, 2, 3}, {3, 1, 0}, "col_idx not ascending within row 0"},
+        {{0, 2, 3}, {1, 9, 0}, "column 9 out of range [0, 8)"},
+        {{0, 3, 2}, {1, 3, 0}, "non-monotone row_ptr"},
+        {{0, 2}, {1, 3, 0}, "row_ptr size is not rows + 1"},
+        {{0, 2, 2}, {1, 3, 0}, "row_ptr does not cover every entry"},
+    };
+    const std::vector<float> values = {1.0f, 2.0f, 3.0f};
+    for (const Case &c : cases) {
+        EXPECT_THROW(SparseRowMatrix::fromVectors(2, 8, c.row_ptr, c.col_idx,
+                                                  values),
+                     PanicError)
+            << c.what;
+        EXPECT_THROW(SparseRowMatrix::borrow(2, 8, c.row_ptr, c.col_idx,
+                                             values, nullptr),
+                     PanicError)
+            << c.what;
+    }
+    EXPECT_THROW(SparseRowMatrix::fromVectors(2, 8, {0, 2, 3}, {1, 3},
+                                              values),
+                 PanicError)
+        << "col_idx/values size mismatch";
+    EXPECT_NO_THROW(SparseRowMatrix::fromVectors(2, 8, {0, 2, 3}, {1, 3, 0},
+                                                 values));
+}
 
-    sp.col_idx = {1, 9, 0}; // column 9 out of range [0, 8)
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+// An operand is checked once and cannot change after: not an aggregate
+// (so it cannot be built field by field), not assignable as a whole or
+// member by member, and its elements are read-only.
+static_assert(!std::is_aggregate_v<SparseRowMatrix>);
+static_assert(!std::is_copy_assignable_v<SparseRowMatrix>);
+static_assert(!std::is_move_assignable_v<SparseRowMatrix>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<SparseRowMatrix &>().rows)),
+              std::int64_t>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<SparseRowMatrix &>().cols)),
+              std::int64_t>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<SparseRowMatrix &>().row_ptr)),
+              std::span<const std::int64_t>>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<SparseRowMatrix &>().col_idx)),
+              std::span<const std::int32_t>>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<SparseRowMatrix &>().values)),
+              std::span<const float>>);
+static_assert(!std::is_assignable_v<
+              decltype(std::declval<SparseRowMatrix &>().row_ptr[0]),
+              std::int64_t>);
+static_assert(!std::is_assignable_v<
+              decltype(std::declval<SparseRowMatrix &>().col_idx[0]),
+              std::int32_t>);
+static_assert(!std::is_assignable_v<
+              decltype(std::declval<SparseRowMatrix &>().values[0]),
+              float>);
 
-    sp.col_idx = {1, 3, 0};
-    sp.row_ptr = {0, 3, 2}; // non-monotone row_ptr
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+TEST(SparseGemm, OperandCopiesShareTheirArrays)
+{
+    Rng rng(31);
+    Tensor a(Shape({6, 16}));
+    a.fillNormal(rng, 0.0f, 1.0f);
+    const SparseRowMatrix sp = sparsifyRows(a);
+    // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+    const SparseRowMatrix copy = sp;
+    EXPECT_EQ(copy.row_ptr.data(), sp.row_ptr.data());
+    EXPECT_EQ(copy.col_idx.data(), sp.col_idx.data());
+    EXPECT_EQ(copy.values.data(), sp.values.data());
+
+    // A copy keeps the arrays alive without the original.
+    std::vector<SparseRowMatrix> held;
+    {
+        const SparseRowMatrix tmp = sparsifyRows(a);
+        held.push_back(tmp);
+    }
+    Tensor b(Shape({16, 3}));
+    b.fillNormal(rng, 0.0f, 1.0f);
+    Tensor c_held(Shape({6, 3}));
+    Tensor c_sp(Shape({6, 3}));
+    gemmSparseA(held.front(), b, c_held);
+    gemmSparseA(sp, b, c_sp);
+    EXPECT_EQ(0, std::memcmp(c_held.data(), c_sp.data(),
+                             static_cast<std::size_t>(c_sp.numel())
+                                 * sizeof(float)));
+}
+
+TEST(SparseGemm, DefaultOperandIsTheEmptyOne)
+{
+    const SparseRowMatrix sp;
+    EXPECT_EQ(sp.rows, 0);
+    EXPECT_EQ(sp.cols, 0);
+    ASSERT_EQ(sp.row_ptr.size(), 1u);
+    EXPECT_EQ(sp.row_ptr[0], 0);
+    EXPECT_EQ(sp.nnz(), 0);
+    // It passes the factories' check: the same arrays build an operand.
+    EXPECT_NO_THROW(SparseRowMatrix::borrow(0, 0, sp.row_ptr, sp.col_idx,
+                                            sp.values, nullptr));
 }
 
 /**

@@ -111,18 +111,18 @@ TEST(Gemm, TransposeVariantsAgree)
     EXPECT_LT(maxAbsDiff(matmul(at, bt, true, true), ref), 1e-4f);
 }
 
-TEST(Gemm, AlphaBeta)
+TEST(Gemm, Accumulate)
 {
     Rng rng(7);
     Tensor a(Shape({3, 3}));
     Tensor b(Shape({3, 3}));
     a.fillNormal(rng, 0.0f, 1.0f);
     b.fillNormal(rng, 0.0f, 1.0f);
-    Tensor c(Shape({3, 3}), 1.0f);
-    gemm(a, false, b, false, c, 2.0f, 3.0f);
+    Tensor c(Shape({3, 3}), 3.0f);
+    gemm(a, false, b, false, c, /*accumulate=*/true);
     Tensor ref = matmul(a, b);
     for (std::int64_t i = 0; i < 9; ++i)
-        EXPECT_NEAR(c[i], 2.0f * ref[i] + 3.0f, 1e-4f);
+        EXPECT_NEAR(c[i], ref[i] + 3.0f, 1e-4f);
 }
 
 TEST(Gemm, ShapeChecks)
